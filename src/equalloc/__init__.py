@@ -16,14 +16,7 @@ from .core import (
     realize_allocation,
     utility_eval,
 )
-from .curves import (
-    AnalyticCurve,
-    BatchLedger,
-    build_batch_ledger,
-    eval_perf,
-    is_separable,
-    marginal_batch,
-)
+from .curves import AnalyticCurve, eval_perf
 from .estimator import (
     EstimatorSettings,
     MarginalEstimate,
@@ -47,7 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation",
     "AnalyticCurve",
-    "BatchLedger",
     "CostModel",
     "EstimatorSettings",
     "GreedyConfig",
@@ -61,14 +53,11 @@ __all__ = [
     "audit_gap",
     "baseline_policy",
     "batch_enum_optimum",
-    "build_batch_ledger",
     "check_feasible",
     "draw_truncated_normal",
     "estimate_marginal",
     "eval_perf",
     "fit_local_slope",
-    "is_separable",
-    "marginal_batch",
     "realize_allocation",
     "run_greedy",
     "solve_concave",

@@ -38,6 +38,7 @@ from .harness.config import (
     parse_estimator,
     parse_utility,
     parse_world,
+    seed_lists,
 )
 from .harness.experiments import (
     run_adaptive_prs,
@@ -208,7 +209,7 @@ def _cmd_experiment(name: str, args) -> int:
     paths = [write_table(t, out_dir) for t in tables]
     write_manifest(
         out_dir, config, digest,
-        seeds=config.get("seeds", []),
+        seeds=seed_lists(config),
         timings={name: elapsed},
     )
     for p in paths:

@@ -20,6 +20,7 @@ __all__ = [
     "FEASIBILITY_RTOL",
     "check_feasible",
     "utility_eval",
+    "utility_kernel",
     "realize_allocation",
 ]
 
@@ -200,15 +201,25 @@ def check_feasible(alloc: Allocation, cost: CostModel) -> bool:
     return spend <= cost.budget + FEASIBILITY_RTOL * max(cost.budget, 1.0)
 
 
-def transform_values(spec: UtilitySpec, values: np.ndarray) -> np.ndarray:
-    """Apply the spec's elementwise transform to raw performances."""
+def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
+    """Utilities of the performance columns of a K x P matrix (or one K-vector).
+
+    The one implementation of the utility formula.  Under the log
+    transform a non-positive performance evaluates to -inf, the limit of
+    the transform, so vectorized scans can skip such points.
+    """
     if spec.transform == "log":
-        if np.any(values <= 0):
-            raise DomainError(
-                "log transform requires strictly positive performances"
-            )
-        return np.log(values)
-    return np.asarray(values, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(perf > 0, np.log(perf), -np.inf)
+    else:
+        t = perf
+    u = spec.weights @ t
+    if spec.parity_penalty > 0:
+        dev = np.abs(t - t.mean(axis=0, keepdims=True)).sum(axis=0)
+        u = u - spec.parity_penalty * dev
+    if spec.normalize:
+        u = u / spec.weights.sum()
+    return u
 
 
 def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:
@@ -216,15 +227,13 @@ def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:
 
     With ``parity_penalty == 0`` and the identity transform this is a
     plain weighted sum (a weighted mean when ``normalize`` is set).
+    Raises :class:`DomainError` for non-positive performances under the
+    log transform.
     """
     _check_k(spec.num_groups, perf.num_groups, "performance vector")
-    t = transform_values(spec, perf.values)
-    value = float(spec.weights @ t)
-    if spec.parity_penalty > 0:
-        value -= spec.parity_penalty * float(np.sum(np.abs(t - t.mean())))
-    if spec.normalize:
-        value /= float(spec.weights.sum())
-    return value
+    if spec.transform == "log" and np.any(perf.values <= 0):
+        raise DomainError("log transform requires strictly positive performances")
+    return float(utility_kernel(spec, perf.values))
 
 
 def realize_allocation(alloc: Allocation, rng_seed: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A curve maps an allocation ``n`` to expected group performances via
 ``M_k = f(offset + sum_j gamma[k, j] * n_j)`` for a concave nondecreasing
-``f``.  These serve as ground truth in experiments and as the substrate
-for the batch-marginal accounting used by the greedy optimality tests.
+``f``.  They are the ground truth of the analytic experiments, and
+:func:`batch_utilities` evaluates the utility of many allocations on one
+curve at once, for the grid oracle and the true-curve greedy loop.
 """
 
 from __future__ import annotations
@@ -12,18 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
+from .core import Allocation, PerformanceVector, UtilitySpec, utility_kernel
 from .errors import DomainError
 
-__all__ = [
-    "AnalyticCurve",
-    "BatchLedger",
-    "eval_perf",
-    "marginal_batch",
-    "is_separable",
-    "build_batch_ledger",
-    "batch_utilities",
-]
+__all__ = ["AnalyticCurve", "eval_perf", "batch_utilities"]
 
 _FORMS = ("sqrt", "log1p", "power")
 
@@ -106,29 +99,6 @@ def eval_perf(curve: AnalyticCurve, alloc: Allocation) -> PerformanceVector:
     return PerformanceVector(curve.perf_values(alloc.counts))
 
 
-def marginal_batch(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    alloc: Allocation,
-    group: int,
-    step_cost: float,
-    cost: CostModel,
-) -> float:
-    """Utility gain from spending one more batch of ``step_cost`` on a group.
-
-    The batch buys ``step_cost / costs[group]`` samples, so groups with
-    expensive samples see smaller gains at equal spend.
-    """
-    if step_cost <= 0:
-        raise DomainError("step_cost must be positive")
-    if not 0 <= group < curve.num_groups:
-        raise DomainError(f"group index {group} out of range [0, {curve.num_groups})")
-    before = utility_eval(utility, eval_perf(curve, alloc))
-    bumped = alloc.add(group, step_cost / cost.costs[group])
-    after = utility_eval(utility, eval_perf(curve, bumped))
-    return after - before
-
-
 def batch_utilities(
     curve: AnalyticCurve,
     utility: UtilitySpec,
@@ -140,68 +110,4 @@ def batch_utilities(
     non-positive evaluate to -inf (the limit of the transform) instead of
     raising, so vectorized scans can skip them.
     """
-    z = curve.offset + curve.gamma @ counts_matrix
-    m = curve.transform(z)
-    if utility.transform == "log":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(m > 0, np.log(np.maximum(m, 1e-300)), -np.inf)
-    else:
-        t = m
-    u = utility.weights @ t
-    if utility.parity_penalty > 0:
-        dev = np.abs(t - t.mean(axis=0, keepdims=True)).sum(axis=0)
-        u = u - utility.parity_penalty * dev
-    if utility.normalize:
-        u = u / utility.weights.sum()
-    return u
-
-
-def is_separable(curve: AnalyticCurve) -> bool:
-    """True iff gamma is diagonal, so no group's data affects another's curve.
-
-    This is the sufficient condition under which the greedy algorithm is
-    exactly optimal over batch-multiple allocations; non-diagonal
-    interactions with allocation-independent partials would also qualify
-    but are not detected here.
-    """
-    off_diag = curve.gamma - np.diag(np.diag(curve.gamma))
-    return not np.any(off_diag != 0)
-
-
-@dataclass(frozen=True)
-class BatchLedger:
-    """Marginal utility of the j-th batch from each group, at fixed spend.
-
-    ``marginals[i][j-1]`` is the utility gain of group i's j-th batch,
-    holding every other group at zero.  For separable concave curves each
-    row is nonincreasing, which is the accounting fact behind the greedy
-    optimality argument.
-    """
-
-    step_cost: float
-    marginals: tuple
-
-    def row(self, group: int) -> np.ndarray:
-        return np.asarray(self.marginals[group])
-
-
-def build_batch_ledger(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    cost: CostModel,
-    step_cost: float,
-    num_batches: int,
-) -> BatchLedger:
-    """Tabulate per-group batch marginals m[i, j] for j = 1..num_batches."""
-    if step_cost <= 0:
-        raise DomainError("step_cost must be positive")
-    rows = []
-    for i in range(curve.num_groups):
-        alloc = Allocation.zeros(curve.num_groups)
-        row = []
-        for _ in range(num_batches):
-            gain = marginal_batch(curve, utility, alloc, i, step_cost, cost)
-            row.append(gain)
-            alloc = alloc.add(i, step_cost / cost.costs[i])
-        rows.append(tuple(row))
-    return BatchLedger(step_cost=float(step_cost), marginals=tuple(rows))
+    return utility_kernel(utility, curve.perf_values(counts_matrix))

@@ -89,27 +89,6 @@ class GenomicWorldConfig:
         if not 0.0 < self.freq_low < self.freq_high < 1.0:
             raise DomainError("need 0 < freq_low < freq_high < 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "variants": self.variants,
-            "causal_count": self.causal_count,
-            "heritability": self.heritability,
-            "prevalence": self.prevalence,
-            "population": self.population,
-            "benefit": self.benefit,
-            "cost": self.cost,
-            "clump_window": self.clump_window,
-            "pvalue_threshold": self.pvalue_threshold,
-            "maf_floor": self.maf_floor,
-            "r2_threshold": self.r2_threshold,
-            "ld_rho": self.ld_rho,
-            "case_train_fraction": self.case_train_fraction,
-            "calibration_fraction": self.calibration_fraction,
-            "freq_low": self.freq_low,
-            "freq_high": self.freq_high,
-            "rng_seed": self.rng_seed,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "GenomicWorldConfig":
         return GenomicWorldConfig(**{
@@ -301,9 +280,7 @@ def draw_case_control_sample(
             f"requested {n_pairs} pairs but group {group} has only "
             f"{split.max_pairs} available"
         )
-    rng = np.random.default_rng(rng_seed) if not isinstance(
-        rng_seed, np.random.Generator
-    ) else rng_seed
+    rng = np.random.default_rng(rng_seed)
     cases = rng.permutation(split.train_cases)[:n_pairs]
     controls = rng.permutation(split.train_controls)[:n_pairs]
     return CaseControlSample(group=group, case_idx=cases, control_idx=controls)
@@ -584,6 +561,11 @@ class GenomicSamplingSession:
         return self._cache[key]
 
     def observe(self, alloc: Allocation) -> PerformanceVector:
-        counts = np.rint(alloc.counts).astype(int)
+        """Holdout values at ``alloc``, whose counts must be whole pairs."""
+        if not np.all(alloc.counts == np.floor(alloc.counts)):
+            raise DomainError(
+                f"pair counts must be whole numbers, got {alloc.counts.tolist()}"
+            )
+        counts = alloc.counts.astype(int)
         values = [self.value_at(g, int(counts[g])) for g in range(self.num_groups)]
         return PerformanceVector(np.array(values))

@@ -169,11 +169,9 @@ def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
         raise DomainError("sd must be non-negative")
     if sd == 0:
         return max(float(mean), 0.0)
-    rng = np.random.default_rng(rng_seed) if not isinstance(
-        rng_seed, np.random.Generator
-    ) else rng_seed
     a = (0.0 - mean) / sd
-    return float(truncnorm.rvs(a, np.inf, loc=mean, scale=sd, random_state=rng))
+    return float(truncnorm.rvs(a, np.inf, loc=mean, scale=sd,
+                               random_state=np.random.default_rng(rng_seed)))
 
 
 def estimate_marginal(

@@ -9,6 +9,7 @@ stops as soon as another step would break the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .core import (
     UtilitySpec,
     check_feasible,
     utility_eval,
+    utility_kernel,
 )
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import (
@@ -100,9 +102,6 @@ class GreedyTrace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def total_spend(self, cost: CostModel, start: Allocation) -> float:
-        return sum(r.spend for r in self.records) + cost.spend(start)
-
     def csv_header(self, num_groups: int) -> list[str]:
         cols = ["step", "group", "spend"]
         cols += [f"count_{k}" for k in range(num_groups)]
@@ -167,7 +166,7 @@ def run_greedy(
         raise DomainError("start allocation, cost, and utility sizes must match")
     if not check_feasible(start, cost):
         raise DomainError("start allocation exceeds the budget")
-    if config.step_cost > cost.budget + FEASIBILITY_RTOL * max(cost.budget, 1.0):
+    if config.step_cost > cost.budget + _budget_slack(cost):
         raise DomainError("step_cost exceeds the budget")
 
     if config.marginal_source == "true_curve":
@@ -181,38 +180,62 @@ def _budget_slack(cost: CostModel) -> float:
     return FEASIBILITY_RTOL * max(cost.budget, 1.0)
 
 
-def _run_true_curve(curve, utility, cost, config, start):
-    rng = np.random.default_rng(config.seed)
+def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
+                  record=None) -> tuple[np.ndarray, float]:
+    """The budget-stepping loop shared by every sequential policy.
+
+    Each step spends ``step_cost`` on the group ``choose(counts, step)``
+    returns, then calls ``record(counts, group, step)`` if given; the loop
+    stops as soon as another step would break the budget.  Returns the
+    final counts and the budget left unspent.
+    """
     counts = start.counts.copy()
     spent = cost.spend(start)
-    s = config.step_cost
     slack = _budget_slack(cost)
-    trace = GreedyTrace()
     step = 0
-    u_now = float(batch_utilities(curve, utility, counts[:, None])[0])
-    while spent + s <= cost.budget + slack:
+    while spent + step_cost <= cost.budget + slack:
         step += 1
+        group = choose(counts, step)
+        counts[group] += step_cost / cost.costs[group]
+        spent += step_cost
+        if record is not None:
+            record(counts, group, step)
+    return counts, cost.budget - spent
+
+
+def _observe(env, counts: np.ndarray) -> np.ndarray:
+    return np.asarray(env.observe(Allocation(counts)).values, dtype=float)
+
+
+def _run_true_curve(curve, utility, cost, config, start):
+    """Buy from the group with the largest exact marginal gain."""
+    rng = np.random.default_rng(config.seed)
+    s = config.step_cost
+    trace = GreedyTrace()
+    u_now = float(batch_utilities(curve, utility, start.counts[:, None])[0])
+    marginals = None
+
+    def choose(counts, step):
+        nonlocal marginals
         marginals = _true_marginals(curve, utility, counts, s, cost, u_now)
-        group = _pick_argmax(marginals, config.tie_break, rng)
-        counts[group] += s / cost.costs[group]
-        spent += s
+        return _pick_argmax(marginals, config.tie_break, rng)
+
+    def record(counts, group, step):
+        nonlocal u_now
         u_now = float(batch_utilities(curve, utility, counts[:, None])[0])
         trace.records.append(
-            StepRecord(
-                step=step,
-                group=group,
-                spend=s,
-                counts=counts.copy(),
-                marginal_est=marginals.copy(),
-                marginal_true=marginals.copy(),
-                utility=u_now,
-            )
+            StepRecord(step=step, group=group, spend=s, counts=counts.copy(),
+                       marginal_est=marginals, marginal_true=marginals.copy(),
+                       utility=u_now)
         )
-    trace.residual_budget = cost.budget - spent
+
+    counts, trace.residual_budget = _spend_budget(cost, start, s, choose, record)
     return Allocation(counts), trace
 
 
 def _run_estimated(env, utility, cost, config, start):
+    """Force-explore groups with too few measurements, then buy from the
+    group with the largest Thompson-style priority."""
     if utility.transform != "identity" or utility.parity_penalty > 0:
         raise UnsupportedUtilityError(
             "estimator-driven greedy supports only linear utilities"
@@ -220,22 +243,19 @@ def _run_estimated(env, utility, cost, config, start):
     rng = np.random.default_rng(config.seed)
     k = cost.num_groups
     est = config.estimator
+    s = config.step_cost
     true_curve = getattr(env, "curve", None)
 
-    counts = start.counts.copy()
-    spent = cost.spend(start)
-    s = config.step_cost
-    slack = _budget_slack(cost)
-
     history = PerformanceHistory(k)
-    perf = np.asarray(env.observe(Allocation(counts)).values, dtype=float)
+    perf = _observe(env, start.counts)
     for g in range(k):
-        history.append(g, counts[g], perf[g])
+        history.append(g, start.counts[g], perf[g])
 
     trace = GreedyTrace()
-    step = 0
-    while spent + s <= cost.budget + slack:
-        step += 1
+    priorities = marg_true = None
+
+    def choose(counts, step):
+        nonlocal priorities, marg_true
         priorities = np.full(k, np.nan)
         under = [g for g in range(k) if history.count(g) < est.min_points]
         if under:
@@ -264,27 +284,18 @@ def _run_estimated(env, utility, cost, config, start):
             marg_true = _true_marginals(true_curve, utility, counts, s, cost, base_u)
         else:
             marg_true = np.full(k, np.nan)
+        return group
 
-        counts[group] += s / cost.costs[group]
-        spent += s
-        perf = np.asarray(env.observe(Allocation(counts)).values, dtype=float)
+    def record(counts, group, step):
+        perf = _observe(env, counts)
         history.append(group, counts[group], perf[group])
-
-        measured_u = float(utility.weights @ perf)
-        if utility.normalize:
-            measured_u /= float(utility.weights.sum())
         trace.records.append(
-            StepRecord(
-                step=step,
-                group=group,
-                spend=s,
-                counts=counts.copy(),
-                marginal_est=priorities,
-                marginal_true=marg_true,
-                utility=measured_u,
-            )
+            StepRecord(step=step, group=group, spend=s, counts=counts.copy(),
+                       marginal_est=priorities, marginal_true=marg_true,
+                       utility=float(utility_kernel(utility, perf)))
         )
-    trace.residual_budget = cost.budget - spent
+
+    counts, trace.residual_budget = _spend_budget(cost, start, s, choose, record)
     return Allocation(counts), trace
 
 
@@ -398,21 +409,13 @@ def _round_to_batches(counts: np.ndarray, cost: CostModel, step_cost: float) -> 
     return rounded
 
 
-def _measure(source, alloc: Allocation) -> np.ndarray:
-    if isinstance(source, AnalyticCurve):
-        return source.perf_values(alloc.counts)
-    return np.asarray(source.observe(alloc).values, dtype=float)
-
-
 def _parity_policy(source, cost, step_cost, start_alloc):
-    k = cost.num_groups
-    start = start_alloc if start_alloc is not None else Allocation.zeros(k)
-    counts = start.counts.copy()
-    spent = cost.spend(start)
-    slack = _budget_slack(cost)
-    while spent + step_cost <= cost.budget + slack:
-        perf = _measure(source, Allocation(counts))
-        worst = int(np.argmin(perf))
-        counts[worst] += step_cost / cost.costs[worst]
-        spent += step_cost
+    """Buy from the group that currently measures worst."""
+    start = start_alloc if start_alloc is not None else Allocation.zeros(cost.num_groups)
+    if isinstance(source, AnalyticCurve):
+        measure = source.perf_values
+    else:
+        measure = partial(_observe, source)
+    counts, _ = _spend_budget(cost, start, step_cost,
+                              lambda counts, step: int(np.argmin(measure(counts))))
     return Allocation(counts)

@@ -10,6 +10,7 @@ types.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -68,12 +69,6 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _require(doc: dict, key: str, kind: str):
-    if key not in doc:
-        raise ConfigError(f"{kind} config is missing required block {key!r}")
-    return doc[key]
-
-
 def parse_curve(block) -> AnalyticCurve:
     try:
         return AnalyticCurve.from_dict(block)
@@ -120,11 +115,22 @@ def parse_world(block) -> GenomicWorldConfig:
         raise ConfigError(f"bad world block: {exc}") from exc
 
 
-def seeds_of(doc: dict, default, offset: int = 0) -> list[int]:
-    seeds = doc.get("seeds", default)
+# Every config key that holds a seed list; an integer n stands for the
+# seeds 0..n-1.
+SEED_KEYS = ("seeds", "frontier_seeds", "policy_seeds", "curve_seeds")
+
+
+def seeds_of(doc: dict, key: str, default) -> list[int]:
+    """The seed list under ``key``, or ``default`` when the key is absent."""
+    seeds = doc.get(key, default)
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    return [int(s) + offset for s in seeds]
+    return [int(s) for s in seeds]
+
+
+def seed_lists(config: dict) -> dict:
+    """Every seed list a config names, keyed by its config key."""
+    return {key: seeds_of(config, key, []) for key in SEED_KEYS if key in config}
 
 
 def apply_seed_offset(config: dict, offset: int) -> dict:
@@ -132,12 +138,8 @@ def apply_seed_offset(config: dict, offset: int) -> dict:
     if offset == 0:
         return config
     doc = copy.deepcopy(config)
-    for key in ("seeds", "frontier_seeds", "policy_seeds"):
-        if key in doc:
-            value = doc[key]
-            if isinstance(value, int):
-                value = list(range(value))
-            doc[key] = [int(s) + offset for s in value]
+    for key, seeds in seed_lists(config).items():
+        doc[key] = [s + offset for s in seeds]
     return doc
 
 
@@ -179,7 +181,7 @@ def default_convergence_config() -> dict:
 
 
 def default_world_block() -> dict:
-    return GenomicWorldConfig().to_dict()
+    return dataclasses.asdict(GenomicWorldConfig())
 
 
 def default_frontier_config() -> dict:

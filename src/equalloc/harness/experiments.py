@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 
-from ..core import Allocation, CostModel, UtilitySpec, utility_eval
+from ..core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
 from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import GenomicSamplingSession, generate_world, run_allocation_curve
 from ..errors import ConfigError
 from ..greedy import GreedyConfig, baseline_policy, run_greedy
-from ..solvers import solve_concave, solve_grid
+from ..solvers import _solve_for_audit, solve_concave, solve_grid
 from .config import (
     check_kind,
     config_digest,
@@ -130,7 +130,7 @@ def run_convergence(config: dict) -> Table:
     budget = float(config.get("budget", 10.0))
     divisors = [int(d) for d in config.get("step_divisors", [10, 100, 1000])]
     tol = float(config.get("solver_tol", 1e-8))
-    master_seeds = seeds_of(config, [0])
+    master_seeds = seeds_of(config, "seeds", [0])
 
     header = [
         "form", "instance", "seed", "num_groups", "step_divisor",
@@ -211,10 +211,8 @@ def run_frontier(config: dict) -> Table:
     step = int(config.get("grid_step", 100))
     policy_step = float(config.get("policy_step", 50))
     est = parse_estimator(config.get("estimator"))
-    frontier_seeds = seeds_of(
-        {"seeds": config.get("frontier_seeds", 20)}, 20
-    )
-    policy_seeds = seeds_of({"seeds": config.get("policy_seeds", 8)}, 8)
+    frontier_seeds = seeds_of(config, "frontier_seeds", 20)
+    policy_seeds = seeds_of(config, "policy_seeds", 8)
 
     grid = _frontier_grid(budget, min_pg, step)
     for n0, n1 in grid:
@@ -286,7 +284,7 @@ def run_adaptive_prs(config: dict):
     start_pairs = config.get("start_pairs", [100, 100])
     step = float(config.get("step_cost", 50.0))
     est = parse_estimator(config.get("estimator"))
-    seeds = seeds_of(config, 5)
+    seeds = seeds_of(config, "seeds", 5)
     settings = config.get("weight_settings", [[1.0, 1.0]])
 
     cost = CostModel([1.0, 1.0], budget)
@@ -314,7 +312,7 @@ def run_adaptive_prs(config: dict):
                     policy=label,
                     counts=(n0, n1),
                     performances=(m0, m1),
-                    utility=float(util.weights @ np.array([m0, m1])),
+                    utility=utility_eval(util, PerformanceVector([m0, m1])),
                     seconds=time.perf_counter() - t0,
                 )
             )
@@ -324,7 +322,7 @@ def run_adaptive_prs(config: dict):
     grid = config.get("learning_curve_grid")
     if grid is None:
         return main
-    curve_seeds = seeds_of({"seeds": config.get("curve_seeds", 10)}, 10)
+    curve_seeds = seeds_of(config, "curve_seeds", 10)
     curve_rows = run_allocation_curve(world, grid, curve_seeds)
     curves = Table(
         "learning_curves",
@@ -344,12 +342,9 @@ def run_audit(config: dict) -> Table:
     observed = parse_allocation(_require_block(config, "observed"))
     resolution = config.get("grid_resolution")
 
-    if curve.num_groups <= 4:
-        res = resolution if resolution is not None else cost.budget / 200
-        best = solve_grid(curve, auditor, cost, float(res))
-    else:
-        best = solve_concave(curve, auditor, cost,
-                             tol=float(config.get("solver_tol", 1e-8)))
+    best = _solve_for_audit(curve, auditor, cost,
+                            None if resolution is None else float(resolution),
+                            tol=float(config.get("solver_tol", 1e-8)))
     observed_u = utility_eval(auditor, eval_perf(curve, observed))
     gap = max(best.utility, observed_u) - observed_u
 

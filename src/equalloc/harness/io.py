@@ -85,13 +85,14 @@ def write_table(table: Table, out_dir) -> Path:
 
 
 def write_manifest(out_dir, config: dict, digest: str, seeds, timings: dict) -> Path:
-    """Record what ran: config digest, versions, seeds, wall-clock timings."""
+    """Record what ran: config digest, versions, wall-clock timings, and the
+    seed lists, keyed by config key (see :func:`~.config.seed_lists`)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_digest": digest,
         "config": config,
-        "seeds": list(seeds),
+        "seeds": dict(seeds),
         "timings_seconds": timings,
         "versions": {
             "equalloc": __version__,

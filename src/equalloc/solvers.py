@@ -179,10 +179,6 @@ def solve_grid(
     )
 
 
-def _utility_of(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> float:
-    return float(batch_utilities(curve, utility, counts[:, None])[0])
-
-
 def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> np.ndarray:
     """Gradient of the utility with respect to counts; +inf capped."""
     z = curve.offset + curve.gamma @ counts
@@ -241,7 +237,7 @@ def solve_concave(
     vertices = np.vstack([np.zeros(k), np.diag(cost.budget / cost.costs)])
     alpha = np.full(k + 1, 1.0 / (k + 1))
     x = alpha @ vertices
-    u_prev = _utility_of(curve, utility, x)
+    u_prev = float(batch_utilities(curve, utility, x[:, None])[0])
 
     converged = False
     iterations = 0
@@ -264,14 +260,15 @@ def solve_concave(
             direction, t_max, away = d_aw, (a / (1.0 - a) if a < 1.0 else 1.0), True
 
         res = minimize_scalar(
-            lambda t: -_utility_of(curve, utility, x + t * direction),
+            lambda t: -batch_utilities(curve, utility, (x + t * direction)[:, None])[0],
             bounds=(0.0, t_max),
             method="bounded",
             options={"xatol": 1e-12},
         )
         t = float(res.x)
         # Bounded search never tries the endpoint; take it when it is better.
-        if _utility_of(curve, utility, x + t_max * direction) >= -res.fun:
+        end = x + t_max * direction
+        if batch_utilities(curve, utility, end[:, None])[0] >= -res.fun:
             t = t_max
         dropped = away and t >= t_max
         if away:
@@ -286,7 +283,7 @@ def solve_concave(
         alpha /= alpha.sum()
         x = alpha @ vertices
 
-        u_new = _utility_of(curve, utility, x)
+        u_new = float(batch_utilities(curve, utility, x[:, None])[0])
         # Drop steps remove a vertex without real progress; they do not
         # count toward the improvement-based stopping rule.
         if not dropped and u_new - u_prev < tol:
@@ -303,6 +300,22 @@ def solve_concave(
         iterations=iterations,
         converged=converged,
     )
+
+
+def _solve_for_audit(
+    curve: AnalyticCurve,
+    utility: UtilitySpec,
+    cost: CostModel,
+    resolution: float | None,
+    tol: float,
+) -> SolveResult:
+    """The auditor's optimum: the grid oracle when K <= 4 (at spend
+    resolution ``budget / 200`` unless given), the concave solver otherwise."""
+    if curve.num_groups <= _GRID_MAX_GROUPS:
+        if resolution is None:
+            resolution = cost.budget / 200 if cost.budget > 0 else 1.0
+        return solve_grid(curve, utility, cost, resolution)
+    return solve_concave(curve, utility, cost, tol=tol)
 
 
 def audit_gap(
@@ -323,10 +336,5 @@ def audit_gap(
     if not check_feasible(observed_alloc, cost):
         raise DomainError("observed allocation exceeds the budget")
     observed_u = utility_eval(auditor_utility, eval_perf(curve, observed_alloc))
-    if curve.num_groups <= _GRID_MAX_GROUPS:
-        if resolution is None:
-            resolution = cost.budget / 200 if cost.budget > 0 else 1.0
-        best = solve_grid(curve, auditor_utility, cost, resolution)
-    else:
-        best = solve_concave(curve, auditor_utility, cost, tol=tol)
+    best = _solve_for_audit(curve, auditor_utility, cost, resolution, tol)
     return max(best.utility, observed_u) - observed_u

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equalloc import (
-    Allocation,
-    AnalyticCurve,
-    CostModel,
-    UtilitySpec,
-    build_batch_ledger,
-    eval_perf,
-    is_separable,
-    marginal_batch,
-)
+from equalloc import Allocation, AnalyticCurve, CostModel, UtilitySpec, eval_perf
+from equalloc.curves import batch_utilities
 from equalloc.errors import DomainError
+
+
+def batch_gain(curve, util, counts, group, step_cost, cost):
+    """Utility gain of spending ``step_cost`` more on ``group`` at ``counts``,
+    as a difference of two batch_utilities columns."""
+    counts = np.asarray(counts, dtype=float)
+    bumped = counts.copy()
+    bumped[group] += step_cost / cost.costs[group]
+    before, after = batch_utilities(curve, util, np.column_stack([counts, bumped]))
+    return after - before
 
 
 class TestEvalPerf:
@@ -54,11 +56,9 @@ class TestMarginalBatch:
     def test_expensive_group_gains_less_per_dollar(
         self, four_group_curve, four_group_cost, u_equal
     ):
-        zero = Allocation.zeros(4)
-        gain_cheap = marginal_batch(
-            four_group_curve, u_equal, zero, 0, 100.0, four_group_cost
-        )
-        gain_expensive = marginal_batch(
+        zero = np.zeros(4)
+        gain_cheap = batch_gain(four_group_curve, u_equal, zero, 0, 100.0, four_group_cost)
+        gain_expensive = batch_gain(
             four_group_curve, u_equal, zero, 2, 100.0, four_group_cost
         )
         # same spend buys group 2 only 50 samples (cost 2), so less gain
@@ -68,9 +68,8 @@ class TestMarginalBatch:
         curve = AnalyticCurve(gamma=np.eye(2), form="sqrt")
         cost = CostModel(costs=[1, 1], budget=10)
         util = UtilitySpec(weights=[1, 1])
-        zero = Allocation.zeros(2)
-        g0 = marginal_batch(curve, util, zero, 0, 1.0, cost)
-        g1 = marginal_batch(curve, util, zero, 1, 1.0, cost)
+        g0 = batch_gain(curve, util, [0.0, 0.0], 0, 1.0, cost)
+        g1 = batch_gain(curve, util, [0.0, 0.0], 1, 1.0, cost)
         assert g0 == pytest.approx(1.0)
         assert g1 == pytest.approx(1.0)
 
@@ -78,26 +77,9 @@ class TestMarginalBatch:
         curve = AnalyticCurve(gamma=np.eye(2), form="sqrt")
         cost = CostModel(costs=[1, 1], budget=10)
         util = UtilitySpec(weights=[1, 1])
-        gain = marginal_batch(curve, util, Allocation([1.0, 0.0]), 0, 1.0, cost)
+        gain = batch_gain(curve, util, [1.0, 0.0], 0, 1.0, cost)
         assert gain == pytest.approx(np.sqrt(2) - 1.0)
         assert gain < 1.0
-
-    def test_bad_group_index(self, four_group_curve, four_group_cost, u_equal):
-        with pytest.raises(DomainError):
-            marginal_batch(
-                four_group_curve, u_equal, Allocation.zeros(4), 7, 1.0, four_group_cost
-            )
-
-
-class TestSeparability:
-    def test_identity_gamma_is_separable(self):
-        assert is_separable(AnalyticCurve(gamma=np.eye(3), form="sqrt"))
-
-    def test_cross_effects_not_separable(self, four_group_curve):
-        assert not is_separable(four_group_curve)
-
-    def test_scaled_diagonal_is_separable(self):
-        assert is_separable(AnalyticCurve(gamma=np.diag([0.5, 2.0]), form="sqrt"))
 
 
 def _random_curve(rng, k, form):
@@ -139,6 +121,8 @@ class TestCurveProperties:
         assert np.all(m_mid >= (1 - t) * m_lo + t * m_hi - 1e-9)
 
     def test_batch_ledger_rows_nonincreasing_for_separable(self):
+        # group i's j-th batch gain, holding every other group at zero: on a
+        # diagonal gamma each group's row of gains never increases
         rng = np.random.default_rng(7)
         for form in ("sqrt", "log1p"):
             for _ in range(20):
@@ -146,9 +130,11 @@ class TestCurveProperties:
                 curve = AnalyticCurve(gamma=np.diag(rng.uniform(0.1, 2, k)), form=form)
                 cost = CostModel(costs=rng.uniform(0.2, 2, k), budget=100)
                 util = UtilitySpec(weights=rng.uniform(0.1, 1, k))
-                ledger = build_batch_ledger(curve, util, cost, rng.uniform(0.5, 3), 8)
+                step = rng.uniform(0.5, 3)
                 for i in range(k):
-                    row = ledger.row(i)
+                    counts = np.zeros((k, 9))
+                    counts[i] = np.arange(9) * step / cost.costs[i]
+                    row = np.diff(batch_utilities(curve, util, counts))
                     assert np.all(np.diff(row) <= 1e-12)
 
     def test_diminishing_marginals_same_group(self):
@@ -160,6 +146,6 @@ class TestCurveProperties:
             base = rng.uniform(0, 10, 2)
             more = base + rng.uniform(0, 10, 2)
             g = int(rng.integers(0, 2))
-            lo = marginal_batch(curve, util, Allocation(base), g, 1.0, cost)
-            hi = marginal_batch(curve, util, Allocation(more), g, 1.0, cost)
+            lo = batch_gain(curve, util, base, g, 1.0, cost)
+            hi = batch_gain(curve, util, more, g, 1.0, cost)
             assert hi <= lo + 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equalloc import Allocation, eval_perf
+from equalloc import Allocation, CostModel, GreedyConfig, UtilitySpec, eval_perf, run_greedy
 from equalloc.envs import (
     AnalyticEnvironment,
     GenomicSamplingSession,
@@ -290,3 +290,15 @@ class TestSamplingSession:
         session = GenomicSamplingSession(world, rng_seed=0)
         with pytest.raises(DomainError):
             session.value_at(0, 10**6)
+
+    def test_non_integral_pair_counts_rejected(self, world):
+        # a fractional step used to be rounded silently, so the estimator's
+        # history recorded counts the model was never trained on
+        session = GenomicSamplingSession(world, rng_seed=0)
+        with pytest.raises(DomainError):
+            session.observe(Allocation([30.5, 20.0]))
+        cost = CostModel([1.0, 1.0], 60.0)
+        cfg = GreedyConfig(step_cost=10.5, start_alloc=Allocation([20.0, 20.0]),
+                           marginal_source="estimator")
+        with pytest.raises(DomainError):
+            run_greedy(session, UtilitySpec([1.0, 1.0]), cost, cfg)

@@ -277,3 +277,73 @@ class TestEstimatorDrivenGreedy:
             return run_greedy(env, u_equal, four_group_cost, cfg)[0]
 
         assert np.array_equal(one().counts, one().counts)
+
+
+def _random_problem(rng, k):
+    gamma = rng.uniform(0.0, 1.0, (k, k)) + np.diag(rng.uniform(0.2, 1.0, k))
+    return gamma, rng.uniform(0.3, 2.0, k), rng.uniform(0.1, 1.0, k)
+
+
+class TestMetamorphic:
+    """Relations between runs of the one budget-stepping loop."""
+
+    def test_permuting_groups_permutes_allocations(self):
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            k = int(rng.integers(2, 6))
+            gamma, costs, weights = _random_problem(rng, k)
+            budget, step = float(rng.uniform(10, 30)), float(rng.uniform(0.5, 1.5))
+            # a random start: at zero counts every group performs 0, a tie
+            start = rng.uniform(0.0, 1.0, k)
+            perm = rng.permutation(k)
+            runs = []
+            for order in (np.arange(k), perm):
+                curve = AnalyticCurve(gamma=gamma[np.ix_(order, order)], form="sqrt")
+                cost = CostModel(costs[order], budget)
+                util = UtilitySpec(weights[order])
+                begin = Allocation(start[order])
+                greedy, _ = run_greedy(curve, util, cost,
+                                       GreedyConfig(step_cost=step, start_alloc=begin))
+                parity = baseline_policy("parity", curve, cost, step_cost=step,
+                                         start_alloc=begin)
+                runs.append((greedy.counts, parity.counts))
+            (greedy, parity), (greedy_p, parity_p) = runs
+            assert np.allclose(greedy[perm], greedy_p, rtol=1e-12, atol=0)
+            assert np.allclose(parity[perm], parity_p, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    def test_scaling_costs_budget_and_step_keeps_counts(self, scale):
+        rng = np.random.default_rng(22)
+        for _ in range(15):
+            k = int(rng.integers(1, 6))
+            gamma, costs, weights = _random_problem(rng, k)
+            budget, step = float(rng.uniform(10, 30)), float(rng.uniform(0.5, 1.5))
+            curve = AnalyticCurve(gamma=gamma, form="log1p")
+            util = UtilitySpec(weights)
+            counts = []
+            for c in (1.0, scale):  # powers of two keep every float exact
+                cost = CostModel(costs * c, budget * c)
+                greedy, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=step * c))
+                parity = baseline_policy("parity", curve, cost, step_cost=step * c)
+                counts.append((greedy.counts, parity.counts))
+            assert np.array_equal(counts[0][0], counts[1][0])
+            assert np.array_equal(counts[0][1], counts[1][1])
+
+    @pytest.mark.parametrize("factor", [0.25, 3.0, 10.0])
+    def test_scaling_weights_keeps_greedy_choices(self, factor):
+        rng = np.random.default_rng(23)
+        for trial in range(10):
+            k = int(rng.integers(2, 6))
+            gamma, costs, weights = _random_problem(rng, k)
+            curve = AnalyticCurve(gamma=gamma, form="sqrt")
+            cost = CostModel(costs, 20.0)
+            choices = []
+            for w in (weights, weights * factor):
+                util = UtilitySpec(w)
+                _, true_trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
+                env = AnalyticEnvironment(curve, noise_sd=0.01, rng_seed=trial)
+                cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=trial)
+                _, est_trace = run_greedy(env, util, cost, cfg)
+                choices.append(([r.group for r in true_trace.records],
+                                [r.group for r in est_trace.records]))
+            assert choices[0] == choices[1]

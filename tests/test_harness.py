@@ -223,6 +223,13 @@ class TestPersistence:
         assert shifted["other"] == 5
         assert config["seeds"] == [0, 1]  # original untouched
 
+    def test_seed_offset_shifts_curve_seeds(self):
+        config = default_prs_sim_config()
+        config["curve_seeds"] = [0, 1]
+        shifted = apply_seed_offset(config, 5)
+        assert shifted["seeds"] == [5, 6, 7, 8, 9]
+        assert shifted["curve_seeds"] == [5, 6]
+
 
 class TestCli:
     def test_table1_writes_outputs(self, tmp_path, capsys):
@@ -313,6 +320,29 @@ class TestCli:
         ]) == 0
         text = (tmp_path / "r1" / "convergence.csv").read_text()
         assert ",5," in text  # seed column shows the offset seed
+
+    def test_frontier_manifest_lists_its_seeds(self, tmp_path):
+        cfg = dict(SMALL_FRONTIER, frontier_seeds=2, policy_seeds=[4],
+                   weight_ratio_points=1, extra_weights=[],
+                   include_share_weights=False)
+        path = tmp_path / "frontier.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["frontier", "--config", str(path), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seeds"] == {"frontier_seeds": [0, 1], "policy_seeds": [4]}
+
+    def test_zero_budget_audit_reports_zero_gap(self, tmp_path, capsys):
+        # without a grid_resolution the audit used to scan at budget / 200,
+        # which is 0 here, and exit 4
+        cfg = default_audit_config()
+        cfg["budget"] = 0.0
+        cfg["observed"] = {"counts": [0.0, 0.0, 0.0, 0.0]}
+        del cfg["grid_resolution"]
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "audit.csv").read_text().splitlines()
+        assert rows[2].split(",")[0] == "0.0"
 
 
 def test_load_config_rejects_non_object(tmp_path):
