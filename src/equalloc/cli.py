@@ -196,8 +196,9 @@ def _cmd_greedy(args) -> int:
 
 def _cmd_experiment(name: str, args) -> int:
     runner, default = _EXPERIMENTS[name]
+    kind = default()["kind"]
     config = load_config(args.config) if args.config else default()
-    config = apply_seed_offset(config, args.seed_offset)
+    config = apply_seed_offset(config, args.seed_offset, kind)
     digest = config_digest(config)
     out_dir = Path(args.out) if args.out else Path("results") / name.replace("-", "_")
 
@@ -209,7 +210,7 @@ def _cmd_experiment(name: str, args) -> int:
     paths = [write_table(t, out_dir) for t in tables]
     write_manifest(
         out_dir, config, digest,
-        seeds=seed_lists(config),
+        seeds=seed_lists(config, kind),
         timings={name: elapsed},
     )
     for p in paths:

@@ -177,8 +177,35 @@ class RiskModel:
     def predict_proba(self, genotypes: np.ndarray) -> np.ndarray:
         if self.is_empty:
             return np.full(genotypes.shape[0], self.prevalence)
-        logit = self.slope * self.scores(genotypes) + self.intercept
+        return self._link(self.scores(genotypes))
+
+    def _predict_rows(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``predict_proba(genotypes[rows])`` without copying the columns
+        the model does not use."""
+        if self.is_empty:
+            return np.full(rows.size, self.prevalence)
+        return self._link(_selected_scores(genotypes, rows, self.variant_idx, self.log_odds))
+
+    def _link(self, scores: np.ndarray) -> np.ndarray:
+        logit = self.slope * scores + self.intercept
         return 1.0 / (1.0 + np.exp(-logit))
+
+
+def _selected_scores(genotypes, rows, variant_idx, log_odds) -> np.ndarray:
+    """``genotypes[rows][:, variant_idx].astype(float) @ log_odds``, gathering
+    only ``rows x variant_idx``.
+
+    That column gather yields a Fortran-ordered matrix, and the matrix-vector
+    product sums in an order set by the layout, so the gathered block is
+    made Fortran-ordered too: every score keeps its bits.
+    """
+    cols = genotypes[np.ix_(rows, variant_idx)].astype(float, order="F")
+    return cols @ log_odds
+
+
+# Variants per transposed write in the correlated genotype fill: 64 uint8
+# columns of one output row make one 64-byte cache line.
+_FILL_BLOCK = 64
 
 
 def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) -> np.ndarray:
@@ -189,11 +216,18 @@ def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) ->
     thresholds = norm.ppf(freqs)
     out = np.empty((population, v), dtype=np.uint8)
     carry = np.sqrt(1.0 - ld_rho**2)
+    # Each variant's indicators are a contiguous row of ``block``; a full
+    # block goes into ``out`` in one transposed write instead of one strided
+    # column write per variant.
+    block = np.empty((min(_FILL_BLOCK, v), population), dtype=bool)
     z = rng.standard_normal(population)
-    out[:, 0] = z < thresholds[0]
-    for i in range(1, v):
-        z = ld_rho * z + carry * rng.standard_normal(population)
-        out[:, i] = z < thresholds[i]
+    for start in range(0, v, _FILL_BLOCK):
+        stop = min(start + _FILL_BLOCK, v)
+        for i in range(start, stop):
+            if i > 0:
+                z = ld_rho * z + carry * rng.standard_normal(population)
+            np.less(z, thresholds[i], out=block[i - start])
+        out[:, start:stop] = block[: stop - start].T
     return out
 
 
@@ -416,7 +450,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     cal_cases = sample.case_idx[n_pairs - n_cal:]
     cal_controls = sample.control_idx[n_pairs - n_cal:]
     cal_rows = np.concatenate([cal_cases, cal_controls])
-    cal_scores = geno_all[cal_rows][:, retained].astype(float) @ log_or[retained]
+    cal_scores = _selected_scores(geno_all, cal_rows, retained, log_or[retained])
     labels = np.zeros(cal_rows.size)
     labels[: cal_cases.size] = 1.0
     slope, intercept = _fit_platt(cal_scores, labels)
@@ -457,29 +491,17 @@ def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> f
     idx = holdout_indices(world, group)
     if idx.size == 0:
         raise DomainError("empty holdout split")
-    probs = model.predict_proba(world.genotypes[group][idx])
+    probs = model._predict_rows(world.genotypes[group], idx)
     return treatment_value(world, group, probs)
-
-
-def _train_value_at(world, group, n_pairs, pool_cases, pool_controls):
-    if n_pairs == 0:
-        model = _empty_model(world.config.prevalence)
-    else:
-        sample = CaseControlSample(
-            group=group,
-            case_idx=pool_cases[:n_pairs],
-            control_idx=pool_controls[:n_pairs],
-        )
-        model = train_risk_model(world, sample)
-    return evaluate_group_value(world, model, group)
 
 
 def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds):
     """Empirical learning curves: per-group value at each training size.
 
-    For each seed the training pools are shuffled once and samples grow
-    by prefix, so a seed's curve reflects one data-collection run rather
-    than independent redraws.  Returns per-observation rows
+    Each seed's values come from one :class:`GenomicSamplingSession`: its
+    training pools are shuffled once and samples grow by prefix, so a
+    seed's curve reflects one data-collection run rather than independent
+    redraws.  Returns per-observation rows
     ``(group, n, seed, value)``; see :func:`aggregate_curve` for the
     (group, n, mean, sd) view.
     """
@@ -494,13 +516,10 @@ def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds):
             )
     rows = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
+        session = GenomicSamplingSession(world, rng_seed=seed)
         for g in range(world.num_groups):
-            pool_cases = rng.permutation(world.splits[g].train_cases)
-            pool_controls = rng.permutation(world.splits[g].train_controls)
             for n in grid:
-                value = _train_value_at(world, g, n, pool_cases, pool_controls)
-                rows.append((g, n, int(seed), value))
+                rows.append((g, n, int(seed), session.value_at(g, n)))
     return rows
 
 
@@ -526,6 +545,12 @@ class GenomicSamplingSession:
     session's shuffled training pools, and reports holdout values.
     Results are cached per (group, n): within a session, re-measuring an
     unchanged allocation is free and returns the identical value.
+
+    Two sessions on one world with one seed shuffle identical pools, so
+    they hold identical values.  The harness therefore builds one session
+    per (world, seed) and shares it across a run's frontier sweep, markers
+    and weight settings; a learning curve uses one session per seed across
+    its grid.
     """
 
     curve = None  # no analytic ground truth for this environment
@@ -555,9 +580,16 @@ class GenomicSamplingSession:
                     f"group {group} has only {pool_cases.size} training pairs, "
                     f"requested {n_pairs}"
                 )
-            self._cache[key] = _train_value_at(
-                self.world, group, n_pairs, pool_cases, pool_controls
-            )
+            if n_pairs == 0:
+                model = _empty_model(self.world.config.prevalence)
+            else:
+                sample = CaseControlSample(
+                    group=group,
+                    case_idx=pool_cases[:n_pairs],
+                    control_idx=pool_controls[:n_pairs],
+                )
+                model = train_risk_model(self.world, sample)
+            self._cache[key] = evaluate_group_value(self.world, model, group)
         return self._cache[key]
 
     def observe(self, alloc: Allocation) -> PerformanceVector:

@@ -115,30 +115,40 @@ def parse_world(block) -> GenomicWorldConfig:
         raise ConfigError(f"bad world block: {exc}") from exc
 
 
-# Every config key that holds a seed list; an integer n stands for the
-# seeds 0..n-1.
+# The seed lists each experiment kind runs, by config key, with the list it
+# runs when a config omits the key; an integer n stands for the seeds 0..n-1.
+SEED_DEFAULTS = {
+    "convergence": {"seeds": [0]},
+    "frontier": {"frontier_seeds": 20, "policy_seeds": 8},
+    "adaptive_prs": {"seeds": 5, "curve_seeds": 10},
+}
+# Every config key that holds a seed list.
 SEED_KEYS = ("seeds", "frontier_seeds", "policy_seeds", "curve_seeds")
 
 
-def seeds_of(doc: dict, key: str, default) -> list[int]:
-    """The seed list under ``key``, or ``default`` when the key is absent."""
-    seeds = doc.get(key, default)
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    return [int(s) for s in seeds]
+def seed_lists(config: dict, kind: str | None = None) -> dict:
+    """Every seed list an experiment of ``kind`` (by default the config's
+    own kind) runs, keyed by config key: the lists the config names, and
+    the kind's defaults for the seed keys it omits."""
+    defaults = SEED_DEFAULTS.get(kind or config.get("kind"), {})
+    lists = {}
+    for key in SEED_KEYS:
+        seeds = config.get(key, defaults.get(key))
+        if seeds is None:
+            continue
+        if isinstance(seeds, int):
+            seeds = list(range(seeds))
+        lists[key] = [int(s) for s in seeds]
+    return lists
 
 
-def seed_lists(config: dict) -> dict:
-    """Every seed list a config names, keyed by its config key."""
-    return {key: seeds_of(config, key, []) for key in SEED_KEYS if key in config}
-
-
-def apply_seed_offset(config: dict, offset: int) -> dict:
-    """Shift every seed list in a config by a constant, for replication."""
+def apply_seed_offset(config: dict, offset: int, kind: str | None = None) -> dict:
+    """Shift every seed list an experiment of ``kind`` (by default the
+    config's own kind) runs by a constant, for replication."""
     if offset == 0:
         return config
     doc = copy.deepcopy(config)
-    for key, seeds in seed_lists(config).items():
+    for key, seeds in seed_lists(config, kind).items():
         doc[key] = [s + offset for s in seeds]
     return doc
 

@@ -8,6 +8,7 @@ computes deterministically from the seeds it contains, and returns
 
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import GenomicSamplingSession, generate_world, run_allocation_curve
 from ..errors import ConfigError
 from ..greedy import GreedyConfig, baseline_policy, run_greedy
-from ..solvers import _solve_for_audit, solve_concave, solve_grid
+from ..solvers import _audit, solve_concave, solve_grid
 from .config import (
     check_kind,
     config_digest,
@@ -27,7 +28,7 @@ from .config import (
     parse_estimator,
     parse_utility,
     parse_world,
-    seeds_of,
+    seed_lists,
 )
 from .io import RunRecord, Table
 
@@ -130,7 +131,7 @@ def run_convergence(config: dict) -> Table:
     budget = float(config.get("budget", 10.0))
     divisors = [int(d) for d in config.get("step_divisors", [10, 100, 1000])]
     tol = float(config.get("solver_tol", 1e-8))
-    master_seeds = seeds_of(config, "seeds", [0])
+    master_seeds = seed_lists(config, "convergence")["seeds"]
 
     header = [
         "form", "instance", "seed", "num_groups", "step_divisor",
@@ -196,6 +197,15 @@ def _weight_settings(config):
     return settings
 
 
+def _session_per_seed(world):
+    """Seed -> the one sampling session on ``world`` with that seed.
+
+    Sessions built with equal seeds shuffle identical pools and so train
+    identical risk models; sharing one session trains each model once.
+    """
+    return functools.cache(lambda seed: GenomicSamplingSession(world, rng_seed=seed))
+
+
 def run_frontier(config: dict) -> Table:
     """Trade-off frontier between the two genomic groups, with markers.
 
@@ -211,8 +221,7 @@ def run_frontier(config: dict) -> Table:
     step = int(config.get("grid_step", 100))
     policy_step = float(config.get("policy_step", 50))
     est = parse_estimator(config.get("estimator"))
-    frontier_seeds = seeds_of(config, "frontier_seeds", 20)
-    policy_seeds = seeds_of(config, "policy_seeds", 8)
+    seeds = seed_lists(config, "frontier")
 
     grid = _frontier_grid(budget, min_pg, step)
     for n0, n1 in grid:
@@ -226,8 +235,9 @@ def run_frontier(config: dict) -> Table:
     header = ["kind", "label", "seed", "n_0", "n_1", "M_0", "M_1"]
     rows = []
 
-    for seed in frontier_seeds:
-        session = GenomicSamplingSession(world, rng_seed=seed)
+    session_of = _session_per_seed(world)
+    for seed in seeds["frontier_seeds"]:
+        session = session_of(seed)
         for n0, n1 in grid:
             m0 = session.value_at(0, n0)
             m1 = session.value_at(1, n1)
@@ -240,8 +250,8 @@ def run_frontier(config: dict) -> Table:
                           pop_shares=shares)
     rep_alloc = config.get("representative_alloc",
                            [int(x) for x in rep.counts])
-    for seed in policy_seeds:
-        session = GenomicSamplingSession(world, rng_seed=seed)
+    for seed in seeds["policy_seeds"]:
+        session = session_of(seed)
         for label, (n0, n1) in (("equal", equal_alloc), ("representative", rep_alloc)):
             rows.append(
                 ["marker", label, seed, int(n0), int(n1),
@@ -257,8 +267,8 @@ def run_frontier(config: dict) -> Table:
     start = Allocation([float(min_pg), float(min_pg)])
     for label, weights in _weight_settings(config):
         util = UtilitySpec(weights=list(weights))
-        for seed in policy_seeds:
-            session = GenomicSamplingSession(world, rng_seed=seed)
+        for seed in seeds["policy_seeds"]:
+            session = session_of(seed)
             cfg = GreedyConfig(
                 step_cost=policy_step, start_alloc=start,
                 marginal_source="estimator", seed=seed, estimator=est,
@@ -284,7 +294,7 @@ def run_adaptive_prs(config: dict):
     start_pairs = config.get("start_pairs", [100, 100])
     step = float(config.get("step_cost", 50.0))
     est = parse_estimator(config.get("estimator"))
-    seeds = seeds_of(config, "seeds", 5)
+    seeds = seed_lists(config, "adaptive_prs")
     settings = config.get("weight_settings", [[1.0, 1.0]])
 
     cost = CostModel([1.0, 1.0], budget)
@@ -292,12 +302,13 @@ def run_adaptive_prs(config: dict):
     digest = config_digest(config)
     header = ["weights", "seed", "n_0", "n_1", "M_0", "M_1", "utility"]
     records = []
+    session_of = _session_per_seed(world)
     for weights in settings:
         util = UtilitySpec(weights=[float(w) for w in weights])
         label = "/".join(f"{w:g}" for w in weights)
-        for seed in seeds:
+        for seed in seeds["seeds"]:
             t0 = time.perf_counter()
-            session = GenomicSamplingSession(world, rng_seed=seed)
+            session = session_of(seed)
             cfg = GreedyConfig(
                 step_cost=step, start_alloc=start,
                 marginal_source="estimator", seed=seed, estimator=est,
@@ -322,8 +333,7 @@ def run_adaptive_prs(config: dict):
     grid = config.get("learning_curve_grid")
     if grid is None:
         return main
-    curve_seeds = seeds_of(config, "curve_seeds", 10)
-    curve_rows = run_allocation_curve(world, grid, curve_seeds)
+    curve_rows = run_allocation_curve(world, grid, seeds["curve_seeds"])
     curves = Table(
         "learning_curves",
         ["group", "n", "seed", "value"],
@@ -342,11 +352,9 @@ def run_audit(config: dict) -> Table:
     observed = parse_allocation(_require_block(config, "observed"))
     resolution = config.get("grid_resolution")
 
-    best = _solve_for_audit(curve, auditor, cost,
-                            None if resolution is None else float(resolution),
-                            tol=float(config.get("solver_tol", 1e-8)))
-    observed_u = utility_eval(auditor, eval_perf(curve, observed))
-    gap = max(best.utility, observed_u) - observed_u
+    best, observed_u, gap = _audit(curve, auditor, cost, observed,
+                                   None if resolution is None else float(resolution),
+                                   tol=float(config.get("solver_tol", 1e-8)))
 
     k = curve.num_groups
     header = (

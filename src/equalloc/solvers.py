@@ -302,20 +302,31 @@ def solve_concave(
     )
 
 
-def _solve_for_audit(
+def _audit(
     curve: AnalyticCurve,
     utility: UtilitySpec,
     cost: CostModel,
+    observed: Allocation,
     resolution: float | None,
     tol: float,
-) -> SolveResult:
-    """The auditor's optimum: the grid oracle when K <= 4 (at spend
-    resolution ``budget / 200`` unless given), the concave solver otherwise."""
+) -> tuple[SolveResult, float, float]:
+    """The auditor's optimum, the observed allocation's utility, and the gap.
+
+    The optimum comes from the grid oracle when K <= 4 (at spend resolution
+    ``budget / 200`` unless given) and the concave solver otherwise.  The
+    observed allocation must fit the budget; it is itself a candidate, so
+    the gap is never negative.
+    """
+    if not check_feasible(observed, cost):
+        raise DomainError("observed allocation exceeds the budget")
+    observed_u = utility_eval(utility, eval_perf(curve, observed))
     if curve.num_groups <= _GRID_MAX_GROUPS:
         if resolution is None:
             resolution = cost.budget / 200 if cost.budget > 0 else 1.0
-        return solve_grid(curve, utility, cost, resolution)
-    return solve_concave(curve, utility, cost, tol=tol)
+        best = solve_grid(curve, utility, cost, resolution)
+    else:
+        best = solve_concave(curve, utility, cost, tol=tol)
+    return best, observed_u, max(best.utility, observed_u) - observed_u
 
 
 def audit_gap(
@@ -333,8 +344,4 @@ def audit_gap(
     otherwise.  The observed allocation itself is a candidate, so the
     gap is never negative.
     """
-    if not check_feasible(observed_alloc, cost):
-        raise DomainError("observed allocation exceeds the budget")
-    observed_u = utility_eval(auditor_utility, eval_perf(curve, observed_alloc))
-    best = _solve_for_audit(curve, auditor_utility, cost, resolution, tol)
-    return max(best.utility, observed_u) - observed_u
+    return _audit(curve, auditor_utility, cost, observed_alloc, resolution, tol)[2]

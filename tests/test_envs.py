@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from equalloc import Allocation, CostModel, GreedyConfig, UtilitySpec, eval_perf, run_greedy
 from equalloc.envs import (
@@ -13,8 +14,10 @@ from equalloc.envs import (
     train_risk_model,
 )
 from equalloc.envs.genomic import (
+    _FILL_BLOCK,
     _chi2_screen,
     _empty_model,
+    _sample_genotypes,
     aggregate_curve,
     holdout_indices,
     treatment_value,
@@ -141,6 +144,35 @@ class TestGenerateWorld:
         assert np.mean(adjacent) > 0.2
 
 
+def _per_variant_genotypes(rng, freqs, population, ld_rho):
+    """The AR(1) genotype fill written as one strided column write per variant."""
+    thresholds = norm.ppf(freqs)
+    out = np.empty((population, freqs.size), dtype=np.uint8)
+    carry = np.sqrt(1.0 - ld_rho**2)
+    z = rng.standard_normal(population)
+    out[:, 0] = z < thresholds[0]
+    for i in range(1, freqs.size):
+        z = ld_rho * z + carry * rng.standard_normal(population)
+        out[:, i] = z < thresholds[i]
+    return out
+
+
+@pytest.mark.parametrize(
+    "variants", [1, _FILL_BLOCK - 1, _FILL_BLOCK, 2 * _FILL_BLOCK + 1]
+)
+def test_blocked_genotype_fill_matches_per_variant_loop(variants):
+    freqs = np.random.default_rng(1).uniform(0.05, 0.5, variants)
+    expected = _per_variant_genotypes(np.random.default_rng(3), freqs, 1000, 0.3)
+    rng = np.random.default_rng(3)
+    got = _sample_genotypes(rng, freqs, 1000, 0.3)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, expected)
+    # the generator is left where the reference loop leaves it
+    after = np.random.default_rng(3)
+    _per_variant_genotypes(after, freqs, 1000, 0.3)
+    assert rng.random() == after.random()
+
+
 class TestRiskModelTraining:
     def test_empty_model_predicts_prevalence_and_zero_value(self, world):
         model = _empty_model(world.config.prevalence)
@@ -211,6 +243,21 @@ class TestRiskModelTraining:
 
 
 class TestEvaluation:
+    def test_value_equals_full_holdout_prediction(self, world):
+        # evaluate_group_value gathers only the model's columns; the value
+        # must be bit-for-bit the one predicted from the full holdout rows
+        models = [_empty_model(world.config.prevalence)]
+        for g, n, seed in ((0, 60, 1), (1, 60, 2), (1, 100, 3), (0, 1, 4)):
+            models.append(train_risk_model(world, draw_case_control_sample(world, g, n, seed)))
+        assert not all(m.is_empty for m in models[1:])
+        for model in models:
+            for g in range(world.num_groups):
+                idx = holdout_indices(world, g)
+                probs = model.predict_proba(world.genotypes[g][idx])
+                assert np.array_equal(model._predict_rows(world.genotypes[g], idx), probs)
+                expected = treatment_value(world, g, probs)
+                assert evaluate_group_value(world, model, g) == expected
+
     def test_treat_everyone_is_worthless(self, desk_world):
         idx = holdout_indices(desk_world, 0)
         probs = np.full(idx.size, desk_world.config.prevalence + 1e-9)
@@ -269,6 +316,15 @@ class TestAllocationCurve:
     def test_grid_beyond_pool_rejected(self, world):
         with pytest.raises(DomainError):
             run_allocation_curve(world, [10**6], seeds=[0])
+
+    def test_rows_are_session_values(self, world):
+        grid, seeds = [0, 40, 80], [3, 4]
+        expected = []
+        for seed in seeds:
+            session = GenomicSamplingSession(world, rng_seed=seed)
+            for g in range(world.num_groups):
+                expected += [(g, n, seed, session.value_at(g, n)) for n in grid]
+        assert run_allocation_curve(world, grid, seeds) == expected
 
     def test_rows_deterministic(self, world):
         r1 = run_allocation_curve(world, [40, 80], seeds=[3, 4])

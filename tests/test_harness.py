@@ -18,6 +18,10 @@ from equalloc.harness import (
     run_table1,
     write_table,
 )
+from collections import Counter
+
+from equalloc.envs import GenomicSamplingSession, genomic
+from equalloc.harness import experiments
 from equalloc.harness.config import apply_seed_offset, load_config
 from equalloc.harness.experiments import mean_gaps
 
@@ -143,6 +147,63 @@ class TestFrontier:
             assert mean_u >= 0.95 * best, (label, mean_u, best)
 
 
+def _count_trainings(monkeypatch) -> Counter:
+    """Count the risk models trained, keyed by the rows each was trained on."""
+    trained = Counter()
+    train = genomic.train_risk_model
+
+    def counted(world, sample):
+        trained[(sample.group, sample.case_idx.tobytes(), sample.control_idx.tobytes())] += 1
+        return train(world, sample)
+
+    monkeypatch.setattr(genomic, "train_risk_model", counted)
+    return trained
+
+
+def _fresh_session_per_row(monkeypatch):
+    """Build a new session wherever a runner asks for one, as the runners
+    did before they shared one session per seed."""
+    monkeypatch.setattr(
+        experiments, "_session_per_seed",
+        lambda world: lambda seed: GenomicSamplingSession(world, rng_seed=seed),
+    )
+
+
+def _small_prs_config(**changes):
+    config = default_prs_sim_config()
+    config.update(
+        world={"variants": 300, "causal_count": 30, "population": 4000, "rng_seed": 1},
+        budget_pairs=80, start_pairs=[20, 20], step_cost=10.0, seeds=[0, 1],
+        weight_settings=[[1.0, 1.0], [1.0, 1.5], [0.825, 0.175]],
+    )
+    config.update(changes)
+    return config
+
+
+class TestSessionSharing:
+    """Sessions on one seed hold identical values, so the runners share one
+    per seed: every distinct model is trained once and no row changes."""
+
+    def test_frontier_trains_each_model_once(self, monkeypatch):
+        trained = _count_trainings(monkeypatch)
+        run_frontier(dict(SMALL_FRONTIER))
+        assert trained and max(trained.values()) == 1
+
+    def test_frontier_rows_match_fresh_sessions(self, monkeypatch, small_frontier_table):
+        trained = _count_trainings(monkeypatch)
+        _fresh_session_per_row(monkeypatch)
+        assert run_frontier(dict(SMALL_FRONTIER)).rows == small_frontier_table.rows
+        assert max(trained.values()) > 1  # the fresh sessions did retrain
+
+    def test_adaptive_prs_trains_each_model_once_with_same_rows(self, monkeypatch):
+        trained = _count_trainings(monkeypatch)
+        shared = run_adaptive_prs(_small_prs_config())
+        assert trained and max(trained.values()) == 1
+        _fresh_session_per_row(monkeypatch)
+        assert run_adaptive_prs(_small_prs_config()).rows == shared.rows
+        assert max(trained.values()) > 1
+
+
 class TestAdaptivePrs:
     def test_runs_and_respects_budget(self):
         config = default_prs_sim_config()
@@ -222,6 +283,18 @@ class TestPersistence:
         assert shifted["policy_seeds"] == [10, 11, 12]
         assert shifted["other"] == 5
         assert config["seeds"] == [0, 1]  # original untouched
+
+    def test_seed_offset_shifts_omitted_seed_keys(self):
+        # a seed key the config leaves out runs the kind's default list,
+        # which the offset must shift as well
+        shifted = apply_seed_offset({"kind": "adaptive_prs"}, 5)
+        assert shifted["seeds"] == [5, 6, 7, 8, 9]
+        assert shifted["curve_seeds"] == list(range(5, 15))
+        frontier = apply_seed_offset({"kind": "frontier", "policy_seeds": [3]}, 2)
+        assert frontier["frontier_seeds"] == list(range(2, 22))
+        assert frontier["policy_seeds"] == [5]
+        config = {"kind": "adaptive_prs"}
+        assert apply_seed_offset(config, 0) == {"kind": "adaptive_prs"}
 
     def test_seed_offset_shifts_curve_seeds(self):
         config = default_prs_sim_config()
@@ -343,6 +416,30 @@ class TestCli:
         assert main(["audit", "--config", str(path), "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "audit.csv").read_text().splitlines()
         assert rows[2].split(",")[0] == "0.0"
+
+
+    def test_omitted_seeds_follow_offset_into_manifest(self, tmp_path):
+        cfg = _small_prs_config(weight_settings=[[1.0, 1.0]])
+        del cfg["seeds"]
+        path = tmp_path / "prs.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["prs-sim", "--config", str(path), "--out", str(tmp_path),
+                     "--seed-offset", "5"]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["seeds"]["seeds"] == [5, 6, 7, 8, 9]
+        rows = (tmp_path / "adaptive_prs.csv").read_text().splitlines()[2:]
+        assert [int(r.split(",")[1]) for r in rows] == [5, 6, 7, 8, 9]
+
+    def test_over_budget_audit_exits_4(self, tmp_path, capsys):
+        # [600, 600, 0, 0] spends 1200 of a 1000 budget; it used to be
+        # reported with gap 0 and a utility above the optimum
+        cfg = default_audit_config()
+        cfg["observed"] = {"counts": [600.0, 600.0, 0.0, 0.0]}
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["audit", "--config", str(path), "--out", str(out)]) == 4
+        assert not (out / "audit.csv").exists()
 
 
 def test_load_config_rejects_non_object(tmp_path):
