@@ -109,6 +109,13 @@ class CostModel:
     def num_groups(self) -> int:
         return self.costs.size
 
+    @property
+    def spend_limit(self) -> float:
+        """The most an allocation may cost: the budget plus a relative slack
+        of ``FEASIBILITY_RTOL``, so exact-budget allocations survive
+        floating-point accumulation."""
+        return self.budget + FEASIBILITY_RTOL * max(self.budget, 1.0)
+
     def spend(self, alloc: Allocation) -> float:
         """Total cost of an allocation."""
         _check_k(self.num_groups, alloc.num_groups, "allocation")
@@ -192,13 +199,9 @@ class UtilitySpec:
 
 
 def check_feasible(alloc: Allocation, cost: CostModel) -> bool:
-    """True iff the allocation's total cost is within budget.
-
-    Uses a relative slack of ``FEASIBILITY_RTOL`` so exact-budget
-    allocations survive floating-point arithmetic.
-    """
-    spend = cost.spend(alloc)
-    return spend <= cost.budget + FEASIBILITY_RTOL * max(cost.budget, 1.0)
+    """True iff the allocation's total cost is within budget, up to
+    :attr:`CostModel.spend_limit`."""
+    return cost.spend(alloc) <= cost.spend_limit
 
 
 def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:

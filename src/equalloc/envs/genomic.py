@@ -12,6 +12,7 @@ population prevalence.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -495,15 +496,17 @@ def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> f
     return treatment_value(world, group, probs)
 
 
-def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds):
+def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds, session_of=None):
     """Empirical learning curves: per-group value at each training size.
 
     Each seed's values come from one :class:`GenomicSamplingSession`: its
     training pools are shuffled once and samples grow by prefix, so a
     seed's curve reflects one data-collection run rather than independent
-    redraws.  Returns per-observation rows
-    ``(group, n, seed, value)``; see :func:`aggregate_curve` for the
-    (group, n, mean, sd) view.
+    redraws.  ``session_of`` maps a seed to the session to read, so a
+    caller that already holds sessions on ``world`` can reuse their
+    trained models; by default each seed gets a new session.  Returns
+    per-observation rows ``(group, n, seed, value)``; see
+    :func:`aggregate_curve` for the (group, n, mean, sd) view.
     """
     grid = [int(n) for n in allocation_grid]
     if any(n < 0 for n in grid):
@@ -514,9 +517,11 @@ def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds):
                 f"grid point {max(grid)} exceeds group {g}'s available "
                 f"{world.splits[g].max_pairs} training pairs"
             )
+    if session_of is None:
+        session_of = functools.partial(GenomicSamplingSession, world)
     rows = []
     for seed in seeds:
-        session = GenomicSamplingSession(world, rng_seed=seed)
+        session = session_of(seed)
         for g in range(world.num_groups):
             for n in grid:
                 rows.append((g, n, int(seed), session.value_at(g, n)))

@@ -6,14 +6,20 @@ normal distribution truncated to [0, inf).  The draw injects
 Thompson-style exploration: groups whose slopes are uncertain still get
 sampled occasionally, while the truncation encodes the prior that more
 data never hurts.
+
+Both steps are scalar arithmetic on Python floats: the fit sums at most
+``window`` points in order, and the draw is the closed-form inverse CDF
+of the truncated normal applied to one uniform from the caller's
+generator (the uniform scipy's ``truncnorm.rvs`` would take).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DegenerateDesignError, DomainError, InsufficientHistoryError
 
@@ -102,12 +108,6 @@ class PerformanceHistory:
     def records(self, group: int) -> list[tuple[float, float]]:
         return list(self._records[group])
 
-    def window(self, group: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """The most recent min(m, available) records as (n, perf) arrays."""
-        recent = self._records[group][-m:]
-        arr = np.array(recent, dtype=float).reshape(-1, 2)
-        return arr[:, 0], arr[:, 1]
-
 
 @dataclass(frozen=True)
 class MarginalEstimate:
@@ -139,39 +139,76 @@ def fit_local_slope(
     Raises :class:`InsufficientHistoryError` with fewer than two points
     and :class:`DegenerateDesignError` when the counts do not vary.
     """
-    pts = np.array(list(records), dtype=float).reshape(-1, 2)
-    if pts.shape[0] > window:
-        pts = pts[-window:]
-    n_pts = pts.shape[0]
+    if not isinstance(records, list):
+        records = np.array(list(records), dtype=float).reshape(-1, 2).tolist()
+    pts = records[-window:]
+    n_pts = len(pts)
     if n_pts < 2:
         raise InsufficientHistoryError(group=-1, have=n_pts, need=2)
-    x, y = pts[:, 0], pts[:, 1]
-    sxx = float(np.sum((x - x.mean()) ** 2))
+    # Sums run in order, as NumPy sums fewer than eight values.
+    x = [float(p[0]) for p in pts]
+    y = [float(p[1]) for p in pts]
+    xm = ym = 0.0
+    for xi, yi in zip(x, y):
+        xm += xi
+        ym += yi
+    xm /= n_pts
+    ym /= n_pts
+    dx = [xi - xm for xi in x]
+    sxx = sxy = 0.0
+    for dxi, yi in zip(dx, y):
+        sxx += dxi * dxi
+        sxy += dxi * (yi - ym)
     if sxx == 0.0:
         raise DegenerateDesignError("sample counts have zero variance in window")
-    slope = float(np.sum((x - x.mean()) * (y - y.mean())) / sxx)
+    slope = sxy / sxx
     if n_pts > 2:
-        resid = y - (y.mean() + slope * (x - x.mean()))
-        sigma2 = float(np.sum(resid**2) / (n_pts - 2))
-        se = float(np.sqrt(sigma2 / sxx))
+        ssr = 0.0
+        for dxi, yi in zip(dx, y):
+            r = yi - (ym + slope * dxi)
+            ssr += r * r
+        se = math.sqrt(ssr / (n_pts - 2) / sxx)
     else:
         se = 0.0
     return slope, max(se, se_floor)
 
 
+def _truncated_normal_ppf(q: float, a: float) -> float:
+    """Quantile ``q`` of the standard normal truncated to [a, inf).
+
+    Solves ``Phi(x) = Phi(a) + q * Phi(-a)``, each branch in the form that
+    keeps full precision: the upper-tail log form for ``a >= 0``, the
+    complement ``Phi(-x) = (1 - q) * Phi(-a)`` when x lands at or above 0,
+    and log space below 0, where ``Phi(a)`` may underflow.
+    """
+    if a >= 0:
+        x = -float(ndtri_exp(math.log1p(-q) + float(log_ndtr(-a))))
+    else:
+        upper = (1.0 - q) * float(ndtr(-a))
+        if upper <= 0.5:
+            x = -float(ndtri(upper))
+        else:
+            log_q = math.log(q) if q > 0.0 else -math.inf
+            x = float(ndtri_exp(np.logaddexp(log_ndtr(a), log_q + log_ndtr(-a))))
+    return max(x, a)
+
+
 def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     """One draw from N(mean, sd^2) conditioned on [0, inf).
 
-    ``sd == 0`` degenerates to ``max(mean, 0)``.  ``rng_seed`` may be an
-    integer seed or a ``numpy.random.Generator``.
+    The draw is the inverse CDF of one ``uniform()`` from the generator,
+    so it consumes the same random stream as scipy's ``truncnorm.rvs``
+    and agrees with its draws to about 1e-11 relative.  ``sd == 0``
+    degenerates to ``max(mean, 0)`` and draws nothing.  ``rng_seed`` may
+    be an integer seed or a ``numpy.random.Generator``.
     """
     if sd < 0:
         raise DomainError("sd must be non-negative")
     if sd == 0:
         return max(float(mean), 0.0)
-    a = (0.0 - mean) / sd
-    return float(truncnorm.rvs(a, np.inf, loc=mean, scale=sd,
-                               random_state=np.random.default_rng(rng_seed)))
+    q = np.random.default_rng(rng_seed).uniform()
+    x = _truncated_normal_ppf(q, (0.0 - mean) / sd)
+    return max(float(mean + sd * x), 0.0)
 
 
 def estimate_marginal(
@@ -196,8 +233,7 @@ def estimate_marginal(
     have = history.count(group)
     if have < min_points:
         raise InsufficientHistoryError(group=group, have=have, need=min_points)
-    x, y = history.window(group, window)
-    slope, se = fit_local_slope(np.column_stack([x, y]), window=window,
+    slope, se = fit_local_slope(history._records[group], window=window,
                                 se_floor=se_floor)
     draw = draw_truncated_normal(slope, se, rng_seed)
     cost_k = float(cost.costs[group])

@@ -14,7 +14,6 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    FEASIBILITY_RTOL,
     Allocation,
     CostModel,
     UtilitySpec,
@@ -122,10 +121,9 @@ class GreedyTrace:
 
 
 def _pick_argmax(values: np.ndarray, tie_break: str, rng) -> int:
-    best = np.max(values)
     if tie_break == "lowest_index":
         return int(np.argmax(values))
-    ties = np.flatnonzero(values == best)
+    ties = np.flatnonzero(values == np.max(values))
     return int(ties[0] if ties.size == 1 else rng.choice(ties))
 
 
@@ -166,7 +164,7 @@ def run_greedy(
         raise DomainError("start allocation, cost, and utility sizes must match")
     if not check_feasible(start, cost):
         raise DomainError("start allocation exceeds the budget")
-    if config.step_cost > cost.budget + _budget_slack(cost):
+    if config.step_cost > cost.spend_limit:
         raise DomainError("step_cost exceeds the budget")
 
     if config.marginal_source == "true_curve":
@@ -174,10 +172,6 @@ def run_greedy(
             raise DomainError("true_curve marginals need an AnalyticCurve source")
         return _run_true_curve(source, utility, cost, config, start)
     return _run_estimated(source, utility, cost, config, start)
-
-
-def _budget_slack(cost: CostModel) -> float:
-    return FEASIBILITY_RTOL * max(cost.budget, 1.0)
 
 
 def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
@@ -191,9 +185,9 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
     """
     counts = start.counts.copy()
     spent = cost.spend(start)
-    slack = _budget_slack(cost)
+    limit = cost.spend_limit
     step = 0
-    while spent + step_cost <= cost.budget + slack:
+    while spent + step_cost <= limit:
         step += 1
         group = choose(counts, step)
         counts[group] += step_cost / cost.costs[group]
@@ -349,6 +343,7 @@ def batch_enum_optimum(
         method="batch_enum",
         iterations=batches.shape[0],
         converged=True,
+        certificate=0.0,
     )
 
 
@@ -397,10 +392,9 @@ def _round_to_batches(counts: np.ndarray, cost: CostModel, step_cost: float) -> 
     step_sizes = step_cost / cost.costs
     batches = np.rint(counts / step_sizes)
     rounded = batches * step_sizes
-    slack = _budget_slack(cost)
     # Rounding up may overshoot the budget; shave batches where the
     # rounding gain was largest until feasible again.
-    while float(cost.costs @ rounded) > cost.budget + slack:
+    while float(cost.costs @ rounded) > cost.spend_limit:
         over = rounded - counts
         candidates = np.flatnonzero(batches > 0)
         worst = candidates[np.argmax(over[candidates])]

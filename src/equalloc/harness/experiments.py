@@ -333,7 +333,7 @@ def run_adaptive_prs(config: dict):
     grid = config.get("learning_curve_grid")
     if grid is None:
         return main
-    curve_rows = run_allocation_curve(world, grid, seeds["curve_seeds"])
+    curve_rows = run_allocation_curve(world, grid, seeds["curve_seeds"], session_of)
     curves = Table(
         "learning_curves",
         ["group", "n", "seed", "value"],

@@ -22,7 +22,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import (
-    FEASIBILITY_RTOL,
     Allocation,
     CostModel,
     UtilitySpec,
@@ -40,13 +39,20 @@ _GRID_MAX_GROUPS = 4
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solver's answer: the allocation, its utility, and how it was found."""
+    """A solver's answer: the allocation, its utility, and how it was found.
+
+    ``certificate`` bounds how far below the optimum ``utility`` can be:
+    the Frank-Wolfe duality gap at ``alloc`` for :func:`solve_concave`
+    (an upper bound on U* - U(alloc) for concave utilities), and 0.0 for
+    the exhaustive solvers, whose answer is the best of their grid.
+    """
 
     alloc: Allocation
     utility: float
     method: str
     iterations: int
     converged: bool
+    certificate: float
 
     def to_dict(self) -> dict:
         return {
@@ -55,6 +61,7 @@ class SolveResult:
             "method": self.method,
             "iterations": self.iterations,
             "converged": self.converged,
+            "certificate": self.certificate,
         }
 
 
@@ -109,8 +116,7 @@ def solve_grid(
     if cost.num_groups != k or utility.num_groups != k:
         raise DomainError("curve, cost, and utility group counts must match")
 
-    slack = FEASIBILITY_RTOL * max(cost.budget, 1.0)
-    d = int(math.floor((cost.budget + slack) / resolution))
+    d = int(math.floor(cost.spend_limit / resolution))
     face_only = utility.is_concave_monotone
     n_points = (
         math.comb(d + k - 1, k - 1) if face_only else math.comb(d + k, k)
@@ -176,6 +182,7 @@ def solve_grid(
         method="grid",
         iterations=evaluated,
         converged=True,
+        certificate=0.0,
     )
 
 
@@ -213,7 +220,9 @@ def solve_concave(
     Conditional-gradient style: each iteration moves mass toward the
     vertex that the local gradient favors most (or away from the least
     favored active vertex), with an exact line search.  Stops once the
-    utility improvement drops below ``tol``.
+    utility improvement drops below ``tol``.  The result's ``certificate``
+    is the duality gap ``max_v g . (v - x)`` at the returned allocation,
+    which bounds its distance from the optimum.
     """
     if not utility.is_concave_monotone:
         raise UnsupportedUtilityError(
@@ -231,6 +240,7 @@ def solve_concave(
             method="concave_ascent",
             iterations=0,
             converged=True,
+            certificate=0.0,
         )
 
     # Feasible set = convex hull of the origin and the K all-in vertices.
@@ -293,12 +303,14 @@ def solve_concave(
         u_prev = max(u_prev, u_new)
 
     alloc = Allocation(np.maximum(x, 0.0))
+    g = _gradient(curve, utility, alloc.counts)
     return SolveResult(
         alloc=alloc,
         utility=utility_eval(utility, eval_perf(curve, alloc)),
         method="concave_ascent",
         iterations=iterations,
         converged=converged,
+        certificate=float(np.max(vertices @ g) - g @ alloc.counts),
     )
 
 

@@ -3,12 +3,18 @@ import pytest
 from scipy import stats
 
 from equalloc import (
+    AnalyticCurve,
     CostModel,
+    GreedyConfig,
     PerformanceHistory,
+    UtilitySpec,
     draw_truncated_normal,
     estimate_marginal,
     fit_local_slope,
+    run_greedy,
 )
+from equalloc.envs import AnalyticEnvironment
+from equalloc.estimator import _truncated_normal_ppf
 from equalloc.errors import (
     DegenerateDesignError,
     DomainError,
@@ -62,6 +68,28 @@ class TestFitLocalSlope:
         with pytest.raises(DegenerateDesignError):
             fit_local_slope([(100, 1.0), (100, 2.0)], window=5)
 
+    def test_matches_numpy_formula(self):
+        def numpy_fit(pts, window):
+            x, y = pts[-window:, 0], pts[-window:, 1]
+            sxx = np.sum((x - x.mean()) ** 2)
+            slope = np.sum((x - x.mean()) * (y - y.mean())) / sxx
+            if x.size == 2:
+                return float(slope), 0.0
+            resid = y - (y.mean() + slope * (x - x.mean()))
+            return float(slope), float(np.sqrt(np.sum(resid**2) / (x.size - 2) / sxx))
+
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            window = int(rng.integers(2, 11))
+            n = np.cumsum(rng.uniform(0.5, 80.0, int(rng.integers(2, 14))))
+            pts = np.column_stack([n, np.sqrt(n) + rng.normal(0, 0.05, n.size)])
+            want = numpy_fit(pts, window)
+            for got in (fit_local_slope(pts, window), fit_local_slope(pts.tolist(), window)):
+                if min(window, n.size) < 8:  # NumPy sums fewer than 8 values in order
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestTruncatedNormal:
     def test_zero_sd_degenerates_to_clamped_mean(self):
@@ -90,6 +118,61 @@ class TestTruncatedNormal:
     def test_negative_sd_rejected(self):
         with pytest.raises(DomainError):
             draw_truncated_normal(0.0, -1.0, 1)
+
+    def test_consumes_exactly_one_uniform(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            mean, sd = rng.normal(0, 3), rng.uniform(1e-4, 2)
+            seed = int(rng.integers(2**31))
+            drawn, stepped = np.random.default_rng(seed), np.random.default_rng(seed)
+            draw_truncated_normal(mean, sd, drawn)
+            stepped.uniform()
+            assert drawn.bit_generator.state == stepped.bit_generator.state
+        untouched = np.random.default_rng(9)
+        draw_truncated_normal(0.3, 0.0, untouched)
+        assert untouched.bit_generator.state == np.random.default_rng(9).bit_generator.state
+
+    def test_draws_match_scipy_on_the_same_stream(self):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            mean = rng.normal(0, 3) * 10 ** rng.uniform(-3, 1)
+            sd = rng.uniform(0.01, 2) * 10 ** rng.uniform(-3, 0)
+            seed = int(rng.integers(2**31))
+            want = stats.truncnorm.rvs(-mean / sd, np.inf, loc=mean, scale=sd,
+                                       random_state=np.random.default_rng(seed))
+            assert draw_truncated_normal(mean, sd, seed) == pytest.approx(want, rel=1e-9)
+
+
+A_EDGES = [-1000, -40, -8, -1, -1e-9, 0, 1e-9, 1, 8, 37, 40, 1000]
+
+
+class TestTruncatedNormalQuantile:
+    """The closed-form quantile of N(0, 1) truncated to [a, inf)."""
+
+    def test_matches_scipy_ppf(self):
+        rng = np.random.default_rng(2)
+        a_values = A_EDGES + list(rng.normal(0, 10, 40))
+        q_values = [0.0, 1e-300, 1e-12, 0.25, 0.5, 0.75, 1 - 1e-6]
+        q_values += list(rng.uniform(0, 1 - 1e-6, 20))
+        for a in a_values:
+            want = stats.truncnorm.ppf(q_values, a, np.inf)
+            for q, w in zip(q_values, want):
+                x = _truncated_normal_ppf(float(q), float(a))
+                assert abs(x - w) <= 1e-9 * max(1.0, abs(x)), (a, q, x, w)
+
+    def test_extreme_quantiles_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        for a in A_EDGES:
+            for q in (0.0, 5e-324, 1 - 1e-12, 1 - 2**-53):
+                x = _truncated_normal_ppf(q, float(a))
+                assert np.isfinite(x) and x >= a, (a, q, x)
+                with mp.workdps(60):
+                    # Phi(-x) = (1 - q) Phi(-a), solved in high precision
+                    target = mp.log((1 - mp.mpf(q)) * mp.ncdf(-mp.mpf(a)))
+                    exact = float(mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
+                                              mp.mpf(x)))
+                assert abs(x - exact) <= 1e-9 * max(1.0, abs(x)), (a, q, x, exact)
 
 
 def _history_from(points_by_group):
@@ -189,3 +272,18 @@ class TestBiasVarianceKnob:
         bias8 = abs(np.mean(slopes[8]) - local_derivative)
         assert var8 < var2
         assert bias8 > bias2
+
+
+def test_seeded_estimator_run_is_unchanged():
+    # Counts recorded from the scipy-drawing estimator on the same seeds.
+    curve = AnalyticCurve(gamma=np.array([[1.0, 0.3, 0.3, 0.3], [0.3, 0.5, 0.3, 0.3],
+                                          [0.3, 0.3, 1.0, 0.3], [0.3, 0.3, 0.3, 1.0]]),
+                          form="sqrt")
+    cost = CostModel(costs=[1.0, 1.0, 2.0, 1.0], budget=300.0)
+    util = UtilitySpec(weights=[1.0, 1.0, 1.0, 1.5], normalize=True)
+    expected = {(7, 3): [46.0, 16.0, 12.5, 213.0], (11, 5): [48.0, 21.0, 11.0, 209.0]}
+    for (env_seed, run_seed), counts in expected.items():
+        env = AnalyticEnvironment(curve, noise_sd=1e-3, rng_seed=env_seed)
+        config = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=run_seed)
+        alloc, _ = run_greedy(env, util, cost, config)
+        assert alloc.counts.tolist() == counts

@@ -203,6 +203,15 @@ class TestSessionSharing:
         assert run_adaptive_prs(_small_prs_config()).rows == shared.rows
         assert max(trained.values()) > 1
 
+    def test_learning_curve_reuses_the_run_sessions(self, monkeypatch):
+        config = _small_prs_config(learning_curve_grid=[20, 40, 60], curve_seeds=[0, 1, 2])
+        trained = _count_trainings(monkeypatch)
+        shared = run_adaptive_prs(config)
+        assert trained and max(trained.values()) == 1
+        _fresh_session_per_row(monkeypatch)
+        assert [t.rows for t in run_adaptive_prs(config)] == [t.rows for t in shared]
+        assert max(trained.values()) > 1
+
 
 class TestAdaptivePrs:
     def test_runs_and_respects_budget(self):

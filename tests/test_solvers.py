@@ -5,9 +5,12 @@ from equalloc import (
     Allocation,
     AnalyticCurve,
     CostModel,
+    GreedyConfig,
     UtilitySpec,
     audit_gap,
+    batch_enum_optimum,
     eval_perf,
+    run_greedy,
     solve_concave,
     solve_grid,
     utility_eval,
@@ -147,6 +150,44 @@ class TestSolveConcave:
             res_fw = solve_concave(curve, util, cost, tol=tol)
             res_grid = solve_grid(curve, util, cost, resolution=1.0 / 1000)
             assert abs(res_fw.utility - res_grid.utility) <= 10 * tol
+            assert res_grid.utility <= res_fw.utility + res_fw.certificate + 1e-12
+
+    @pytest.mark.parametrize("form", ["sqrt", "log1p"])
+    def test_certificate_bounds_fine_greedy(self, form):
+        # Every feasible allocation is at most U_fw + certificate, including
+        # the true-curve greedy at B/1000, which can beat U_fw itself; a
+        # solve cut off after two iterations must certify its shortfall too.
+        for seed in range(40):
+            rng = np.random.default_rng([seed, len(form)])
+            k = int(rng.integers(2, 11))
+            curve = AnalyticCurve(gamma=rng.uniform(0, 1, (k, k)), form=form)
+            cost = CostModel(costs=np.maximum(rng.uniform(0, 1, k), 1e-9), budget=10.0)
+            util = UtilitySpec(weights=rng.uniform(0, 1, k))
+            alloc, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=0.01))
+            u_greedy = utility_eval(util, eval_perf(curve, alloc))
+            for fw in (solve_concave(curve, util, cost),
+                       solve_concave(curve, util, cost, max_iter=2)):
+                bound = fw.utility + fw.certificate + 1e-12 * abs(fw.utility)
+                assert u_greedy <= bound, (seed, fw)
+
+    def test_certificate_bounds_the_distance_to_the_optimum(
+        self, four_group_curve, four_group_cost, u_equal
+    ):
+        loose = solve_concave(four_group_curve, u_equal, four_group_cost, max_iter=1)
+        tight = solve_concave(four_group_curve, u_equal, four_group_cost, tol=1e-12)
+        assert not loose.converged and loose.certificate > 1e-3
+        assert U_STAR_EQUAL - loose.utility <= loose.certificate
+        assert U_STAR_EQUAL - tight.utility <= tight.certificate + 1e-12
+        assert tight.certificate < loose.certificate
+
+    def test_exhaustive_solvers_certify_zero(self, four_group_curve, four_group_cost,
+                                             u_equal):
+        grid = solve_grid(four_group_curve, u_equal, four_group_cost, resolution=50.0)
+        enum = batch_enum_optimum(four_group_curve, u_equal,
+                                  CostModel(costs=[1.0] * 4, budget=10.0), step_cost=1.0)
+        empty = solve_concave(four_group_curve, u_equal,
+                              CostModel(costs=[1.0] * 4, budget=0.0))
+        assert grid.certificate == enum.certificate == empty.certificate == 0.0
 
 
 class TestAuditGap:
