@@ -57,5 +57,5 @@ for label, observed in [
     ("equal sampling", Allocation([200, 200, 200, 200])),
     ("the optimal split", best_grid.alloc),
 ]:
-    gap = audit_gap(curve, u_mean, cost, observed, resolution=5.0)
+    _, _, gap = audit_gap(curve, u_mean, cost, observed, resolution=5.0)
     print(f"audit gap for {label}: {gap:.3f}")

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Allocation
 from .curves import eval_perf
 from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, generate_world
@@ -33,11 +32,13 @@ from .harness.config import (
     default_prs_sim_config,
     default_table1_config,
     load_config,
+    parse_allocation,
     parse_cost,
     parse_curve,
     parse_estimator,
     parse_utility,
     parse_world,
+    read_number,
     seed_lists,
 )
 from .harness.experiments import (
@@ -98,12 +99,11 @@ def _cmd_solve(args) -> int:
     utility = parse_utility(doc.get("utility") or _missing("utility"))
     method = doc.get("method", "grid")
     if method == "grid":
-        result = solve_grid(curve, utility, cost,
-                            float(doc.get("resolution", cost.budget / 200)))
+        result = solve_grid(curve, utility, cost, read_number(doc, "resolution", None))
     elif method == "concave":
         result = solve_concave(curve, utility, cost,
-                               tol=float(doc.get("tol", 1e-8)),
-                               max_iter=int(doc.get("max_iter", 10_000)))
+                               tol=read_number(doc, "tol", 1e-8),
+                               max_iter=read_number(doc, "max_iter", 10_000, int))
     else:
         raise ConfigError(f"unknown solve method {method!r}")
     payload = json.dumps(result.to_dict(), indent=2)
@@ -126,21 +126,13 @@ def _greedy_source(doc, curve, marginals):
     if env_block is None:
         raise ConfigError("estimated marginals need an 'environment' block")
     env_type = env_block.get("type", "analytic")
+    seed = read_number(env_block, "rng_seed", 0, int)
     if env_type == "analytic":
-        return (
-            AnalyticEnvironment(
-                curve,
-                noise_sd=float(env_block.get("noise_sd", 0.0)),
-                rng_seed=int(env_block.get("rng_seed", 0)),
-            ),
-            "estimator",
-        )
+        noise_sd = read_number(env_block, "noise_sd", 0.0)
+        return AnalyticEnvironment(curve, noise_sd, rng_seed=seed), "estimator"
     if env_type == "genomic":
         world = generate_world(parse_world(env_block.get("world", {})))
-        return (
-            GenomicSamplingSession(world, rng_seed=int(env_block.get("rng_seed", 0))),
-            "estimator",
-        )
+        return GenomicSamplingSession(world, rng_seed=seed), "estimator"
     raise ConfigError(f"unknown environment type {env_type!r}")
 
 
@@ -149,12 +141,8 @@ def _cmd_greedy(args) -> int:
     curve = parse_curve(doc.get("curve") or _missing("curve"))
     cost = parse_cost(doc)
     utility = parse_utility(doc.get("utility") or _missing("utility"))
-    step = args.step if args.step is not None else float(doc.get("step_cost", 1.0))
-    if args.start == "zero":
-        start = None
-    else:
-        start_doc = load_config(args.start)
-        start = Allocation(start_doc["counts"])
+    step = args.step if args.step is not None else read_number(doc, "step_cost", 1.0)
+    start = None if args.start == "zero" else parse_allocation(load_config(args.start))
     source, mode = _greedy_source(doc, curve, args.marginals)
     cfg = GreedyConfig(
         step_cost=step,

@@ -67,18 +67,9 @@ class Allocation:
     def num_groups(self) -> int:
         return self.counts.size
 
-    def add(self, group: int, amount: float) -> "Allocation":
-        """Return a new allocation with ``amount`` more samples in ``group``."""
-        counts = self.counts.copy()
-        counts[group] += amount
-        return Allocation(counts)
-
     @staticmethod
     def zeros(num_groups: int) -> "Allocation":
         return Allocation(np.zeros(num_groups))
-
-    def to_dict(self) -> dict:
-        return {"counts": [float(x) for x in self.counts]}
 
     @staticmethod
     def from_dict(doc: dict) -> "Allocation":
@@ -120,13 +111,6 @@ class CostModel:
         """Total cost of an allocation."""
         _check_k(self.num_groups, alloc.num_groups, "allocation")
         return float(self.costs @ alloc.counts)
-
-    def to_dict(self) -> dict:
-        return {"costs": [float(x) for x in self.costs], "budget": self.budget}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "CostModel":
-        return CostModel(doc["costs"], doc["budget"])
 
 
 @dataclass(frozen=True)
@@ -179,14 +163,6 @@ class UtilitySpec:
     def is_concave_monotone(self) -> bool:
         """True when the utility is concave and nondecreasing in M."""
         return self.parity_penalty == 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(x) for x in self.weights],
-            "parity_penalty": self.parity_penalty,
-            "transform": self.transform,
-            "normalize": self.normalize,
-        }
 
     @staticmethod
     def from_dict(doc: dict) -> "UtilitySpec":

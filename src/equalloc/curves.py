@@ -70,16 +70,6 @@ class AnalyticCurve:
         """Raw performance array for a counts vector (no type wrapping)."""
         return self.transform(self.offset + self.gamma @ counts)
 
-    def to_dict(self) -> dict:
-        doc = {
-            "gamma": [[float(x) for x in row] for row in self.gamma],
-            "form": self.form,
-            "offset": self.offset,
-        }
-        if self.form == "power":
-            doc["power_exponent"] = self.power_exponent
-        return doc
-
     @staticmethod
     def from_dict(doc: dict) -> "AnalyticCurve":
         return AnalyticCurve(

@@ -27,7 +27,6 @@ class AnalyticEnvironment:
             raise DomainError("noise_sd must be non-negative")
         self.curve = curve
         self.noise_sd = float(noise_sd)
-        self.rng_seed = rng_seed
         self._rng = np.random.default_rng(rng_seed)
 
     @property

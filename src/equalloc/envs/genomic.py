@@ -36,9 +36,6 @@ __all__ = [
     "GenomicSamplingSession",
 ]
 
-GROUP_LABELS = ("CEU-like", "YRI-like")
-
-
 @dataclass(frozen=True)
 class GenomicWorldConfig:
     """Knobs for world synthesis and risk-model training.
@@ -126,16 +123,12 @@ class GenomicWorld:
     causal_idx: np.ndarray
     effect_sizes: np.ndarray
     genotypes: tuple
-    liability: tuple
     disease: tuple
     splits: tuple
 
     @property
     def num_groups(self) -> int:
         return len(self.genotypes)
-
-    def cases_per_group(self) -> int:
-        return int(np.floor(self.config.prevalence * self.config.population))
 
 
 @dataclass(frozen=True)
@@ -170,15 +163,10 @@ class RiskModel:
     def is_empty(self) -> bool:
         return self.variant_idx.size == 0
 
-    def scores(self, genotypes: np.ndarray) -> np.ndarray:
-        if self.is_empty:
-            return np.zeros(genotypes.shape[0])
-        return genotypes[:, self.variant_idx].astype(float) @ self.log_odds
-
     def predict_proba(self, genotypes: np.ndarray) -> np.ndarray:
         if self.is_empty:
             return np.full(genotypes.shape[0], self.prevalence)
-        return self._link(self.scores(genotypes))
+        return self._link(genotypes[:, self.variant_idx].astype(float) @ self.log_odds)
 
     def _predict_rows(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """``predict_proba(genotypes[rows])`` without copying the columns
@@ -253,7 +241,6 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     )
 
     genotypes = []
-    liability = []
     disease = []
     splits = []
     n_cases = int(np.floor(q * p))
@@ -282,7 +269,6 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
         test_controls = control_idx[n_train_cases : n_train_cases + n_test_controls]
 
         genotypes.append(geno)
-        liability.append(liab)
         disease.append(sick)
         splits.append(
             GroupSplit(
@@ -299,7 +285,6 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
         causal_idx=causal_idx,
         effect_sizes=effect_sizes,
         genotypes=tuple(genotypes),
-        liability=tuple(liability),
         disease=tuple(disease),
         splits=tuple(splits),
     )
@@ -562,7 +547,6 @@ class GenomicSamplingSession:
 
     def __init__(self, world: GenomicWorld, rng_seed: int = 0):
         self.world = world
-        self.rng_seed = rng_seed
         rng = np.random.default_rng(rng_seed)
         self._pools = []
         for g in range(world.num_groups):

@@ -59,13 +59,6 @@ class EstimatorSettings:
         if self.min_points < 2:
             raise DomainError("min_points must be at least 2")
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "se_floor": self.se_floor,
-            "min_points": self.min_points,
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "EstimatorSettings":
         return EstimatorSettings(
@@ -104,9 +97,6 @@ class PerformanceHistory:
 
     def count(self, group: int) -> int:
         return len(self._records[group])
-
-    def records(self, group: int) -> list[tuple[float, float]]:
-        return list(self._records[group])
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,9 @@ from .experiments import (
     run_frontier,
     run_table1,
 )
-from .io import RunRecord, Table, write_manifest, write_table
+from .io import Table, write_manifest, write_table
 
 __all__ = [
-    "RunRecord",
     "Table",
     "config_digest",
     "default_audit_config",

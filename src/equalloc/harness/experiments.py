@@ -9,7 +9,6 @@ computes deterministically from the seeds it contains, and returns
 from __future__ import annotations
 
 import functools
-import time
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import GenomicSamplingSession, generate_world, run_allocation_curve
 from ..errors import ConfigError
 from ..greedy import GreedyConfig, baseline_policy, run_greedy
-from ..solvers import _audit, solve_concave, solve_grid
+from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
     check_kind,
     config_digest,
@@ -28,9 +27,10 @@ from .config import (
     parse_estimator,
     parse_utility,
     parse_world,
+    read_number,
     seed_lists,
 )
-from .io import RunRecord, Table
+from .io import Table
 
 __all__ = [
     "run_table1",
@@ -63,8 +63,8 @@ def run_table1(config: dict) -> Table:
     curve, cost, utilities = _table1_instance(config)
     u_equal, u_priority = utilities["equal"], utilities["priority"]
     k = curve.num_groups
-    step = float(config.get("step_cost", 1.0))
-    resolution = float(config.get("grid_resolution", 5.0))
+    step = read_number(config, "step_cost", 1.0)
+    resolution = read_number(config, "grid_resolution", 5.0)
     shares = config.get("pop_shares")
     if shares is None:
         raise ConfigError("table1 config needs pop_shares")
@@ -121,23 +121,31 @@ def run_convergence(config: dict) -> Table:
     """Greedy-versus-solver gap on random instances, across step sizes.
 
     For each random instance and each step size B/divisor, records the
-    absolute and relative utility gap between the concave solver's
-    optimum and the greedy run.  One row per (instance, step).
+    signed gap ``utility_opt - utility_greedy`` between the concave
+    solver's optimum and the greedy run, that gap relative to
+    ``|utility_opt|``, and the solver's ``certificate`` and ``converged``
+    flag.  A negative gap means greedy beat the solver, which it never does
+    by more than the certificate, up to rounding.  One row per
+    (instance, step).
     """
     check_kind(config, "convergence")
-    n_instances = int(config.get("num_instances", 100))
+    n_instances = read_number(config, "num_instances", 100, int)
     k_range = config.get("group_range", [2, 10])
     forms = config.get("forms", ["sqrt", "log1p"])
-    budget = float(config.get("budget", 10.0))
+    budget = read_number(config, "budget", 10.0)
     divisors = [int(d) for d in config.get("step_divisors", [10, 100, 1000])]
-    tol = float(config.get("solver_tol", 1e-8))
+    tol = read_number(config, "solver_tol", 1e-8)
     master_seeds = seed_lists(config, "convergence")["seeds"]
 
     header = [
         "form", "instance", "seed", "num_groups", "step_divisor",
         "utility_opt", "utility_greedy", "gap", "relative_gap",
+        "certificate", "converged",
     ]
     form_streams = {"sqrt": 1, "log1p": 2, "power": 3}
+    unknown = [f for f in forms if f not in form_streams]
+    if unknown:
+        raise ConfigError(f"unknown curve forms {unknown}; expected {list(form_streams)}")
     rows = []
     for master in master_seeds:
         for form in forms:
@@ -149,25 +157,14 @@ def run_convergence(config: dict) -> Table:
                     cfg = GreedyConfig(step_cost=budget / div)
                     alloc, _ = run_greedy(curve, util, cost, cfg)
                     u_greedy = utility_eval(util, eval_perf(curve, alloc))
-                    gap = abs(opt.utility - u_greedy)
+                    gap = opt.utility - u_greedy
                     rel = gap / abs(opt.utility) if opt.utility != 0 else gap
                     rows.append(
                         [form, inst, master, curve.num_groups, div,
-                         opt.utility, u_greedy, gap, rel]
+                         opt.utility, u_greedy, gap, rel,
+                         opt.certificate, opt.converged]
                     )
     return Table("convergence", header, rows, digest=config_digest(config))
-
-
-def mean_gaps(table: Table) -> dict:
-    """Mean absolute and relative gap per (form, step_divisor)."""
-    keys = {}
-    for row in table.rows:
-        form, div = row[0], row[4]
-        keys.setdefault((form, div), []).append((row[7], row[8]))
-    return {
-        key: (float(np.mean([g for g, _ in vals])), float(np.mean([r for _, r in vals])))
-        for key, vals in sorted(keys.items())
-    }
 
 
 def _frontier_grid(budget, min_per_group, step):
@@ -216,10 +213,10 @@ def run_frontier(config: dict) -> Table:
     """
     check_kind(config, "frontier")
     world = generate_world(parse_world(config["world"]))
-    budget = int(config.get("budget_pairs", 600))
-    min_pg = int(config.get("min_per_group", 100))
-    step = int(config.get("grid_step", 100))
-    policy_step = float(config.get("policy_step", 50))
+    budget = read_number(config, "budget_pairs", 600, int)
+    min_pg = read_number(config, "min_per_group", 100, int)
+    step = read_number(config, "grid_step", 100, int)
+    policy_step = read_number(config, "policy_step", 50)
     est = parse_estimator(config.get("estimator"))
     seeds = seed_lists(config, "frontier")
 
@@ -290,9 +287,9 @@ def run_adaptive_prs(config: dict):
     """
     check_kind(config, "adaptive_prs")
     world = generate_world(parse_world(config["world"]))
-    budget = float(config.get("budget_pairs", 600))
+    budget = read_number(config, "budget_pairs", 600)
     start_pairs = config.get("start_pairs", [100, 100])
-    step = float(config.get("step_cost", 50.0))
+    step = read_number(config, "step_cost", 50.0)
     est = parse_estimator(config.get("estimator"))
     seeds = seed_lists(config, "adaptive_prs")
     settings = config.get("weight_settings", [[1.0, 1.0]])
@@ -301,13 +298,12 @@ def run_adaptive_prs(config: dict):
     start = Allocation([float(x) for x in start_pairs])
     digest = config_digest(config)
     header = ["weights", "seed", "n_0", "n_1", "M_0", "M_1", "utility"]
-    records = []
+    rows = []
     session_of = _session_per_seed(world)
     for weights in settings:
         util = UtilitySpec(weights=[float(w) for w in weights])
         label = "/".join(f"{w:g}" for w in weights)
         for seed in seeds["seeds"]:
-            t0 = time.perf_counter()
             session = session_of(seed)
             cfg = GreedyConfig(
                 step_cost=step, start_alloc=start,
@@ -316,19 +312,9 @@ def run_adaptive_prs(config: dict):
             alloc, _ = run_greedy(session, util, cost, cfg)
             n0, n1 = (int(x) for x in alloc.counts)
             m0, m1 = session.value_at(0, n0), session.value_at(1, n1)
-            records.append(
-                RunRecord(
-                    config_digest=digest,
-                    seed=seed,
-                    policy=label,
-                    counts=(n0, n1),
-                    performances=(m0, m1),
-                    utility=utility_eval(util, PerformanceVector([m0, m1])),
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-    main = Table("adaptive_prs", header, [r.table_row() for r in records],
-                 digest=digest)
+            rows.append([label, seed, n0, n1, m0, m1,
+                         utility_eval(util, PerformanceVector([m0, m1]))])
+    main = Table("adaptive_prs", header, rows, digest=digest)
 
     grid = config.get("learning_curve_grid")
     if grid is None:
@@ -350,11 +336,10 @@ def run_audit(config: dict) -> Table:
     cost = parse_cost(config)
     auditor = parse_utility(_require_block(config, "auditor_utility"))
     observed = parse_allocation(_require_block(config, "observed"))
-    resolution = config.get("grid_resolution")
 
-    best, observed_u, gap = _audit(curve, auditor, cost, observed,
-                                   None if resolution is None else float(resolution),
-                                   tol=float(config.get("solver_tol", 1e-8)))
+    best, observed_u, gap = audit_gap(curve, auditor, cost, observed,
+                                      read_number(config, "grid_resolution", None),
+                                      tol=read_number(config, "solver_tol", 1e-8))
 
     k = curve.num_groups
     header = (

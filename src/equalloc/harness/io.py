@@ -18,7 +18,7 @@ import scipy
 
 from .. import __version__
 
-__all__ = ["Table", "RunRecord", "write_table", "write_manifest", "format_cell"]
+__all__ = ["Table", "write_table", "write_manifest", "format_cell"]
 
 
 @dataclass
@@ -29,36 +29,6 @@ class Table:
     header: list
     rows: list
     digest: str = ""
-
-    def column(self, name: str) -> list:
-        idx = self.header.index(name)
-        return [row[idx] for row in self.rows]
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """One policy run: what was configured, what came out, how long it took.
-
-    Wall-clock seconds and trace paths are volatile, so they go to the
-    manifest, never into result CSVs (those must be byte-reproducible).
-    """
-
-    config_digest: str
-    seed: int
-    policy: str
-    counts: tuple
-    performances: tuple
-    utility: float
-    seconds: float = 0.0
-    trace_path: str | None = None
-
-    def table_row(self) -> list:
-        return (
-            [self.policy, self.seed]
-            + [int(c) if float(c).is_integer() else float(c) for c in self.counts]
-            + list(self.performances)
-            + [self.utility]
-        )
 
 
 def format_cell(value) -> str:

@@ -3,14 +3,16 @@
 Two deliberately independent routes:
 
 * :func:`solve_grid` exhaustively scans a regular spend grid and is the
-  trusted oracle at small K (including parity-penalized, non-concave
-  utilities).
+  trusted oracle at K <= 4 (including parity-penalized, non-concave
+  utilities), up to ``MAX_GRID_POINTS`` grid points.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
   with away steps) over the budget simplex and scales to larger K, but
   requires a concave nondecreasing utility.
 
-:func:`audit_gap` compares an observed allocation against the best an
-auditor's own utility could have achieved with the same budget.
+Each returns a :class:`SolveResult` whose ``certificate`` bounds its
+distance from the optimum.  :func:`audit_gap`, the one audit entry point,
+compares an observed allocation against the best an auditor's own
+utility could have achieved with the same budget.
 """
 
 from __future__ import annotations
@@ -93,11 +95,10 @@ def solve_grid(
     curve: AnalyticCurve,
     utility: UtilitySpec,
     cost: CostModel,
-    resolution: float,
-    max_points: int = MAX_GRID_POINTS,
+    resolution: float | None = None,
 ) -> SolveResult:
     """Exhaustive scan over allocations whose per-group spend is a multiple
-    of ``resolution``.
+    of ``resolution`` (by default ``budget / 200``, or 1.0 at a zero budget).
 
     Group k's count moves in steps of ``resolution / costs[k]``.  Ties
     break toward the lexicographically smallest counts vector.  For
@@ -105,6 +106,8 @@ def solve_grid(
     the grid is scanned, since spending more never hurts; parity-penalized
     utilities force a scan of the whole grid.
     """
+    if resolution is None:
+        resolution = cost.budget / 200 if cost.budget > 0 else 1.0
     if resolution <= 0:
         raise DomainError("resolution must be positive")
     k = curve.num_groups
@@ -121,9 +124,9 @@ def solve_grid(
     n_points = (
         math.comb(d + k - 1, k - 1) if face_only else math.comb(d + k, k)
     )
-    if n_points > max_points:
+    if n_points > MAX_GRID_POINTS:
         raise CapacityError(
-            f"grid has {n_points} points, exceeding the cap of {max_points}; "
+            f"grid has {n_points} points, exceeding the cap of {MAX_GRID_POINTS}; "
             "coarsen the resolution or use solve_concave"
         )
 
@@ -314,33 +317,6 @@ def solve_concave(
     )
 
 
-def _audit(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    cost: CostModel,
-    observed: Allocation,
-    resolution: float | None,
-    tol: float,
-) -> tuple[SolveResult, float, float]:
-    """The auditor's optimum, the observed allocation's utility, and the gap.
-
-    The optimum comes from the grid oracle when K <= 4 (at spend resolution
-    ``budget / 200`` unless given) and the concave solver otherwise.  The
-    observed allocation must fit the budget; it is itself a candidate, so
-    the gap is never negative.
-    """
-    if not check_feasible(observed, cost):
-        raise DomainError("observed allocation exceeds the budget")
-    observed_u = utility_eval(utility, eval_perf(curve, observed))
-    if curve.num_groups <= _GRID_MAX_GROUPS:
-        if resolution is None:
-            resolution = cost.budget / 200 if cost.budget > 0 else 1.0
-        best = solve_grid(curve, utility, cost, resolution)
-    else:
-        best = solve_concave(curve, utility, cost, tol=tol)
-    return best, observed_u, max(best.utility, observed_u) - observed_u
-
-
 def audit_gap(
     curve: AnalyticCurve,
     auditor_utility: UtilitySpec,
@@ -348,12 +324,21 @@ def audit_gap(
     observed_alloc: Allocation,
     resolution: float | None = None,
     tol: float = 1e-8,
-) -> float:
+) -> tuple[SolveResult, float, float]:
     """How much utility the auditor's preferences leave on the table.
 
-    Returns ``max_n U~(n) - U~(observed)`` over feasible allocations,
-    computed with the grid oracle when K <= 4 and the concave solver
-    otherwise.  The observed allocation itself is a candidate, so the
-    gap is never negative.
+    Returns ``(best, observed_utility, gap)``: the auditor's optimum, the
+    observed allocation's utility, and ``gap = max_n U~(n) - U~(observed)``
+    over feasible allocations.  The optimum comes from the grid oracle when
+    K <= 4 (at :func:`solve_grid`'s default resolution unless given) and
+    the concave solver otherwise.  The observed allocation must fit the
+    budget; it is itself a candidate, so the gap is never negative.
     """
-    return _audit(curve, auditor_utility, cost, observed_alloc, resolution, tol)[2]
+    if not check_feasible(observed_alloc, cost):
+        raise DomainError("observed allocation exceeds the budget")
+    observed_u = utility_eval(auditor_utility, eval_perf(curve, observed_alloc))
+    if curve.num_groups <= _GRID_MAX_GROUPS:
+        best = solve_grid(curve, auditor_utility, cost, resolution)
+    else:
+        best = solve_concave(curve, auditor_utility, cost, tol=tol)
+    return best, observed_u, max(best.utility, observed_u) - observed_u

@@ -44,7 +44,7 @@ from equalloc.harness import (
     run_table1,
     write_table,
 )
-from equalloc.harness.experiments import mean_gaps
+from tables import mean_gaps
 
 TABLE1_EXPECTED_M = {
     "Equal": [19.5, 16.7, 19.5, 19.5],
@@ -295,11 +295,11 @@ def test_c09_audit_gap():
     cost = CostModel(costs=[1, 1, 2, 1], budget=1000.0)
     util = UtilitySpec(weights=[1, 1, 1, 1], normalize=True)
 
-    gap_equal_alloc = audit_gap(
+    _, _, gap_equal_alloc = audit_gap(
         curve, util, cost, Allocation([200, 200, 200, 200]), resolution=5.0
     )
     best = solve_grid(curve, util, cost, resolution=5.0)
-    gap_self = audit_gap(curve, util, cost, best.alloc, resolution=5.0)
+    _, _, gap_self = audit_gap(curve, util, cost, best.alloc, resolution=5.0)
     ok = abs(gap_equal_alloc - 2.6) <= 0.1 and abs(gap_self) <= 1e-9
     report(
         "C9 audit-gap",

@@ -12,7 +12,8 @@ from equalloc import (
     realize_allocation,
     utility_eval,
 )
-from equalloc.errors import DimensionMismatchError, DomainError
+from equalloc.errors import ConfigError, DimensionMismatchError, DomainError
+from equalloc.harness.config import parse_allocation, parse_cost, parse_utility
 
 
 class TestFeasibility:
@@ -157,28 +158,29 @@ class TestTypesAndSerialization:
         Allocation(counts)
         counts[0] = 3.0  # must still be writable
 
+    # The field names the README documents for config blocks.
     def test_allocation_roundtrip_field_names(self):
-        alloc = Allocation([1.5, 0.0])
-        doc = alloc.to_dict()
-        assert set(doc) == {"counts"}
-        assert np.array_equal(Allocation.from_dict(doc).counts, alloc.counts)
+        alloc = parse_allocation({"counts": [1.5, 0.0]})
+        assert np.array_equal(alloc.counts, [1.5, 0.0])
+        with pytest.raises(ConfigError):
+            parse_allocation({"count": [1.5, 0.0]})
 
     def test_cost_roundtrip_field_names(self):
-        cost = CostModel(costs=[1, 2], budget=7.5)
-        doc = cost.to_dict()
-        assert set(doc) == {"costs", "budget"}
-        back = CostModel.from_dict(doc)
-        assert back.budget == cost.budget
-        assert np.array_equal(back.costs, cost.costs)
+        cost = parse_cost({"costs": [1, 2], "budget": 7.5})
+        assert cost.budget == 7.5
+        assert np.array_equal(cost.costs, [1.0, 2.0])
+        with pytest.raises(ConfigError):
+            parse_cost({"costs": [1, 2]})
 
     def test_utility_roundtrip_field_names(self):
-        spec = UtilitySpec(
-            weights=[1, 2], parity_penalty=0.5, transform="log", normalize=True
-        )
-        doc = spec.to_dict()
-        assert set(doc) == {"weights", "parity_penalty", "transform", "normalize"}
-        back = UtilitySpec.from_dict(doc)
-        assert np.array_equal(back.weights, spec.weights)
-        assert back.parity_penalty == spec.parity_penalty
-        assert back.transform == spec.transform
-        assert back.normalize == spec.normalize
+        spec = parse_utility({
+            "weights": [1, 2], "parity_penalty": 0.5,
+            "transform": "log", "normalize": True,
+        })
+        assert np.array_equal(spec.weights, [1.0, 2.0])
+        assert spec.parity_penalty == 0.5
+        assert spec.transform == "log"
+        assert spec.normalize is True
+        defaults = parse_utility({"weights": [1, 2]})
+        assert (defaults.parity_penalty, defaults.transform, defaults.normalize) == (
+            0.0, "identity", False)

@@ -23,7 +23,7 @@ from collections import Counter
 from equalloc.envs import GenomicSamplingSession, genomic
 from equalloc.harness import experiments
 from equalloc.harness.config import apply_seed_offset, load_config
-from equalloc.harness.experiments import mean_gaps
+from tables import column, mean_gaps
 
 SMALL_FRONTIER = {
     "kind": "frontier",
@@ -43,7 +43,7 @@ SMALL_FRONTIER = {
 class TestTable1:
     def test_policy_rows_present(self):
         table = run_table1(default_table1_config())
-        policies = table.column("policy")
+        policies = column(table, "policy")
         for name in (
             "Equal", "Representative", "Performance Parity",
             "Optimal (U_equal)", "Optimal (U_priority)",
@@ -68,6 +68,23 @@ class TestConvergence:
             series = [gaps[(form, d)][0] for d in (10, 100, 1000)]
             assert series[0] >= series[1] >= series[2]
 
+    def test_greedy_never_beats_the_certified_optimum(self):
+        table = run_convergence(default_convergence_config())
+        opt, greedy, gap, rel, cert, conv = (
+            column(table, name) for name in (
+                "utility_opt", "utility_greedy", "gap", "relative_gap",
+                "certificate", "converged",
+            )
+        )
+        # Greedy may spend the budget's float slack and lands on the
+        # solver's vertex with step-accumulated counts, so it can beat the
+        # optimum by rounding: hold it to 1e-12 relative past the certificate.
+        assert all(g <= o + c + 1e-12 * abs(o) for o, g, c in zip(opt, greedy, cert))
+        assert all(conv)
+        assert gap == [o - g for o, g in zip(opt, greedy)]
+        assert rel == [d / abs(o) for d, o in zip(gap, opt)]
+        assert min(gap) < 0  # the gap is signed, not an absolute value
+
     def test_deterministic_rows(self):
         config = default_convergence_config()
         config["num_instances"] = 4
@@ -86,9 +103,9 @@ class TestFrontier:
         return small_frontier_table
 
     def test_contains_all_row_kinds(self, table):
-        kinds = set(table.column("kind"))
+        kinds = set(column(table, "kind"))
         assert kinds == {"frontier", "marker", "greedy"}
-        labels = set(table.column("label"))
+        labels = set(column(table, "label"))
         assert {"equal", "representative", "parity"} <= labels
 
     def test_frontier_splits_cover_grid(self, table):
@@ -426,6 +443,54 @@ class TestCli:
         rows = (tmp_path / "audit.csv").read_text().splitlines()
         assert rows[2].split(",")[0] == "0.0"
 
+
+    def test_zero_budget_grid_solve_exits_0(self, tmp_path, capsys):
+        # without a resolution the grid used to scan at budget / 200, which
+        # is 0 here, and exit 4
+        instance = {
+            "curve": {"gamma": [[1.0]], "form": "sqrt"},
+            "costs": [1.0],
+            "budget": 0.0,
+            "utility": {"weights": [1.0]},
+            "method": "grid",
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "solve_result.json").read_text())
+        assert result["counts"] == [0.0]
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("greedy", "start", {"count": [1.0, 1.0]}),
+        ("solve", "resolution", "abc"),
+        ("table1", "step_cost", "x"),
+        ("convergence", "forms", ["cubic"]),
+    ])
+    def test_malformed_value_exits_2_without_traceback(
+        self, tmp_path, capsys, command, key, value
+    ):
+        instance = {
+            "curve": {"gamma": [[1.0, 0.0], [0.0, 0.5]], "form": "sqrt"},
+            "costs": [1.0, 1.0],
+            "budget": 6.0,
+            "utility": {"weights": [1.0, 1.0]},
+        }
+        path = tmp_path / "config.json"
+        if command == "greedy":
+            start = tmp_path / "start.json"
+            start.write_text(json.dumps(value))
+            path.write_text(json.dumps(instance))
+            argv = ["greedy", "--instance", str(path), "--start", str(start)]
+        else:
+            doc = instance if command == "solve" else {
+                "table1": default_table1_config,
+                "convergence": default_convergence_config,
+            }[command]()
+            path.write_text(json.dumps(dict(doc, **{key: value})))
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_omitted_seeds_follow_offset_into_manifest(self, tmp_path):
         cfg = _small_prs_config(weight_settings=[[1.0, 1.0]])

@@ -56,7 +56,7 @@ class TestSolveGrid:
         with pytest.raises(CapacityError):
             solve_grid(
                 four_group_curve, u_equal, four_group_cost,
-                resolution=0.01, max_points=10_000,
+                resolution=0.01,
             )
 
     def test_result_utility_consistent(self, four_group_curve, four_group_cost, u_equal):
@@ -194,7 +194,7 @@ class TestAuditGap:
     def test_optimal_allocation_has_negligible_gap(
         self, four_group_curve, four_group_cost, u_equal
     ):
-        gap = audit_gap(
+        _, _, gap = audit_gap(
             four_group_curve, u_equal, four_group_cost, Allocation([500, 0, 0, 500])
         )
         assert 0.0 <= gap <= 0.05
@@ -202,15 +202,19 @@ class TestAuditGap:
     def test_equal_allocation_gap_matches_known_value(
         self, four_group_curve, four_group_cost, u_equal
     ):
-        gap = audit_gap(
-            four_group_curve, u_equal, four_group_cost,
-            Allocation([200, 200, 200, 200]),
+        observed = Allocation([200, 200, 200, 200])
+        best, observed_u, gap = audit_gap(
+            four_group_curve, u_equal, four_group_cost, observed,
         )
         assert gap == pytest.approx(2.6, abs=0.1)
+        assert observed_u == utility_eval(u_equal, eval_perf(four_group_curve, observed))
+        grid = solve_grid(four_group_curve, u_equal, four_group_cost, 1000 / 200)
+        assert np.array_equal(best.alloc.counts, grid.alloc.counts)
+        assert gap == best.utility - observed_u
 
     def test_single_minded_auditor_sees_no_gap(self, four_group_curve, four_group_cost):
         util = UtilitySpec(weights=[0, 0, 0, 1.0])
-        gap = audit_gap(
+        _, _, gap = audit_gap(
             four_group_curve, util, four_group_cost, Allocation([0, 0, 0, 1000])
         )
         assert gap == pytest.approx(0.0, abs=1e-6)
@@ -219,7 +223,7 @@ class TestAuditGap:
         self, four_group_curve, four_group_cost, u_priority
     ):
         best = solve_grid(four_group_curve, u_priority, four_group_cost, resolution=5.0)
-        gap = audit_gap(
+        _, _, gap = audit_gap(
             four_group_curve, u_priority, four_group_cost, best.alloc, resolution=5.0
         )
         assert gap == pytest.approx(0.0, abs=1e-12)
@@ -237,7 +241,7 @@ class TestAuditGap:
         self, four_group_curve, four_group_cost, u_equal
     ):
         best = solve_concave(four_group_curve, u_equal, four_group_cost, tol=1e-10)
-        gap = audit_gap(
+        _, _, gap = audit_gap(
             four_group_curve, u_equal, four_group_cost, best.alloc, resolution=7.0
         )
         assert gap >= 0.0
