@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import utility_eval
 from .curves import eval_perf
 from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, generate_world
@@ -39,6 +40,7 @@ from .harness.config import (
     parse_utility,
     parse_world,
     read_number,
+    require_block,
     seed_lists,
 )
 from .harness.experiments import (
@@ -94,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     doc = load_config(args.config)
-    curve = parse_curve(doc.get("curve") or _missing("curve"))
+    curve = parse_curve(require_block(doc, "curve"))
     cost = parse_cost(doc)
-    utility = parse_utility(doc.get("utility") or _missing("utility"))
+    utility = parse_utility(require_block(doc, "utility"))
     method = doc.get("method", "grid")
     if method == "grid":
         result = solve_grid(curve, utility, cost, read_number(doc, "resolution", None))
@@ -113,10 +115,6 @@ def _cmd_solve(args) -> int:
         (out / "solve_result.json").write_text(payload + "\n")
     print(payload)
     return 0
-
-
-def _missing(key: str):
-    raise ConfigError(f"instance document is missing block {key!r}")
 
 
 def _greedy_source(doc, curve, marginals):
@@ -138,9 +136,9 @@ def _greedy_source(doc, curve, marginals):
 
 def _cmd_greedy(args) -> int:
     doc = load_config(args.instance)
-    curve = parse_curve(doc.get("curve") or _missing("curve"))
+    curve = parse_curve(require_block(doc, "curve"))
     cost = parse_cost(doc)
-    utility = parse_utility(doc.get("utility") or _missing("utility"))
+    utility = parse_utility(require_block(doc, "utility"))
     step = args.step if args.step is not None else read_number(doc, "step_cost", 1.0)
     start = None if args.start == "zero" else parse_allocation(load_config(args.start))
     source, mode = _greedy_source(doc, curve, args.marginals)
@@ -171,8 +169,6 @@ def _cmd_greedy(args) -> int:
         "seconds": elapsed,
     }
     if isinstance(source, AnalyticEnvironment) or mode == "true_curve":
-        from .core import utility_eval
-
         summary["true_utility"] = utility_eval(utility, eval_perf(curve, alloc))
     print(json.dumps(summary, indent=2))
     if args.out:

@@ -71,10 +71,6 @@ class Allocation:
     def zeros(num_groups: int) -> "Allocation":
         return Allocation(np.zeros(num_groups))
 
-    @staticmethod
-    def from_dict(doc: dict) -> "Allocation":
-        return Allocation(doc["counts"])
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -184,12 +180,15 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
     """Utilities of the performance columns of a K x P matrix (or one K-vector).
 
     The one implementation of the utility formula.  Under the log
-    transform a non-positive performance evaluates to -inf, the limit of
-    the transform, so vectorized scans can skip such points.
+    transform a column with a non-positive performance evaluates to -inf,
+    the limit of the transform, whatever its weights and penalty, so
+    vectorized scans can skip such points.
     """
-    if spec.transform == "log":
+    log = spec.transform == "log"
+    if log:
+        valid = perf > 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(perf > 0, np.log(perf), -np.inf)
+            t = np.where(valid, np.log(perf), 0.0)  # finite: no inf - inf
     else:
         t = perf
     u = spec.weights @ t
@@ -198,7 +197,7 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
         u = u - spec.parity_penalty * dev
     if spec.normalize:
         u = u / spec.weights.sum()
-    return u
+    return np.where(valid.all(axis=0), u, -np.inf) if log else u
 
 
 def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:

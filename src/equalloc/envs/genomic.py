@@ -474,10 +474,7 @@ def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float
 
 def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> float:
     """Value of the model's treat-if-risky rule on the group's holdout set."""
-    idx = holdout_indices(world, group)
-    if idx.size == 0:
-        raise DomainError("empty holdout split")
-    probs = model._predict_rows(world.genotypes[group], idx)
+    probs = model._predict_rows(world.genotypes[group], holdout_indices(world, group))
     return treatment_value(world, group, probs)
 
 
@@ -497,7 +494,7 @@ def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds, session_of
     if any(n < 0 for n in grid):
         raise DomainError("allocation grid entries must be non-negative")
     for g in range(world.num_groups):
-        if max(grid) > world.splits[g].max_pairs:
+        if max(grid, default=0) > world.splits[g].max_pairs:
             raise DomainError(
                 f"grid point {max(grid)} exceeds group {g}'s available "
                 f"{world.splits[g].max_pairs} training pairs"

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedUtilityError,
 )
 from .estimator import EstimatorSettings, PerformanceHistory, estimate_marginal
-from .solvers import SolveResult
+from .solvers import SolveResult, lattice_points
 
 __all__ = [
     "GreedyConfig",
@@ -323,16 +323,7 @@ def batch_enum_optimum(
         )
 
     step_sizes = step_cost / cost.costs
-
-    def compositions(prefix, left, slots):
-        if slots == 1:
-            for j in range(left + 1):
-                yield prefix + (j,)
-            return
-        for j in range(left + 1):
-            yield from compositions(prefix + (j,), left - j, slots - 1)
-
-    batches = np.array(list(compositions((), d, k)), dtype=float)
+    batches = np.array(list(lattice_points(k, d)), dtype=float)
     counts = start.counts[None, :] + batches * step_sizes[None, :]
     u = batch_utilities(curve, utility, counts.T)
     idx = int(np.argmax(u))  # first maximizer = lexicographically smallest

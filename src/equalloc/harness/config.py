@@ -31,6 +31,8 @@ __all__ = [
     "parse_estimator",
     "parse_world",
     "read_number",
+    "read_list",
+    "require_block",
     "default_table1_config",
     "default_convergence_config",
     "default_frontier_config",
@@ -93,9 +95,7 @@ def parse_utility(block) -> UtilitySpec:
 
 def parse_allocation(block) -> Allocation:
     try:
-        if isinstance(block, dict):
-            return Allocation.from_dict(block)
-        return Allocation(block)
+        return Allocation(block["counts"] if isinstance(block, dict) else block)
     except Exception as exc:
         raise ConfigError(f"bad allocation block: {exc}") from exc
 
@@ -128,6 +128,26 @@ def read_number(doc: dict, key: str, default, cast=float):
         raise ConfigError(f"{key!r} must be a number, got {value!r}") from exc
 
 
+def read_list(doc: dict, key: str, default, cast=float, length=None):
+    """Like :func:`read_number`, for a list of ``cast`` values (of
+    ``length`` entries, when given); anything else raises ConfigError."""
+    value = default if doc.get(key) is None else doc[key]
+    if value is None:
+        return None
+    try:
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise TypeError(f"expected a list of {length or 'any number of'} entries")
+        return [cast(x) for x in value]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {key!r} {value!r}: {exc}") from exc
+
+
+def require_block(doc: dict, key: str):
+    if key not in doc:
+        raise ConfigError(f"config is missing required block {key!r}")
+    return doc[key]
+
+
 # The seed lists each experiment kind runs, by config key, with the list it
 # runs when a config omits the key; an integer n stands for the seeds 0..n-1.
 SEED_DEFAULTS = {
@@ -147,11 +167,10 @@ def seed_lists(config: dict, kind: str | None = None) -> dict:
     lists = {}
     for key in SEED_KEYS:
         seeds = config.get(key, defaults.get(key))
-        if seeds is None:
-            continue
         if isinstance(seeds, int):
             seeds = list(range(seeds))
-        lists[key] = [int(s) for s in seeds]
+        if seeds is not None:
+            lists[key] = read_list({key: seeds}, key, None, int)
     return lists
 
 

@@ -27,7 +27,9 @@ from .config import (
     parse_estimator,
     parse_utility,
     parse_world,
+    read_list,
     read_number,
+    require_block,
     seed_lists,
 )
 from .io import Table
@@ -42,7 +44,7 @@ __all__ = [
 
 
 def _table1_instance(config):
-    curve = parse_curve(config["curve"])
+    curve = parse_curve(require_block(config, "curve"))
     cost = parse_cost(config)
     utilities = {
         name: parse_utility(block)
@@ -65,7 +67,7 @@ def run_table1(config: dict) -> Table:
     k = curve.num_groups
     step = read_number(config, "step_cost", 1.0)
     resolution = read_number(config, "grid_resolution", 5.0)
-    shares = config.get("pop_shares")
+    shares = read_list(config, "pop_shares", None)
     if shares is None:
         raise ConfigError("table1 config needs pop_shares")
 
@@ -130,10 +132,13 @@ def run_convergence(config: dict) -> Table:
     """
     check_kind(config, "convergence")
     n_instances = read_number(config, "num_instances", 100, int)
-    k_range = config.get("group_range", [2, 10])
-    forms = config.get("forms", ["sqrt", "log1p"])
+    k_range = read_list(config, "group_range", [2, 10], int, 2)
+    forms = read_list(config, "forms", ["sqrt", "log1p"], str)
     budget = read_number(config, "budget", 10.0)
-    divisors = [int(d) for d in config.get("step_divisors", [10, 100, 1000])]
+    divisors = read_list(config, "step_divisors", [10, 100, 1000], int)
+    if not 1 <= k_range[0] <= k_range[1] or min(divisors, default=1) < 1:
+        raise ConfigError("group_range needs 1 <= low <= high and step_divisors "
+                          "positive entries")
     tol = read_number(config, "solver_tol", 1e-8)
     master_seeds = seed_lists(config, "convergence")["seeds"]
 
@@ -180,18 +185,23 @@ def _frontier_grid(budget, min_per_group, step):
     return points
 
 
-def _weight_settings(config):
-    lo, hi = config.get("weight_ratio_bounds", [1e-3, 1e3])
-    n_points = int(config.get("weight_ratio_points", 13))
+def _weight_settings(config, shares):
+    lo, hi = read_list(config, "weight_ratio_bounds", [1e-3, 1e3], length=2)
+    if min(lo, hi) <= 0:
+        raise ConfigError(f"weight_ratio_bounds must be positive, got {[lo, hi]}")
+    n_points = read_number(config, "weight_ratio_points", 13, int)
     ratios = np.logspace(np.log10(lo), np.log10(hi), n_points)
     settings = [(f"ratio_{r:.6g}", (float(r), 1.0)) for r in ratios]
     if config.get("include_share_weights", True):
-        shares = config.get("pop_shares", [0.825, 0.175])
-        settings.append(("shares", (float(shares[0]), float(shares[1]))))
-    for extra in config.get("extra_weights", []):
-        settings.append((f"weights_{extra[0]:g}_{extra[1]:g}",
-                         (float(extra[0]), float(extra[1]))))
+        settings.append(("shares", tuple(shares)))
+    for w0, w1 in read_list(config, "extra_weights", [], _pair):
+        settings.append((f"weights_{w0:g}_{w1:g}", (w0, w1)))
     return settings
+
+
+def _pair(entry):
+    w0, w1 = entry
+    return float(w0), float(w1)
 
 
 def _session_per_seed(world):
@@ -212,15 +222,21 @@ def run_frontier(config: dict) -> Table:
     utility weight settings.
     """
     check_kind(config, "frontier")
-    world = generate_world(parse_world(config["world"]))
+    world_config = parse_world(require_block(config, "world"))
     budget = read_number(config, "budget_pairs", 600, int)
     min_pg = read_number(config, "min_per_group", 100, int)
     step = read_number(config, "grid_step", 100, int)
     policy_step = read_number(config, "policy_step", 50)
     est = parse_estimator(config.get("estimator"))
     seeds = seed_lists(config, "frontier")
-
+    shares = read_list(config, "pop_shares", [0.825, 0.175], length=2)
+    equal_alloc = read_list(config, "equal_alloc",
+                            [budget // 2, budget - budget // 2], int, 2)
+    rep_alloc = read_list(config, "representative_alloc", None, int, 2)
+    weight_settings = _weight_settings(config, shares)
     grid = _frontier_grid(budget, min_pg, step)
+
+    world = generate_world(world_config)
     for n0, n1 in grid:
         for g, n in ((0, n0), (1, n1)):
             if n > world.splits[g].max_pairs:
@@ -233,47 +249,38 @@ def run_frontier(config: dict) -> Table:
     rows = []
 
     session_of = _session_per_seed(world)
+
+    def split_row(kind, label, seed, counts):
+        n0, n1 = (int(x) for x in counts)
+        session = session_of(seed)
+        return [kind, label, seed, n0, n1, session.value_at(0, n0), session.value_at(1, n1)]
+
     for seed in seeds["frontier_seeds"]:
-        session = session_of(seed)
         for n0, n1 in grid:
-            m0 = session.value_at(0, n0)
-            m1 = session.value_at(1, n1)
-            rows.append(["frontier", f"split_{n0}_{n1}", seed, n0, n1, m0, m1])
+            rows.append(split_row("frontier", f"split_{n0}_{n1}", seed, (n0, n1)))
 
-    equal_alloc = config.get("equal_alloc", [budget // 2, budget - budget // 2])
-    shares = config.get("pop_shares", [0.825, 0.175])
     cost = CostModel([1.0, 1.0], float(budget))
-    rep = baseline_policy("representative", None, cost, step_cost=float(step),
-                          pop_shares=shares)
-    rep_alloc = config.get("representative_alloc",
-                           [int(x) for x in rep.counts])
-    for seed in seeds["policy_seeds"]:
-        session = session_of(seed)
-        for label, (n0, n1) in (("equal", equal_alloc), ("representative", rep_alloc)):
-            rows.append(
-                ["marker", label, seed, int(n0), int(n1),
-                 session.value_at(0, int(n0)), session.value_at(1, int(n1))]
-            )
-        start = Allocation([float(min_pg), float(min_pg)])
-        parity = baseline_policy("parity", session, cost, step_cost=policy_step,
-                                 start_alloc=start)
-        p0, p1 = (int(x) for x in parity.counts)
-        rows.append(["marker", "parity", seed, p0, p1,
-                     session.value_at(0, p0), session.value_at(1, p1)])
-
+    if rep_alloc is None:
+        rep = baseline_policy("representative", None, cost, step_cost=float(step),
+                              pop_shares=shares)
+        rep_alloc = rep.counts
     start = Allocation([float(min_pg), float(min_pg)])
-    for label, weights in _weight_settings(config):
+    for seed in seeds["policy_seeds"]:
+        parity = baseline_policy("parity", session_of(seed), cost,
+                                 step_cost=policy_step, start_alloc=start)
+        for label, counts in (("equal", equal_alloc), ("representative", rep_alloc),
+                              ("parity", parity.counts)):
+            rows.append(split_row("marker", label, seed, counts))
+
+    for label, weights in weight_settings:
         util = UtilitySpec(weights=list(weights))
         for seed in seeds["policy_seeds"]:
-            session = session_of(seed)
             cfg = GreedyConfig(
                 step_cost=policy_step, start_alloc=start,
                 marginal_source="estimator", seed=seed, estimator=est,
             )
-            alloc, _ = run_greedy(session, util, cost, cfg)
-            n0, n1 = (int(x) for x in alloc.counts)
-            rows.append(["greedy", label, seed, n0, n1,
-                         session.value_at(0, n0), session.value_at(1, n1)])
+            alloc, _ = run_greedy(session_of(seed), util, cost, cfg)
+            rows.append(split_row("greedy", label, seed, alloc.counts))
 
     return Table("frontier", header, rows, digest=config_digest(config))
 
@@ -286,22 +293,24 @@ def run_adaptive_prs(config: dict):
     returned alongside the run table.
     """
     check_kind(config, "adaptive_prs")
-    world = generate_world(parse_world(config["world"]))
+    world_config = parse_world(require_block(config, "world"))
     budget = read_number(config, "budget_pairs", 600)
-    start_pairs = config.get("start_pairs", [100, 100])
+    start_pairs = read_list(config, "start_pairs", [100, 100], length=2)
     step = read_number(config, "step_cost", 50.0)
     est = parse_estimator(config.get("estimator"))
     seeds = seed_lists(config, "adaptive_prs")
-    settings = config.get("weight_settings", [[1.0, 1.0]])
+    settings = read_list(config, "weight_settings", [[1.0, 1.0]], _pair)
+    grid = read_list(config, "learning_curve_grid", None, int)
 
+    world = generate_world(world_config)
     cost = CostModel([1.0, 1.0], budget)
-    start = Allocation([float(x) for x in start_pairs])
+    start = Allocation(start_pairs)
     digest = config_digest(config)
     header = ["weights", "seed", "n_0", "n_1", "M_0", "M_1", "utility"]
     rows = []
     session_of = _session_per_seed(world)
     for weights in settings:
-        util = UtilitySpec(weights=[float(w) for w in weights])
+        util = UtilitySpec(weights=weights)
         label = "/".join(f"{w:g}" for w in weights)
         for seed in seeds["seeds"]:
             session = session_of(seed)
@@ -316,7 +325,6 @@ def run_adaptive_prs(config: dict):
                          utility_eval(util, PerformanceVector([m0, m1]))])
     main = Table("adaptive_prs", header, rows, digest=digest)
 
-    grid = config.get("learning_curve_grid")
     if grid is None:
         return main
     curve_rows = run_allocation_curve(world, grid, seeds["curve_seeds"], session_of)
@@ -332,10 +340,10 @@ def run_adaptive_prs(config: dict):
 def run_audit(config: dict) -> Table:
     """Audit one observed allocation against an auditor's utility."""
     check_kind(config, "audit")
-    curve = parse_curve(config["curve"])
+    curve = parse_curve(require_block(config, "curve"))
     cost = parse_cost(config)
-    auditor = parse_utility(_require_block(config, "auditor_utility"))
-    observed = parse_allocation(_require_block(config, "observed"))
+    auditor = parse_utility(require_block(config, "auditor_utility"))
+    observed = parse_allocation(require_block(config, "observed"))
 
     best, observed_u, gap = audit_gap(curve, auditor, cost, observed,
                                       read_number(config, "grid_resolution", None),
@@ -354,8 +362,3 @@ def run_audit(config: dict) -> Table:
     ]
     return Table("audit", header, rows, digest=config_digest(config))
 
-
-def _require_block(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required block {key!r}")
-    return config[key]

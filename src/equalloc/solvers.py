@@ -4,7 +4,8 @@ Two deliberately independent routes:
 
 * :func:`solve_grid` exhaustively scans a regular spend grid and is the
   trusted oracle at K <= 4 (including parity-penalized, non-concave
-  utilities), up to ``MAX_GRID_POINTS`` grid points.
+  utilities), up to ``MAX_GRID_POINTS`` grid points, one triangle or
+  segment of points per utility-kernel call.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
   with away steps) over the budget simplex and scales to larger K, but
   requires a concave nondecreasing utility.
@@ -18,6 +19,7 @@ utility could have achieved with the same budget.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +35,7 @@ from .core import (
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import CapacityError, DomainError, UnsupportedUtilityError
 
-__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap"]
+__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "lattice_points"]
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
@@ -77,17 +79,14 @@ def _triangle(total: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _prefixes(num_free: int, total: int):
-    """Yield lexicographically ordered prefixes of batch counts.
-
-    Each prefix fixes ``num_free`` leading coordinates whose sum is at
-    most ``total``; the caller vectorizes over the remaining ones.
-    """
-    if num_free == 0:
+def lattice_points(num_coords: int, total: int):
+    """Yield every tuple of ``num_coords`` non-negative integers whose sum is
+    at most ``total``, in lexicographic order (one empty tuple for none)."""
+    if num_coords == 0:
         yield ()
         return
     for first in range(total + 1):
-        for rest in _prefixes(num_free - 1, total - first):
+        for rest in lattice_points(num_coords - 1, total - first):
             yield (first,) + rest
 
 
@@ -105,6 +104,13 @@ def solve_grid(
     monotone utilities (no parity penalty) only the full-spend face of
     the grid is scanned, since spending more never hurts; parity-penalized
     utilities force a scan of the whole grid.
+
+    The scan walks the grid in lexicographic order, one batch per prefix
+    of fixed leading coordinates (on the face the spend total fixes the
+    last coordinate).  With three or more free coordinates a batch is the
+    triangle of the last two, at most C(d + 2, 2) points for a grid d spend
+    steps wide; the point cap keeps d, and so a batch, small there.  With
+    two or fewer a batch is a segment of the last one, at most d + 1 points.
     """
     if resolution is None:
         resolution = cost.budget / 200 if cost.budget > 0 else 1.0
@@ -121,9 +127,8 @@ def solve_grid(
 
     d = int(math.floor(cost.spend_limit / resolution))
     face_only = utility.is_concave_monotone
-    n_points = (
-        math.comb(d + k - 1, k - 1) if face_only else math.comb(d + k, k)
-    )
+    n_free = k - 1 if face_only else k  # coordinates the spend total leaves free
+    n_points = math.comb(d + n_free, n_free)
     if n_points > MAX_GRID_POINTS:
         raise CapacityError(
             f"grid has {n_points} points, exceeding the cap of {MAX_GRID_POINTS}; "
@@ -132,41 +137,25 @@ def solve_grid(
 
     step_sizes = resolution / cost.costs  # samples bought per batch, per group
 
+    n_tail = 2 if n_free >= 3 else min(n_free, 1)  # free coordinates per batch
     best_u = -np.inf
     best_m: np.ndarray | None = None
     evaluated = 0
-
-    if k == 1:
-        m_last = np.array([d]) if face_only else np.arange(d + 1)
-        chunks = [((), m_last, None)]
-    else:
-        chunks = None  # built lazily below
-
-    def iter_chunks():
-        if k == 1:
-            yield from chunks
-            return
-        for prefix in _prefixes(k - 2, d):
-            budget_left = d - sum(prefix)
-            if face_only:
-                m_a = np.arange(budget_left + 1)
-                yield prefix, m_a, budget_left - m_a
-            else:
-                m_a, m_b = _triangle(budget_left)
-                yield prefix, m_a, m_b
-
-    for prefix, m_a, m_b in iter_chunks():
-        p = m_a.size
-        counts = np.empty((k, p))
-        for j, mj in enumerate(prefix):
-            counts[j, :] = mj * step_sizes[j]
-        if k == 1:
-            counts[0, :] = m_a * step_sizes[0]
+    for prefix in lattice_points(n_free - n_tail, d):
+        left = d - sum(prefix)
+        if n_tail == 2:
+            tail = _triangle(left)
+        elif n_tail == 1:
+            tail = (np.arange(left + 1),)
         else:
-            counts[k - 2, :] = m_a * step_sizes[k - 2]
-            counts[k - 1, :] = m_b * step_sizes[k - 1]
+            tail = ()
+        if face_only:
+            tail += (np.atleast_1d(left - sum(tail)),)
+        counts = np.empty((k, tail[-1].size))
+        for j, mj in enumerate(prefix + tail):
+            counts[j] = mj * step_sizes[j]
         u = batch_utilities(curve, utility, counts)
-        evaluated += p
+        evaluated += counts.shape[1]
         idx = int(np.argmax(u))
         # argmax picks the first (lexicographically smallest) maximizer in
         # the chunk; chunks arrive in lexicographic order, so strict ">"
@@ -175,7 +164,7 @@ def solve_grid(
             best_u = float(u[idx])
             best_m = counts[:, idx].copy()
 
-    if best_m is None or not np.isfinite(best_u):
+    if best_m is None:
         raise DomainError("utility is undefined on every grid point")
 
     alloc = Allocation(best_m)
@@ -331,7 +320,8 @@ def audit_gap(
     observed allocation's utility, and ``gap = max_n U~(n) - U~(observed)``
     over feasible allocations.  The optimum comes from the grid oracle when
     K <= 4 (at :func:`solve_grid`'s default resolution unless given) and
-    the concave solver otherwise.  The observed allocation must fit the
+    the concave solver otherwise, with a :class:`RuntimeWarning` when that
+    solver stops before converging.  The observed allocation must fit the
     budget; it is itself a candidate, so the gap is never negative.
     """
     if not check_feasible(observed_alloc, cost):
@@ -341,4 +331,8 @@ def audit_gap(
         best = solve_grid(curve, auditor_utility, cost, resolution)
     else:
         best = solve_concave(curve, auditor_utility, cost, tol=tol)
+        if not best.converged:
+            warnings.warn(f"audit optimum did not converge in {best.iterations} "
+                          "iterations; the gap may be short by up to its certificate "
+                          f"{best.certificate:.3g}", RuntimeWarning, stacklevel=2)
     return best, observed_u, max(best.utility, observed_u) - observed_u

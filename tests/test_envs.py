@@ -317,6 +317,9 @@ class TestAllocationCurve:
         with pytest.raises(DomainError):
             run_allocation_curve(world, [10**6], seeds=[0])
 
+    def test_empty_grid_gives_no_rows(self, world):
+        assert run_allocation_curve(world, [], seeds=[0, 1]) == []
+
     def test_rows_are_session_values(self, world):
         grid, seeds = [0, 40, 80], [3, 4]
         expected = []

@@ -9,6 +9,7 @@ from equalloc.harness import (
     config_digest,
     default_audit_config,
     default_convergence_config,
+    default_frontier_config,
     default_prs_sim_config,
     default_table1_config,
     run_adaptive_prs,
@@ -489,6 +490,51 @@ class TestCli:
             path.write_text(json.dumps(dict(doc, **{key: value})))
             argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("convergence", "step_divisors", ["x"]),
+        ("convergence", "step_divisors", [0]),
+        ("convergence", "group_range", [2]),
+        ("frontier", "weight_ratio_bounds", "x"),
+        ("frontier", "weight_ratio_bounds", [0, 1]),
+        ("frontier", "extra_weights", [[1.0]]),
+        ("frontier", "equal_alloc", ["half", 300]),
+        ("prs-sim", "start_pairs", ["a", 1]),
+        ("prs-sim", "weight_settings", [1.0, 1.0]),
+        ("prs-sim", "weight_settings", [[1.0]]),
+        ("prs-sim", "learning_curve_grid", ["x"]),
+        ("prs-sim", "seeds", ["x"]),
+        ("table1", "pop_shares", "x"),
+        ("table1", "curve", None),
+        ("audit", "curve", None),
+        ("frontier", "world", None),
+        ("prs-sim", "world", None),
+    ])
+    def test_bad_list_or_missing_block_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # value None drops the block; no genomic world is built before the
+        # config is known to be good
+        def no_world(_config):
+            raise AssertionError("world built before the config was checked")
+
+        monkeypatch.setattr(experiments, "generate_world", no_world)
+        doc = {
+            "table1": default_table1_config,
+            "convergence": default_convergence_config,
+            "frontier": default_frontier_config,
+            "prs-sim": default_prs_sim_config,
+            "audit": default_audit_config,
+        }[command]()
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 

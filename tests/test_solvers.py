@@ -1,3 +1,8 @@
+import functools
+import itertools
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,8 @@ from equalloc import (
     solve_grid,
     utility_eval,
 )
+from equalloc import solvers
+from equalloc.curves import batch_utilities
 from equalloc.errors import CapacityError, DomainError, UnsupportedUtilityError
 
 # Analytic optimum of the four-group instance under equal weights: all
@@ -94,6 +101,134 @@ class TestSolveGrid:
         res = solve_grid(curve, util, cost, resolution=1.0)
         # every full-spend point has the same utility; smallest lexicographic wins
         assert np.allclose(res.alloc.counts, [0.0, 4.0])
+
+    @pytest.mark.parametrize("gamma,weights,penalty", [
+        ([[1.0, 0.3], [0.3, 1.0]], [1.0, 1.0], 0.3),  # -inf - -inf at the origin
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.0),  # 0 * -inf at (100, 0)
+    ])
+    def test_undefined_points_do_not_hide_their_chunk(self, gamma, weights, penalty):
+        # A point with a non-positive performance under the log transform is
+        # -inf, never NaN, so the rest of its chunk still competes.
+        curve = AnalyticCurve(gamma=gamma, form="sqrt")
+        cost = CostModel(costs=[1.0, 1.0], budget=100.0)
+        util = UtilitySpec(weights=weights, parity_penalty=penalty, transform="log")
+        res = solve_grid(curve, util, cost, resolution=1.0)
+        best, n_points = _enumerate_grid(curve, util, cost, 1.0)
+        assert np.array_equal(res.alloc.counts, best)
+        assert res.iterations == n_points
+
+
+def _enumerate_grid(curve, util, cost, resolution):
+    """Reference scan of ``solve_grid``'s grid with ``itertools``: the
+    lexicographically first maximiser among the points where the utility
+    is defined, and the number of grid points."""
+    k = curve.num_groups
+    d = int(math.floor(cost.spend_limit / resolution))
+    steps = resolution / cost.costs
+    best, best_u, n_points = None, -np.inf, 0
+    for m in itertools.product(range(d + 1), repeat=k):
+        if sum(m) > d or (util.is_concave_monotone and sum(m) < d):
+            continue
+        n_points += 1
+        counts = np.array(m) * steps
+        try:
+            u = utility_eval(util, eval_perf(curve, Allocation(counts)))
+        except DomainError:
+            continue
+        if u > best_u:
+            best, best_u = counts, u
+    return best, n_points
+
+
+class TestGridProperties:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_enumeration_on_random_instances(self, k):
+        rng = np.random.default_rng([7, k])
+        for trial in range(24):
+            form = ("sqrt", "log1p", "power")[trial % 3]
+            curve = AnalyticCurve(gamma=rng.uniform(0.05, 1.0, (k, k)), form=form)
+            cost = CostModel(costs=rng.uniform(0.2, 2.0, k), budget=rng.uniform(1, 20))
+            util = UtilitySpec(
+                weights=rng.uniform(0.1, 1.0, k),
+                parity_penalty=(0.0, 0.0, 0.3, 2.0)[trial % 4],  # half the full grid
+                transform=("identity", "log")[trial % 2],
+            )
+            resolution = cost.budget / int(rng.integers(3, 11))
+            res = solve_grid(curve, util, cost, resolution)
+            best, n_points = _enumerate_grid(curve, util, cost, resolution)
+            assert np.array_equal(res.alloc.counts, best), (k, trial)
+            assert res.iterations == n_points, (k, trial)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("penalty", [0.0, 1.0])
+    def test_ties_break_toward_the_lexicographically_smallest_point(self, k, penalty):
+        # Every group reads the total count, so on the face every point ties
+        # exactly (sqrt(16) = 4 in every group) and only the tie-break decides.
+        curve = AnalyticCurve(gamma=np.ones((k, k)), form="sqrt")
+        cost = CostModel(costs=np.ones(k), budget=16.0)
+        util = UtilitySpec(weights=np.ones(k), parity_penalty=penalty)
+        res = solve_grid(curve, util, cost, resolution=1.0)
+        best, n_points = _enumerate_grid(curve, util, cost, 1.0)
+        assert np.array_equal(best, [0.0] * (k - 1) + [16.0])
+        assert np.array_equal(res.alloc.counts, best)
+        assert res.iterations == n_points == (math.comb(16 + k - 1, k - 1) if penalty == 0
+                                              else math.comb(16 + k, k))
+
+    @pytest.mark.parametrize("penalty", [0.0, 0.5])
+    @pytest.mark.parametrize("budget", [7.0, 10.0])
+    def test_mirror_image_ties_break_toward_the_smaller_first_count(self, penalty, budget):
+        # Two interchangeable groups: (a, b) and (b, a) tie exactly.
+        curve = AnalyticCurve(gamma=[[1.0, 0.4], [0.4, 1.0]], form="log1p")
+        cost = CostModel(costs=[1.0, 1.0], budget=budget)
+        util = UtilitySpec(weights=[1.0, 1.0], parity_penalty=penalty)
+        res = solve_grid(curve, util, cost, resolution=1.0)
+        best, n_points = _enumerate_grid(curve, util, cost, 1.0)
+        assert np.array_equal(res.alloc.counts, best)
+        assert res.alloc.counts[0] <= res.alloc.counts[1]
+        assert res.iterations == n_points
+
+    @pytest.mark.parametrize("k,penalty,d,n_batches,largest", [
+        (2, 0.0, 600, 1, 601),                    # face: one segment
+        (2, 0.5, 600, 601, 601),                  # full grid: a segment per prefix
+        (3, 0.0, 600, 601, 601),                  # face: a segment per prefix
+        (3, 0.5, 60, 61, math.comb(62, 2)),       # full grid: a triangle per prefix
+        (4, 0.0, 60, 61, math.comb(62, 2)),       # face: a triangle per prefix
+        (4, 0.5, 20, math.comb(22, 2), math.comb(22, 2)),
+    ])
+    def test_batches_stay_small_where_the_cap_does_not_bound_d(
+        self, monkeypatch, k, penalty, d, n_batches, largest
+    ):
+        # With two or fewer free coordinates the cap allows d in the tens of
+        # thousands, so a batch must be a segment, never the whole triangle.
+        sizes = []
+
+        def recording(curve, utility, counts):
+            sizes.append(counts.shape[1])
+            return batch_utilities(curve, utility, counts)
+
+        monkeypatch.setattr(solvers, "batch_utilities", recording)
+        curve = AnalyticCurve(gamma=np.eye(k) + 0.1, form="sqrt")
+        cost = CostModel(costs=np.ones(k), budget=float(d))
+        res = solve_grid(curve, UtilitySpec(weights=np.ones(k), parity_penalty=penalty),
+                         cost, resolution=1.0)
+        assert (len(sizes), max(sizes)) == (n_batches, largest)
+        assert sum(sizes) == res.iterations
+
+    def test_grid_never_beats_frank_wolfe_beyond_its_certificate(self):
+        rng = np.random.default_rng(11)
+        for trial in range(30):
+            k = int(rng.integers(2, 5))
+            form = ("sqrt", "log1p", "power")[trial % 3]
+            curve = AnalyticCurve(gamma=rng.uniform(0.0, 1.0, (k, k)) + 0.01 * np.eye(k),
+                                  form=form)
+            cost = CostModel(costs=rng.uniform(0.1, 1.0, k), budget=rng.uniform(1, 50))
+            util = UtilitySpec(weights=rng.uniform(0.0, 1.0, k) + 0.01,
+                               transform=("identity", "log")[trial % 2])
+            grid = solve_grid(curve, util, cost, cost.budget / 40)
+            for fw in (solve_concave(curve, util, cost),
+                       solve_concave(curve, util, cost, max_iter=3)):
+                slack = 1e-9 * abs(fw.utility)
+                assert grid.utility <= fw.utility + fw.certificate + slack, (trial, fw)
 
 
 class TestSolveConcave:
@@ -236,6 +371,21 @@ class TestAuditGap:
                 four_group_curve, u_equal, four_group_cost,
                 Allocation([2000, 0, 0, 0]),
             )
+
+    def test_unconverged_optimum_warns(self, monkeypatch):
+        curve = AnalyticCurve(gamma=np.eye(5) + 0.2, form="sqrt")
+        cost = CostModel(costs=np.ones(5), budget=10.0)
+        util = UtilitySpec(weights=[1.0, 2.0, 3.0, 4.0, 5.0])
+        observed = Allocation(np.full(5, 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a converged optimum stays silent
+            audit_gap(curve, util, cost, observed)
+        monkeypatch.setattr(solvers, "solve_concave",
+                            functools.partial(solve_concave, max_iter=1))
+        with pytest.warns(RuntimeWarning,
+                          match=r"did not converge in 1 iterations.* certificate"):
+            best, _, _ = audit_gap(curve, util, cost, observed)
+        assert not best.converged and best.certificate > 0
 
     def test_gap_nonnegative_for_continuous_solver_output(
         self, four_group_curve, four_group_cost, u_equal
