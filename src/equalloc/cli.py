@@ -18,11 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import utility_eval
-from .curves import eval_perf
+from .core import Allocation, UtilitySpec, utility_eval
+from .curves import AnalyticCurve, eval_perf
 from .envs.analytic import AnalyticEnvironment
-from .envs.genomic import GenomicSamplingSession, generate_world
+from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig, generate_world
 from .errors import CapacityError, ConfigError, EqualLocError
+from .estimator import EstimatorSettings
 from .greedy import GreedyConfig, run_greedy
 from .harness.config import (
     apply_seed_offset,
@@ -33,12 +34,8 @@ from .harness.config import (
     default_prs_sim_config,
     default_table1_config,
     load_config,
-    parse_allocation,
     parse_cost,
-    parse_curve,
-    parse_estimator,
-    parse_utility,
-    parse_world,
+    read_block,
     read_number,
     require_block,
     seed_lists,
@@ -96,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     doc = load_config(args.config)
-    curve = parse_curve(require_block(doc, "curve"))
-    cost = parse_cost(doc)
-    utility = parse_utility(require_block(doc, "utility"))
+    curve, cost, utility = _instance(doc)
     method = doc.get("method", "grid")
     if method == "grid":
         result = solve_grid(curve, utility, cost, read_number(doc, "resolution", None))
@@ -117,37 +112,47 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _instance(doc):
+    """The curve, cost model and utility of a one-instance document."""
+    return (read_block(AnalyticCurve, require_block(doc, "curve"), "curve"),
+            parse_cost(doc),
+            read_block(UtilitySpec, require_block(doc, "utility"), "utility"))
+
+
+def _genomic_session(world: dict | None = None, rng_seed: int = 0):
+    """A session on the world a genomic environment block describes."""
+    config = read_block(GenomicWorldConfig, {} if world is None else world, "world")
+    return GenomicSamplingSession(generate_world(config), rng_seed=rng_seed)
+
+
 def _greedy_source(doc, curve, marginals):
     if marginals == "true":
         return curve, "true_curve"
-    env_block = doc.get("environment")
-    if env_block is None:
+    env = doc.get("environment")
+    if not isinstance(env, dict):
         raise ConfigError("estimated marginals need an 'environment' block")
-    env_type = env_block.get("type", "analytic")
-    seed = read_number(env_block, "rng_seed", 0, int)
+    env = dict(env)
+    env_type = env.pop("type", "analytic")
     if env_type == "analytic":
-        noise_sd = read_number(env_block, "noise_sd", 0.0)
-        return AnalyticEnvironment(curve, noise_sd, rng_seed=seed), "estimator"
+        return read_block(AnalyticEnvironment, env, "environment", curve=curve), "estimator"
     if env_type == "genomic":
-        world = generate_world(parse_world(env_block.get("world", {})))
-        return GenomicSamplingSession(world, rng_seed=seed), "estimator"
+        return read_block(_genomic_session, env, "environment"), "estimator"
     raise ConfigError(f"unknown environment type {env_type!r}")
 
 
 def _cmd_greedy(args) -> int:
     doc = load_config(args.instance)
-    curve = parse_curve(require_block(doc, "curve"))
-    cost = parse_cost(doc)
-    utility = parse_utility(require_block(doc, "utility"))
+    curve, cost, utility = _instance(doc)
     step = args.step if args.step is not None else read_number(doc, "step_cost", 1.0)
-    start = None if args.start == "zero" else parse_allocation(load_config(args.start))
+    start = (None if args.start == "zero"
+             else read_block(Allocation, load_config(args.start), "start"))
     source, mode = _greedy_source(doc, curve, args.marginals)
     cfg = GreedyConfig(
         step_cost=step,
         start_alloc=start,
         marginal_source=mode,
         seed=args.seed,
-        estimator=parse_estimator(doc.get("estimator")),
+        estimator=read_block(EstimatorSettings, doc.get("estimator", {}), "estimator"),
     )
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)

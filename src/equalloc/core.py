@@ -160,15 +160,6 @@ class UtilitySpec:
         """True when the utility is concave and nondecreasing in M."""
         return self.parity_penalty == 0.0
 
-    @staticmethod
-    def from_dict(doc: dict) -> "UtilitySpec":
-        return UtilitySpec(
-            weights=doc["weights"],
-            parity_penalty=doc.get("parity_penalty", 0.0),
-            transform=doc.get("transform", "identity"),
-            normalize=doc.get("normalize", False),
-        )
-
 
 def check_feasible(alloc: Allocation, cost: CostModel) -> bool:
     """True iff the allocation's total cost is within budget, up to

@@ -70,15 +70,6 @@ class AnalyticCurve:
         """Raw performance array for a counts vector (no type wrapping)."""
         return self.transform(self.offset + self.gamma @ counts)
 
-    @staticmethod
-    def from_dict(doc: dict) -> "AnalyticCurve":
-        return AnalyticCurve(
-            gamma=doc["gamma"],
-            form=doc.get("form", "sqrt"),
-            power_exponent=doc.get("power_exponent", 0.5),
-            offset=doc.get("offset", 0.0),
-        )
-
 
 def eval_perf(curve: AnalyticCurve, alloc: Allocation) -> PerformanceVector:
     """Expected group performances for an allocation."""

@@ -22,7 +22,7 @@ class AnalyticEnvironment:
     number of prior calls, so whole runs replay exactly.
     """
 
-    def __init__(self, curve: AnalyticCurve, noise_sd: float, rng_seed: int = 0):
+    def __init__(self, curve: AnalyticCurve, noise_sd: float = 0.0, rng_seed: int = 0):
         if noise_sd < 0:
             raise DomainError("noise_sd must be non-negative")
         self.curve = curve

@@ -87,12 +87,6 @@ class GenomicWorldConfig:
         if not 0.0 < self.freq_low < self.freq_high < 1.0:
             raise DomainError("need 0 < freq_low < freq_high < 1")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "GenomicWorldConfig":
-        return GenomicWorldConfig(**{
-            k: doc[k] for k in GenomicWorldConfig.__dataclass_fields__ if k in doc
-        })
-
 
 @dataclass(frozen=True)
 class GroupSplit:
@@ -163,19 +157,12 @@ class RiskModel:
     def is_empty(self) -> bool:
         return self.variant_idx.size == 0
 
-    def predict_proba(self, genotypes: np.ndarray) -> np.ndarray:
-        if self.is_empty:
-            return np.full(genotypes.shape[0], self.prevalence)
-        return self._link(genotypes[:, self.variant_idx].astype(float) @ self.log_odds)
-
-    def _predict_rows(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``predict_proba(genotypes[rows])`` without copying the columns
-        the model does not use."""
+    def predict_proba(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Predicted probabilities of the individuals ``genotypes[rows]``,
+        gathering only the columns the model uses."""
         if self.is_empty:
             return np.full(rows.size, self.prevalence)
-        return self._link(_selected_scores(genotypes, rows, self.variant_idx, self.log_odds))
-
-    def _link(self, scores: np.ndarray) -> np.ndarray:
+        scores = _selected_scores(genotypes, rows, self.variant_idx, self.log_odds)
         logit = self.slope * scores + self.intercept
         return 1.0 / (1.0 + np.exp(-logit))
 
@@ -474,7 +461,7 @@ def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float
 
 def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> float:
     """Value of the model's treat-if-risky rule on the group's holdout set."""
-    probs = model._predict_rows(world.genotypes[group], holdout_indices(world, group))
+    probs = model.predict_proba(world.genotypes[group], holdout_indices(world, group))
     return treatment_value(world, group, probs)
 
 

@@ -59,14 +59,6 @@ class EstimatorSettings:
         if self.min_points < 2:
             raise DomainError("min_points must be at least 2")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "EstimatorSettings":
-        return EstimatorSettings(
-            window=doc.get("window", DEFAULT_WINDOW),
-            se_floor=doc.get("se_floor", DEFAULT_SE_FLOOR),
-            min_points=doc.get("min_points", DEFAULT_MIN_POINTS),
-        )
-
 
 class PerformanceHistory:
     """Per-group log of (sample count, measured performance) pairs.

@@ -57,15 +57,13 @@ class GreedyConfig:
     """Settings for one greedy run.
 
     ``marginal_source`` selects between exact curve marginals and the
-    history-based estimator; ``tie_break`` controls argmax ties (exact
-    float ties only), either deterministically by lowest index or
-    uniformly at random from the tied set.
+    history-based estimator; ``seed`` seeds the estimator's draws.  An
+    exact tie in the argmax goes to the lowest group index.
     """
 
     step_cost: float
     start_alloc: Allocation | None = None
     marginal_source: str = "true_curve"
-    tie_break: str = "lowest_index"
     seed: int = 0
     estimator: EstimatorSettings = field(default_factory=EstimatorSettings)
 
@@ -74,8 +72,6 @@ class GreedyConfig:
             raise DomainError("step_cost must be positive")
         if self.marginal_source not in ("true_curve", "estimator"):
             raise DomainError(f"unknown marginal_source {self.marginal_source!r}")
-        if self.tie_break not in ("lowest_index", "random"):
-            raise DomainError(f"unknown tie_break {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -118,13 +114,6 @@ class GreedyTrace:
                 + [float(x) for x in r.marginal_true]
                 + [r.utility]
             )
-
-
-def _pick_argmax(values: np.ndarray, tie_break: str, rng) -> int:
-    if tie_break == "lowest_index":
-        return int(np.argmax(values))
-    ties = np.flatnonzero(values == np.max(values))
-    return int(ties[0] if ties.size == 1 else rng.choice(ties))
 
 
 def _true_marginals(
@@ -203,7 +192,6 @@ def _observe(env, counts: np.ndarray) -> np.ndarray:
 
 def _run_true_curve(curve, utility, cost, config, start):
     """Buy from the group with the largest exact marginal gain."""
-    rng = np.random.default_rng(config.seed)
     s = config.step_cost
     trace = GreedyTrace()
     u_now = float(batch_utilities(curve, utility, start.counts[:, None])[0])
@@ -212,7 +200,7 @@ def _run_true_curve(curve, utility, cost, config, start):
     def choose(counts, step):
         nonlocal marginals
         marginals = _true_marginals(curve, utility, counts, s, cost, u_now)
-        return _pick_argmax(marginals, config.tie_break, rng)
+        return int(np.argmax(marginals))
 
     def record(counts, group, step):
         nonlocal u_now
@@ -271,7 +259,7 @@ def _run_estimated(env, utility, cost, config, start):
                 except EqualLocError as exc:
                     raise GreedyStepError(step, exc) from exc
                 priorities[g] = me.priority * utility.weights[g]
-            group = _pick_argmax(priorities, config.tie_break, rng)
+            group = int(np.argmax(priorities))
 
         if true_curve is not None:
             base_u = float(batch_utilities(true_curve, utility, counts[:, None])[0])

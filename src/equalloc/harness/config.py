@@ -2,9 +2,11 @@
 
 A config is a plain JSON object with a ``kind`` plus the blocks each
 experiment needs (curve, costs/budget, utilities, world, greedy and
-estimator settings, seeds).  Field names inside blocks match the
-constructor arguments of the core types, and every ``parse_*`` function
-turns a malformed block or value into a :class:`ConfigError`.
+estimator settings, seeds).  Every block is read by :func:`read_block`,
+so a block's keys are exactly the keyword arguments of the type it
+builds: an unknown key, a non-integer for an integer field, or a value
+the type rejects raises :class:`ConfigError`, which the CLI turns into
+exit status 2.  Unknown top-level keys are ignored.
 """
 
 from __future__ import annotations
@@ -12,24 +14,19 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
+import inspect
 import json
 from pathlib import Path
 
-from ..core import Allocation, CostModel, UtilitySpec
-from ..curves import AnalyticCurve
+from ..core import CostModel
 from ..envs.genomic import GenomicWorldConfig
-from ..errors import ConfigError
-from ..estimator import EstimatorSettings
+from ..errors import ConfigError, DomainError
 
 __all__ = [
     "load_config",
     "config_digest",
-    "parse_curve",
+    "read_block",
     "parse_cost",
-    "parse_utility",
-    "parse_allocation",
-    "parse_estimator",
-    "parse_world",
     "read_number",
     "read_list",
     "require_block",
@@ -70,11 +67,26 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def parse_curve(block) -> AnalyticCurve:
+def read_block(cls, block, name: str, **fixed):
+    """``cls(**fixed, **block)``: the config block ``name`` read as the
+    keyword arguments of ``cls``.
+
+    A key that is not one of ``cls``'s parameters, a missing required one,
+    a non-integer for a parameter annotated ``int``, or a value ``cls``
+    rejects raises :class:`ConfigError`, so no key is ever ignored.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} block must be a JSON object, got {block!r}")
     try:
-        return AnalyticCurve.from_dict(block)
-    except Exception as exc:
-        raise ConfigError(f"bad curve block: {exc}") from exc
+        signature = inspect.signature(cls)
+        signature.bind(**fixed, **block)  # an unknown key, or a required one missing
+        for key, value in block.items():
+            if signature.parameters[key].annotation in (int, "int") and (
+                    isinstance(value, bool) or not isinstance(value, int)):
+                raise TypeError(f"{key!r} must be an integer, got {value!r}")
+        return cls(**fixed, **block)
+    except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
 def parse_cost(doc: dict) -> CostModel:
@@ -84,34 +96,6 @@ def parse_cost(doc: dict) -> CostModel:
         raise ConfigError(f"cost block is missing {exc}") from exc
     except Exception as exc:
         raise ConfigError(f"bad cost block: {exc}") from exc
-
-
-def parse_utility(block) -> UtilitySpec:
-    try:
-        return UtilitySpec.from_dict(block)
-    except Exception as exc:
-        raise ConfigError(f"bad utility block: {exc}") from exc
-
-
-def parse_allocation(block) -> Allocation:
-    try:
-        return Allocation(block["counts"] if isinstance(block, dict) else block)
-    except Exception as exc:
-        raise ConfigError(f"bad allocation block: {exc}") from exc
-
-
-def parse_estimator(block) -> EstimatorSettings:
-    try:
-        return EstimatorSettings.from_dict(block or {})
-    except Exception as exc:
-        raise ConfigError(f"bad estimator block: {exc}") from exc
-
-
-def parse_world(block) -> GenomicWorldConfig:
-    try:
-        return GenomicWorldConfig.from_dict(block)
-    except Exception as exc:
-        raise ConfigError(f"bad world block: {exc}") from exc
 
 
 def read_number(doc: dict, key: str, default, cast=float):

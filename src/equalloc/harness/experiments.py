@@ -14,19 +14,25 @@ import numpy as np
 
 from ..core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
 from ..curves import AnalyticCurve, eval_perf
-from ..envs.genomic import GenomicSamplingSession, generate_world, run_allocation_curve
+from ..envs.genomic import (
+    GenomicSamplingSession,
+    GenomicWorldConfig,
+    generate_world,
+    run_allocation_curve,
+)
 from ..errors import ConfigError
+from ..estimator import EstimatorSettings
 from ..greedy import GreedyConfig, baseline_policy, run_greedy
 from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
     check_kind,
     config_digest,
-    parse_allocation,
+    default_convergence_config,
+    default_frontier_config,
+    default_prs_sim_config,
+    default_table1_config,
     parse_cost,
-    parse_curve,
-    parse_estimator,
-    parse_utility,
-    parse_world,
+    read_block,
     read_list,
     read_number,
     require_block,
@@ -44,14 +50,13 @@ __all__ = [
 
 
 def _table1_instance(config):
-    curve = parse_curve(require_block(config, "curve"))
+    curve = read_block(AnalyticCurve, require_block(config, "curve"), "curve")
     cost = parse_cost(config)
-    utilities = {
-        name: parse_utility(block)
-        for name, block in config.get("utilities", {}).items()
-    }
-    if "equal" not in utilities or "priority" not in utilities:
+    blocks = config.get("utilities", {})
+    if not isinstance(blocks, dict) or not {"equal", "priority"} <= blocks.keys():
         raise ConfigError("table1 config needs 'equal' and 'priority' utilities")
+    utilities = {name: read_block(UtilitySpec, block, f"utilities.{name}")
+                 for name, block in blocks.items()}
     return curve, cost, utilities
 
 
@@ -65,8 +70,9 @@ def run_table1(config: dict) -> Table:
     curve, cost, utilities = _table1_instance(config)
     u_equal, u_priority = utilities["equal"], utilities["priority"]
     k = curve.num_groups
-    step = read_number(config, "step_cost", 1.0)
-    resolution = read_number(config, "grid_resolution", 5.0)
+    defaults = default_table1_config()
+    step = read_number(config, "step_cost", defaults["step_cost"])
+    resolution = read_number(config, "grid_resolution", defaults["grid_resolution"])
     shares = read_list(config, "pop_shares", None)
     if shares is None:
         raise ConfigError("table1 config needs pop_shares")
@@ -131,15 +137,16 @@ def run_convergence(config: dict) -> Table:
     (instance, step).
     """
     check_kind(config, "convergence")
-    n_instances = read_number(config, "num_instances", 100, int)
-    k_range = read_list(config, "group_range", [2, 10], int, 2)
-    forms = read_list(config, "forms", ["sqrt", "log1p"], str)
-    budget = read_number(config, "budget", 10.0)
-    divisors = read_list(config, "step_divisors", [10, 100, 1000], int)
+    defaults = default_convergence_config()
+    n_instances = read_number(config, "num_instances", defaults["num_instances"], int)
+    k_range = read_list(config, "group_range", defaults["group_range"], int, 2)
+    forms = read_list(config, "forms", defaults["forms"], str)
+    budget = read_number(config, "budget", defaults["budget"])
+    divisors = read_list(config, "step_divisors", defaults["step_divisors"], int)
     if not 1 <= k_range[0] <= k_range[1] or min(divisors, default=1) < 1:
         raise ConfigError("group_range needs 1 <= low <= high and step_divisors "
                           "positive entries")
-    tol = read_number(config, "solver_tol", 1e-8)
+    tol = read_number(config, "solver_tol", defaults["solver_tol"])
     master_seeds = seed_lists(config, "convergence")["seeds"]
 
     header = [
@@ -185,16 +192,18 @@ def _frontier_grid(budget, min_per_group, step):
     return points
 
 
-def _weight_settings(config, shares):
-    lo, hi = read_list(config, "weight_ratio_bounds", [1e-3, 1e3], length=2)
+def _weight_settings(config, defaults, shares):
+    lo, hi = read_list(config, "weight_ratio_bounds", defaults["weight_ratio_bounds"],
+                       length=2)
     if min(lo, hi) <= 0:
         raise ConfigError(f"weight_ratio_bounds must be positive, got {[lo, hi]}")
-    n_points = read_number(config, "weight_ratio_points", 13, int)
+    n_points = read_number(config, "weight_ratio_points", defaults["weight_ratio_points"],
+                           int)
     ratios = np.logspace(np.log10(lo), np.log10(hi), n_points)
     settings = [(f"ratio_{r:.6g}", (float(r), 1.0)) for r in ratios]
-    if config.get("include_share_weights", True):
+    if config.get("include_share_weights", defaults["include_share_weights"]):
         settings.append(("shares", tuple(shares)))
-    for w0, w1 in read_list(config, "extra_weights", [], _pair):
+    for w0, w1 in read_list(config, "extra_weights", defaults["extra_weights"], _pair):
         settings.append((f"weights_{w0:g}_{w1:g}", (w0, w1)))
     return settings
 
@@ -222,18 +231,20 @@ def run_frontier(config: dict) -> Table:
     utility weight settings.
     """
     check_kind(config, "frontier")
-    world_config = parse_world(require_block(config, "world"))
-    budget = read_number(config, "budget_pairs", 600, int)
-    min_pg = read_number(config, "min_per_group", 100, int)
-    step = read_number(config, "grid_step", 100, int)
-    policy_step = read_number(config, "policy_step", 50)
-    est = parse_estimator(config.get("estimator"))
+    defaults = default_frontier_config()
+    world_config = read_block(GenomicWorldConfig, require_block(config, "world"), "world")
+    budget = read_number(config, "budget_pairs", defaults["budget_pairs"], int)
+    min_pg = read_number(config, "min_per_group", defaults["min_per_group"], int)
+    step = read_number(config, "grid_step", defaults["grid_step"], int)
+    policy_step = read_number(config, "policy_step", defaults["policy_step"])
+    est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
+                     "estimator")
     seeds = seed_lists(config, "frontier")
-    shares = read_list(config, "pop_shares", [0.825, 0.175], length=2)
+    shares = read_list(config, "pop_shares", defaults["pop_shares"], length=2)
     equal_alloc = read_list(config, "equal_alloc",
                             [budget // 2, budget - budget // 2], int, 2)
     rep_alloc = read_list(config, "representative_alloc", None, int, 2)
-    weight_settings = _weight_settings(config, shares)
+    weight_settings = _weight_settings(config, defaults, shares)
     grid = _frontier_grid(budget, min_pg, step)
 
     world = generate_world(world_config)
@@ -293,13 +304,15 @@ def run_adaptive_prs(config: dict):
     returned alongside the run table.
     """
     check_kind(config, "adaptive_prs")
-    world_config = parse_world(require_block(config, "world"))
-    budget = read_number(config, "budget_pairs", 600)
-    start_pairs = read_list(config, "start_pairs", [100, 100], length=2)
-    step = read_number(config, "step_cost", 50.0)
-    est = parse_estimator(config.get("estimator"))
+    defaults = default_prs_sim_config()
+    world_config = read_block(GenomicWorldConfig, require_block(config, "world"), "world")
+    budget = read_number(config, "budget_pairs", defaults["budget_pairs"])
+    start_pairs = read_list(config, "start_pairs", defaults["start_pairs"], length=2)
+    step = read_number(config, "step_cost", defaults["step_cost"])
+    est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
+                     "estimator")
     seeds = seed_lists(config, "adaptive_prs")
-    settings = read_list(config, "weight_settings", [[1.0, 1.0]], _pair)
+    settings = read_list(config, "weight_settings", defaults["weight_settings"], _pair)
     grid = read_list(config, "learning_curve_grid", None, int)
 
     world = generate_world(world_config)
@@ -340,10 +353,11 @@ def run_adaptive_prs(config: dict):
 def run_audit(config: dict) -> Table:
     """Audit one observed allocation against an auditor's utility."""
     check_kind(config, "audit")
-    curve = parse_curve(require_block(config, "curve"))
+    curve = read_block(AnalyticCurve, require_block(config, "curve"), "curve")
     cost = parse_cost(config)
-    auditor = parse_utility(require_block(config, "auditor_utility"))
-    observed = parse_allocation(require_block(config, "observed"))
+    auditor = read_block(UtilitySpec, require_block(config, "auditor_utility"),
+                         "auditor_utility")
+    observed = read_block(Allocation, require_block(config, "observed"), "observed")
 
     best, observed_u, gap = audit_gap(curve, auditor, cost, observed,
                                       read_number(config, "grid_resolution", None),

@@ -39,6 +39,10 @@ __all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "lattice_p
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
+# Most points in one segment batch: the order of the largest triangle batch
+# (501,501 points on the K = 4 face at d = 1,000), so memory stays flat where
+# the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
+_MAX_SEGMENT = 500_000
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,19 @@ def _triangle(total: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+def _tails(n_tail: int, left: int):
+    """Yield the batches of the last ``n_tail`` free coordinates whose sum is
+    at most ``left``, in lexicographic order: one triangle, a segment in
+    pieces of at most ``_MAX_SEGMENT`` points, or one empty tuple."""
+    if n_tail == 2:
+        yield _triangle(left)
+    elif n_tail == 1:
+        for lo in range(0, left + 1, _MAX_SEGMENT):
+            yield (np.arange(lo, min(lo + _MAX_SEGMENT, left + 1)),)
+    else:
+        yield ()
+
+
 def lattice_points(num_coords: int, total: int):
     """Yield every tuple of ``num_coords`` non-negative integers whose sum is
     at most ``total``, in lexicographic order (one empty tuple for none)."""
@@ -110,7 +127,8 @@ def solve_grid(
     last coordinate).  With three or more free coordinates a batch is the
     triangle of the last two, at most C(d + 2, 2) points for a grid d spend
     steps wide; the point cap keeps d, and so a batch, small there.  With
-    two or fewer a batch is a segment of the last one, at most d + 1 points.
+    two or fewer a batch is a segment of the last one, at most d + 1 points
+    and cut into pieces of at most ``_MAX_SEGMENT`` points.
     """
     if resolution is None:
         resolution = cost.budget / 200 if cost.budget > 0 else 1.0
@@ -143,26 +161,21 @@ def solve_grid(
     evaluated = 0
     for prefix in lattice_points(n_free - n_tail, d):
         left = d - sum(prefix)
-        if n_tail == 2:
-            tail = _triangle(left)
-        elif n_tail == 1:
-            tail = (np.arange(left + 1),)
-        else:
-            tail = ()
-        if face_only:
-            tail += (np.atleast_1d(left - sum(tail)),)
-        counts = np.empty((k, tail[-1].size))
-        for j, mj in enumerate(prefix + tail):
-            counts[j] = mj * step_sizes[j]
-        u = batch_utilities(curve, utility, counts)
-        evaluated += counts.shape[1]
-        idx = int(np.argmax(u))
-        # argmax picks the first (lexicographically smallest) maximizer in
-        # the chunk; chunks arrive in lexicographic order, so strict ">"
-        # preserves the global tie-break.
-        if u[idx] > best_u:
-            best_u = float(u[idx])
-            best_m = counts[:, idx].copy()
+        for tail in _tails(n_tail, left):
+            if face_only:
+                tail += (np.atleast_1d(left - sum(tail)),)
+            counts = np.empty((k, tail[-1].size))
+            for j, mj in enumerate(prefix + tail):
+                counts[j] = mj * step_sizes[j]
+            u = batch_utilities(curve, utility, counts)
+            evaluated += counts.shape[1]
+            idx = int(np.argmax(u))
+            # argmax picks the first (lexicographically smallest) maximizer
+            # in the chunk; chunks arrive in lexicographic order, so strict
+            # ">" preserves the global tie-break.
+            if u[idx] > best_u:
+                best_u = float(u[idx])
+                best_m = counts[:, idx].copy()
 
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")

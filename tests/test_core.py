@@ -13,7 +13,7 @@ from equalloc import (
     utility_eval,
 )
 from equalloc.errors import ConfigError, DimensionMismatchError, DomainError
-from equalloc.harness.config import parse_allocation, parse_cost, parse_utility
+from equalloc.harness.config import parse_cost, read_block
 
 
 class TestFeasibility:
@@ -160,10 +160,11 @@ class TestTypesAndSerialization:
 
     # The field names the README documents for config blocks.
     def test_allocation_roundtrip_field_names(self):
-        alloc = parse_allocation({"counts": [1.5, 0.0]})
+        alloc = read_block(Allocation, {"counts": [1.5, 0.0]}, "observed")
         assert np.array_equal(alloc.counts, [1.5, 0.0])
-        with pytest.raises(ConfigError):
-            parse_allocation({"count": [1.5, 0.0]})
+        for bad in ({"count": [1.5, 0.0]}, [1.5, 0.0]):
+            with pytest.raises(ConfigError):
+                read_block(Allocation, bad, "observed")
 
     def test_cost_roundtrip_field_names(self):
         cost = parse_cost({"costs": [1, 2], "budget": 7.5})
@@ -173,14 +174,16 @@ class TestTypesAndSerialization:
             parse_cost({"costs": [1, 2]})
 
     def test_utility_roundtrip_field_names(self):
-        spec = parse_utility({
+        spec = read_block(UtilitySpec, {
             "weights": [1, 2], "parity_penalty": 0.5,
             "transform": "log", "normalize": True,
-        })
+        }, "utility")
         assert np.array_equal(spec.weights, [1.0, 2.0])
         assert spec.parity_penalty == 0.5
         assert spec.transform == "log"
         assert spec.normalize is True
-        defaults = parse_utility({"weights": [1, 2]})
+        defaults = read_block(UtilitySpec, {"weights": [1, 2]}, "utility")
         assert (defaults.parity_penalty, defaults.transform, defaults.normalize) == (
             0.0, "identity", False)
+        with pytest.raises(ConfigError):
+            read_block(UtilitySpec, {"weights": [1, 2], "normalise": True}, "utility")

@@ -176,7 +176,7 @@ def test_blocked_genotype_fill_matches_per_variant_loop(variants):
 class TestRiskModelTraining:
     def test_empty_model_predicts_prevalence_and_zero_value(self, world):
         model = _empty_model(world.config.prevalence)
-        probs = model.predict_proba(world.genotypes[0][:10])
+        probs = model.predict_proba(world.genotypes[0], np.arange(10))
         assert np.allclose(probs, 0.05)
         assert evaluate_group_value(world, model, 0) == 0.0
 
@@ -253,8 +253,12 @@ class TestEvaluation:
         for model in models:
             for g in range(world.num_groups):
                 idx = holdout_indices(world, g)
-                probs = model.predict_proba(world.genotypes[g][idx])
-                assert np.array_equal(model._predict_rows(world.genotypes[g], idx), probs)
+                probs = model.predict_proba(world.genotypes[g], idx)
+                if not model.is_empty:
+                    rows = world.genotypes[g][idx]
+                    scores = rows[:, model.variant_idx].astype(float) @ model.log_odds
+                    logit = model.slope * scores + model.intercept
+                    assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-logit)))
                 expected = treatment_value(world, g, probs)
                 assert evaluate_group_value(world, model, g) == expected
 
@@ -289,7 +293,7 @@ class TestEvaluation:
             sample = draw_case_control_sample(desk_world, 1, 400, seed)
             model = train_risk_model(desk_world, sample)
             idx = holdout_indices(desk_world, 1)
-            means.append(model.predict_proba(desk_world.genotypes[1][idx]).mean())
+            means.append(model.predict_proba(desk_world.genotypes[1], idx).mean())
         assert abs(np.mean(means) - desk_world.config.prevalence) <= 0.01
 
 

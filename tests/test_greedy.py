@@ -42,14 +42,11 @@ class TestTrueCurveGreedy:
         assert abs(final_u - grid.utility) <= 0.05
         assert final_u == pytest.approx(22.1, abs=0.05)
 
-    @pytest.mark.parametrize("tie_break", ["lowest_index", "random"])
-    def test_symmetric_two_group_instance(self, tie_break):
+    def test_symmetric_two_group_instance(self):
         curve = AnalyticCurve(gamma=np.eye(2), form="sqrt")
         cost = CostModel(costs=[1.0, 1.0], budget=2.0)
         util = UtilitySpec(weights=[1.0, 1.0])
-        alloc, trace = run_greedy(
-            curve, util, cost, GreedyConfig(step_cost=1.0, tie_break=tie_break, seed=3)
-        )
+        alloc, trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
         assert np.allclose(alloc.counts, [1.0, 1.0])
         assert len(trace) == 2
 
@@ -80,17 +77,6 @@ class TestTrueCurveGreedy:
         cfg = GreedyConfig(step_cost=1.0, start_alloc=Allocation([2000, 0, 0, 0]))
         with pytest.raises(DomainError):
             run_greedy(four_group_curve, u_equal, four_group_cost, cfg)
-
-    def test_random_tie_break_deterministic_given_seed(self):
-        curve = AnalyticCurve(gamma=np.eye(3), form="sqrt")
-        cost = CostModel(costs=np.ones(3), budget=9.0)
-        util = UtilitySpec(weights=np.ones(3))
-        runs = [
-            run_greedy(curve, util, cost,
-                       GreedyConfig(step_cost=1.0, tie_break="random", seed=11))[0]
-            for _ in range(2)
-        ]
-        assert np.array_equal(runs[0].counts, runs[1].counts)
 
 
 class TestBatchEnumeration:

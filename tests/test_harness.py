@@ -1,10 +1,13 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from equalloc import cli
 from equalloc.cli import main
 from equalloc.errors import ConfigError
+from equalloc.estimator import EstimatorSettings
 from equalloc.harness import (
     config_digest,
     default_audit_config,
@@ -196,6 +199,51 @@ def _small_prs_config(**changes):
     )
     config.update(changes)
     return config
+
+
+def _run_recording_estimators(monkeypatch, runner, config):
+    """Run ``runner`` on ``config``; return its table and the estimator
+    settings its greedy runs used."""
+    used = set()
+    greedy = experiments.run_greedy
+
+    def recording(source, utility, cost, cfg):
+        used.add(cfg.estimator)
+        return greedy(source, utility, cost, cfg)
+
+    monkeypatch.setattr(experiments, "run_greedy", recording)
+    return runner(config), used
+
+
+class TestRunnerDefaults:
+    """A runner reads an omitted key from its kind's default document, the
+    one place each runner default is written."""
+
+    @pytest.mark.parametrize("key", ["extra_weights", "estimator"])
+    def test_frontier_falls_back_to_the_default_document(self, monkeypatch, key):
+        config = dict(SMALL_FRONTIER, frontier_seeds=1, policy_seeds=1,
+                      extra_weights=[[2.0, 1.0]], estimator={"window": 4})
+        del config[key]
+        table, used = _run_recording_estimators(monkeypatch, run_frontier, config)
+        default = default_frontier_config()[key]
+        if key == "estimator":
+            assert used == {EstimatorSettings(**default)}
+        else:
+            extra = {label for label in column(table, "label") if label.startswith("weights_")}
+            assert extra == {f"weights_{w0:g}_{w1:g}" for w0, w1 in default}
+
+    @pytest.mark.parametrize("key", ["weight_settings", "estimator"])
+    def test_prs_sim_falls_back_to_the_default_document(self, monkeypatch, key):
+        config = _small_prs_config(seeds=[0], weight_settings=[[2.0, 1.0]],
+                                   estimator={"window": 4})
+        del config[key]
+        table, used = _run_recording_estimators(monkeypatch, run_adaptive_prs, config)
+        default = default_prs_sim_config()[key]
+        if key == "estimator":
+            assert used == {EstimatorSettings(**default)}
+        else:
+            assert column(table, "weights") == ["/".join(f"{w:g}" for w in ws)
+                                                for ws in default]
 
 
 class TestSessionSharing:
@@ -463,25 +511,37 @@ class TestCli:
 
     @pytest.mark.parametrize("command,key,value", [
         ("greedy", "start", {"count": [1.0, 1.0]}),
+        ("greedy", "start", [1.0, 1.0]),
+        ("greedy", "estimator", {"min_pionts": 3}),
+        ("greedy", "environment", {"type": "analytic", "noise": 0.1}),
+        ("greedy", "environment", {"type": "genomic", "rng_sed": 1}),
+        ("greedy", "environment", {"type": "genomic", "world": {"populaton": 5000}}),
+        ("greedy", "environment", {"type": "genomic", "world": {"variants": 200.5}}),
         ("solve", "resolution", "abc"),
+        ("solve", "utility", {"weights": [1.0, 1.0], "normalise": True}),
         ("table1", "step_cost", "x"),
         ("convergence", "forms", ["cubic"]),
     ])
     def test_malformed_value_exits_2_without_traceback(
-        self, tmp_path, capsys, command, key, value
+        self, tmp_path, capsys, monkeypatch, command, key, value
     ):
+        monkeypatch.setattr(cli, "generate_world", _no_world)
         instance = {
             "curve": {"gamma": [[1.0, 0.0], [0.0, 0.5]], "form": "sqrt"},
             "costs": [1.0, 1.0],
             "budget": 6.0,
             "utility": {"weights": [1.0, 1.0]},
+            "environment": {"type": "analytic", "noise_sd": 0.01},
         }
         path = tmp_path / "config.json"
-        if command == "greedy":
+        if command == "greedy" and key == "start":
             start = tmp_path / "start.json"
             start.write_text(json.dumps(value))
             path.write_text(json.dumps(instance))
             argv = ["greedy", "--instance", str(path), "--start", str(start)]
+        elif command == "greedy":
+            path.write_text(json.dumps(dict(instance, **{key: value})))
+            argv = ["greedy", "--instance", str(path), "--marginals", "estimated"]
         else:
             doc = instance if command == "solve" else {
                 "table1": default_table1_config,
@@ -511,16 +571,23 @@ class TestCli:
         ("audit", "curve", None),
         ("frontier", "world", None),
         ("prs-sim", "world", None),
+        ("table1", "curve.from", "log1p"),
+        ("table1", "utilities.equal.normalise", True),
+        ("audit", "auditor_utility.normalise", True),
+        ("audit", "observed.count", [200.0] * 4),
+        ("audit", "observed", [200.0] * 4),
+        ("frontier", "estimator.window", 5.5),
+        ("frontier", "world.rng_seed", "1"),
+        ("prs-sim", "world.populaton", 5000),
+        ("prs-sim", "world.variants", 200.5),
+        ("prs-sim", "estimator.min_pionts", 3),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value
     ):
-        # value None drops the block; no genomic world is built before the
-        # config is known to be good
-        def no_world(_config):
-            raise AssertionError("world built before the config was checked")
-
-        monkeypatch.setattr(experiments, "generate_world", no_world)
+        # key "a.b" is entry b of block a; value None drops the entry; no
+        # genomic world is built before the config is known to be good
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
         doc = {
             "table1": default_table1_config,
             "convergence": default_convergence_config,
@@ -528,10 +595,12 @@ class TestCli:
             "prs-sim": default_prs_sim_config,
             "audit": default_audit_config,
         }[command]()
+        *blocks, entry = key.split(".")
+        parent = functools.reduce(dict.__getitem__, blocks, doc)
         if value is None:
-            del doc[key]
+            del parent[entry]
         else:
-            doc[key] = value
+            parent[entry] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -560,6 +629,10 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["audit", "--config", str(path), "--out", str(out)]) == 4
         assert not (out / "audit.csv").exists()
+
+
+def _no_world(_config):
+    raise AssertionError("world built before the config was checked")
 
 
 def test_load_config_rejects_non_object(tmp_path):

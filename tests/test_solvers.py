@@ -188,7 +188,9 @@ class TestGridProperties:
         assert res.iterations == n_points
 
     @pytest.mark.parametrize("k,penalty,d,n_batches,largest", [
+        (1, 0.5, 1_000_000, 3, 500_000),          # full grid: a segment in pieces
         (2, 0.0, 600, 1, 601),                    # face: one segment
+        (2, 0.0, 2_000_000, 5, 500_000),          # face: a segment in pieces
         (2, 0.5, 600, 601, 601),                  # full grid: a segment per prefix
         (3, 0.0, 600, 601, 601),                  # face: a segment per prefix
         (3, 0.5, 60, 61, math.comb(62, 2)),       # full grid: a triangle per prefix
@@ -199,7 +201,8 @@ class TestGridProperties:
         self, monkeypatch, k, penalty, d, n_batches, largest
     ):
         # With two or fewer free coordinates the cap allows d in the tens of
-        # thousands, so a batch must be a segment, never the whole triangle.
+        # thousands, so a batch must be a segment, never the whole triangle;
+        # with one it allows d = MAX_GRID_POINTS, so a segment comes in pieces.
         sizes = []
 
         def recording(curve, utility, counts):
@@ -229,6 +232,27 @@ class TestGridProperties:
                        solve_concave(curve, util, cost, max_iter=3)):
                 slack = 1e-9 * abs(fw.utility)
                 assert grid.utility <= fw.utility + fw.certificate + slack, (trial, fw)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_true_curve_greedy_never_beats_the_grid_at_its_step(self, k):
+        # Greedy from zero with step s = resolution and budget / s whole ends
+        # on a point of the grid's scan (face or full grid), so it can tie the
+        # grid's best point but never beat it beyond rounding.
+        rng = np.random.default_rng([13, k])
+        for trial in range(24):
+            form = ("sqrt", "log1p", "power")[trial % 3]
+            curve = AnalyticCurve(gamma=rng.uniform(0.05, 1.0, (k, k)), form=form)
+            step = rng.uniform(0.1, 2.0)
+            d = int(rng.integers(1, 13 if k < 4 else 9))
+            cost = CostModel(costs=rng.uniform(0.2, 2.0, k), budget=d * step)
+            util = UtilitySpec(weights=rng.uniform(0.1, 1.0, k),
+                               parity_penalty=(0.0, 0.5)[trial % 2])
+            alloc, trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=step))
+            assert len(trace) == d, (k, trial)
+            u_greedy = utility_eval(util, eval_perf(curve, alloc))
+            grid = solve_grid(curve, util, cost, resolution=step)
+            assert u_greedy <= grid.utility + 1e-12 * abs(grid.utility), (k, trial)
 
 
 class TestSolveConcave:
