@@ -16,9 +16,11 @@ from equalloc import (
     CostModel,
     GreedyConfig,
     UtilitySpec,
-    baseline_policy,
     batch_enum_optimum,
+    equal_allocation,
     eval_perf,
+    parity_allocation,
+    representative_allocation,
     run_greedy,
     solve_grid,
     utility_eval,
@@ -57,11 +59,10 @@ sep_alloc, _ = run_greedy(sep_curve, sep_util, sep_cost, GreedyConfig(step_cost=
 print("separable case: greedy", sep_alloc.counts, "enumeration", enum.alloc.counts)
 
 # Common heuristics on the same instance, for contrast.
-for kind, kwargs in [
-    ("equal", {}),
-    ("representative", {"pop_shares": [2, 2, 2, 1]}),
-    ("parity", {"step_cost": 1.0}),
+for kind, policy_alloc in [
+    ("equal", equal_allocation(cost)),
+    ("representative", representative_allocation(cost, [2, 2, 2, 1])),
+    ("parity", parity_allocation(curve, cost, step_cost=1.0)),
 ]:
-    policy_alloc = baseline_policy(kind, curve, cost, **kwargs)
     u = utility_eval(u_mean, eval_perf(curve, policy_alloc))
     print(f"{kind:15s} -> counts {np.round(policy_alloc.counts, 1)}, utility {u:.3f}")

@@ -29,8 +29,10 @@ from .greedy import (
     GreedyConfig,
     GreedyTrace,
     StepRecord,
-    baseline_policy,
     batch_enum_optimum,
+    equal_allocation,
+    parity_allocation,
+    representative_allocation,
     run_greedy,
 )
 from .solvers import SolveResult, audit_gap, solve_concave, solve_grid
@@ -51,14 +53,16 @@ __all__ = [
     "StepRecord",
     "UtilitySpec",
     "audit_gap",
-    "baseline_policy",
     "batch_enum_optimum",
     "check_feasible",
     "draw_truncated_normal",
+    "equal_allocation",
     "estimate_marginal",
     "eval_perf",
     "fit_local_slope",
+    "parity_allocation",
     "realize_allocation",
+    "representative_allocation",
     "run_greedy",
     "solve_concave",
     "solve_grid",

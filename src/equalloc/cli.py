@@ -146,6 +146,8 @@ def _cmd_greedy(args) -> int:
     step = args.step if args.step is not None else read_number(doc, "step_cost", 1.0)
     start = (None if args.start == "zero"
              else read_block(Allocation, load_config(args.start), "start"))
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     source, mode = _greedy_source(doc, curve, args.marginals)
     cfg = GreedyConfig(
         step_cost=step,

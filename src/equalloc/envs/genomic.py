@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import norm
+from scipy.special import chdtrc, ndtri
 
 from ..core import Allocation, PerformanceVector
 from ..errors import DomainError
@@ -86,6 +85,8 @@ class GenomicWorldConfig:
             raise DomainError("ld_rho must lie in [0, 1)")
         if not 0.0 < self.freq_low < self.freq_high < 1.0:
             raise DomainError("need 0 < freq_low < freq_high < 1")
+        if self.rng_seed < 0:
+            raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) ->
     v = freqs.size
     if ld_rho == 0.0:
         return (rng.random((population, v)) < freqs[None, :]).astype(np.uint8)
-    thresholds = norm.ppf(freqs)
+    thresholds = ndtri(freqs)
     out = np.empty((population, v), dtype=np.uint8)
     carry = np.sqrt(1.0 - ld_rho**2)
     # Each variant's indicators are a contiguous row of ``block``; a full
@@ -315,7 +316,7 @@ def _chi2_screen(geno: np.ndarray, n_cases: int, maf_floor: float, p_threshold: 
         stat = np.where(
             denom > 0, total * (a * d - b * c) ** 2 / np.where(denom > 0, denom, 1.0), 0.0
         )
-    pvals = chi2_dist.sf(stat, df=1)
+    pvals = chdtrc(1, stat)
     selected = eligible & (pvals < p_threshold)
 
     # Haldane-Anscombe correction wherever the 2x2 table has a zero cell.

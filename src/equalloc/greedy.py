@@ -1,4 +1,4 @@
-"""Sequential greedy allocation, baseline policies, and the batch oracle.
+"""Sequential greedy allocation, baseline allocations, and the batch oracle.
 
 At each step the greedy loop spends a fixed amount ``s`` on the group
 whose next batch is expected to raise utility the most, judged either by
@@ -37,7 +37,9 @@ __all__ = [
     "GreedyTrace",
     "run_greedy",
     "batch_enum_optimum",
-    "baseline_policy",
+    "equal_allocation",
+    "representative_allocation",
+    "parity_allocation",
 ]
 
 _MAX_ENUM_BATCHES = 24
@@ -326,48 +328,24 @@ def batch_enum_optimum(
     )
 
 
-def baseline_policy(
-    kind: str,
-    source,
-    cost: CostModel,
-    step_cost: float | None = None,
-    pop_shares=None,
-    start_alloc: Allocation | None = None,
-) -> Allocation:
-    """Static and heuristic allocation policies used as comparison points.
+def equal_allocation(cost: CostModel) -> Allocation:
+    """The same count from every group, spending the whole budget."""
+    per_group = cost.budget / float(cost.costs.sum())
+    return Allocation(np.full(cost.num_groups, per_group))
 
-    ``equal`` buys the same count from every group; ``representative``
-    buys proportionally to ``pop_shares`` (rounded to whole batches when
-    ``step_cost`` is given, shaving batches if rounding oversteps the
-    budget); ``parity`` repeatedly samples whichever group currently
-    performs worst, read from ``source`` (an analytic curve or an
-    environment with ``observe``).
-    """
-    k = cost.num_groups
-    if kind == "equal":
-        per_group = cost.budget / float(cost.costs.sum())
-        return Allocation(np.full(k, per_group))
 
-    if kind == "representative":
-        shares = np.asarray(pop_shares, dtype=float)
-        if shares.size != k:
-            raise DomainError(f"pop_shares must have {k} entries")
-        if np.any(shares < 0) or shares.sum() <= 0:
-            raise DomainError("pop_shares must be non-negative with a positive sum")
-        counts = shares * cost.budget / float(cost.costs @ shares)
-        if step_cost is not None:
-            counts = _round_to_batches(counts, cost, step_cost)
+def representative_allocation(cost: CostModel, pop_shares,
+                              step_cost: float | None = None) -> Allocation:
+    """Counts proportional to ``pop_shares``, spending the whole budget;
+    with a ``step_cost``, rounded to whole batches."""
+    shares = np.asarray(pop_shares, dtype=float)
+    if shares.size != cost.num_groups:
+        raise DomainError(f"pop_shares must have {cost.num_groups} entries")
+    if np.any(shares < 0) or shares.sum() <= 0:
+        raise DomainError("pop_shares must be non-negative with a positive sum")
+    counts = shares * cost.budget / float(cost.costs @ shares)
+    if step_cost is None:
         return Allocation(counts)
-
-    if kind == "parity":
-        if step_cost is None:
-            raise DomainError("parity policy needs a step_cost")
-        return _parity_policy(source, cost, step_cost, start_alloc)
-
-    raise DomainError(f"unknown baseline policy {kind!r}")
-
-
-def _round_to_batches(counts: np.ndarray, cost: CostModel, step_cost: float) -> np.ndarray:
     step_sizes = step_cost / cost.costs
     batches = np.rint(counts / step_sizes)
     rounded = batches * step_sizes
@@ -379,11 +357,13 @@ def _round_to_batches(counts: np.ndarray, cost: CostModel, step_cost: float) -> 
         worst = candidates[np.argmax(over[candidates])]
         batches[worst] -= 1
         rounded = batches * step_sizes
-    return rounded
+    return Allocation(rounded)
 
 
-def _parity_policy(source, cost, step_cost, start_alloc):
-    """Buy from the group that currently measures worst."""
+def parity_allocation(source, cost: CostModel, step_cost: float,
+                      start_alloc: Allocation | None = None) -> Allocation:
+    """Buy from the group that currently measures worst, read from
+    ``source`` (an analytic curve or an environment with ``observe``)."""
     start = start_alloc if start_alloc is not None else Allocation.zeros(cost.num_groups)
     if isinstance(source, AnalyticCurve):
         measure = source.perf_values

@@ -1,12 +1,12 @@
 """Experiment configuration: JSON documents, validation, and digests.
 
 A config is a plain JSON object with a ``kind`` plus the blocks each
-experiment needs (curve, costs/budget, utilities, world, greedy and
-estimator settings, seeds).  Every block is read by :func:`read_block`,
-so a block's keys are exactly the keyword arguments of the type it
-builds: an unknown key, a non-integer for an integer field, or a value
-the type rejects raises :class:`ConfigError`, which the CLI turns into
-exit status 2.  Unknown top-level keys are ignored.
+experiment needs.  Every block is read by :func:`read_block`, so its keys
+are exactly the keyword arguments of the type it builds.  An unknown
+block key, a non-integer for an integer setting (in a block or at the
+top level, ``5.0`` included), a negative seed, or a value the type rejects
+raises :class:`ConfigError`, which the CLI turns into exit status 2.
+Unknown top-level keys are ignored.
 """
 
 from __future__ import annotations
@@ -81,9 +81,8 @@ def read_block(cls, block, name: str, **fixed):
         signature = inspect.signature(cls)
         signature.bind(**fixed, **block)  # an unknown key, or a required one missing
         for key, value in block.items():
-            if signature.parameters[key].annotation in (int, "int") and (
-                    isinstance(value, bool) or not isinstance(value, int)):
-                raise TypeError(f"{key!r} must be an integer, got {value!r}")
+            if signature.parameters[key].annotation in (int, "int"):
+                _cast(value, int, key)
         return cls(**fixed, **block)
     except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
         raise ConfigError(f"bad {name} block: {exc}") from exc
@@ -98,18 +97,27 @@ def parse_cost(doc: dict) -> CostModel:
         raise ConfigError(f"bad cost block: {exc}") from exc
 
 
+def _cast(value, cast, key: str):
+    """``cast(value)``; an ``int`` or ``bool`` setting must already be one
+    (neither ``5.0`` nor ``True`` is an integer)."""
+    if cast in (int, bool) and type(value) is not cast:
+        raise TypeError(f"{key!r} must be of type {cast.__name__}, got {value!r}")
+    return cast(value)
+
+
 def read_number(doc: dict, key: str, default, cast=float):
     """``cast(doc[key])``, or ``cast(default)`` when the key is absent or
     null (``None`` when the default is ``None``).  A value ``cast``
-    rejects raises :class:`ConfigError`.
+    rejects, or a non-integer where ``cast`` is ``int``, raises
+    :class:`ConfigError`.
     """
     value = default if doc.get(key) is None else doc[key]
     if value is None:
         return None
     try:
-        return cast(value)
+        return _cast(value, cast, key)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r} must be a number, got {value!r}") from exc
+        raise ConfigError(f"bad {key!r}: {exc}") from exc
 
 
 def read_list(doc: dict, key: str, default, cast=float, length=None):
@@ -121,7 +129,7 @@ def read_list(doc: dict, key: str, default, cast=float, length=None):
     try:
         if not isinstance(value, list) or length not in (None, len(value)):
             raise TypeError(f"expected a list of {length or 'any number of'} entries")
-        return [cast(x) for x in value]
+        return [_cast(x, cast, key) for x in value]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {key!r} {value!r}: {exc}") from exc
 
@@ -132,29 +140,32 @@ def require_block(doc: dict, key: str):
     return doc[key]
 
 
-# The seed lists each experiment kind runs, by config key, with the list it
-# runs when a config omits the key; an integer n stands for the seeds 0..n-1.
-SEED_DEFAULTS = {
-    "convergence": {"seeds": [0]},
-    "frontier": {"frontier_seeds": 20, "policy_seeds": 8},
-    "adaptive_prs": {"seeds": 5, "curve_seeds": 10},
-}
-# Every config key that holds a seed list.
+# Every config key that holds a seed list; an integer n stands for the
+# seeds 0..n-1.
 SEED_KEYS = ("seeds", "frontier_seeds", "policy_seeds", "curve_seeds")
 
 
 def seed_lists(config: dict, kind: str | None = None) -> dict:
     """Every seed list an experiment of ``kind`` (by default the config's
     own kind) runs, keyed by config key: the lists the config names, and
-    the kind's defaults for the seed keys it omits."""
-    defaults = SEED_DEFAULTS.get(kind or config.get("kind"), {})
+    the kind's defaults for the seed keys it omits.  A seed that is not a
+    non-negative integer raises :class:`ConfigError`."""
+    kind = kind or config.get("kind")
+    # curve_seeds is the one seed default no default document holds: adding
+    # it to the prs-sim document would change that document's digest
+    defaults = {"convergence": default_convergence_config,
+                "frontier": default_frontier_config,
+                "adaptive_prs": lambda: dict(default_prs_sim_config(), curve_seeds=10),
+                }.get(kind, dict)()
     lists = {}
     for key in SEED_KEYS:
         seeds = config.get(key, defaults.get(key))
-        if isinstance(seeds, int):
+        if type(seeds) is int:
             seeds = list(range(seeds))
         if seeds is not None:
             lists[key] = read_list({key: seeds}, key, None, int)
+            if min(lists[key], default=0) < 0:
+                raise ConfigError(f"{key!r} holds a negative seed: {lists[key]}")
     return lists
 
 

@@ -22,7 +22,8 @@ from ..envs.genomic import (
 )
 from ..errors import ConfigError
 from ..estimator import EstimatorSettings
-from ..greedy import GreedyConfig, baseline_policy, run_greedy
+from ..greedy import (GreedyConfig, equal_allocation, parity_allocation,
+                      representative_allocation, run_greedy)
 from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
     check_kind,
@@ -78,15 +79,9 @@ def run_table1(config: dict) -> Table:
         raise ConfigError("table1 config needs pop_shares")
 
     policies: list[tuple[str, Allocation]] = [
-        ("Equal", baseline_policy("equal", curve, cost)),
-        (
-            "Representative",
-            baseline_policy("representative", curve, cost, pop_shares=shares),
-        ),
-        (
-            "Performance Parity",
-            baseline_policy("parity", curve, cost, step_cost=step),
-        ),
+        ("Equal", equal_allocation(cost)),
+        ("Representative", representative_allocation(cost, shares)),
+        ("Performance Parity", parity_allocation(curve, cost, step)),
         ("Optimal (U_equal)", solve_grid(curve, u_equal, cost, resolution).alloc),
         ("Optimal (U_priority)", solve_grid(curve, u_priority, cost, resolution).alloc),
     ]
@@ -201,7 +196,7 @@ def _weight_settings(config, defaults, shares):
                            int)
     ratios = np.logspace(np.log10(lo), np.log10(hi), n_points)
     settings = [(f"ratio_{r:.6g}", (float(r), 1.0)) for r in ratios]
-    if config.get("include_share_weights", defaults["include_share_weights"]):
+    if read_number(config, "include_share_weights", defaults["include_share_weights"], bool):
         settings.append(("shares", tuple(shares)))
     for w0, w1 in read_list(config, "extra_weights", defaults["extra_weights"], _pair):
         settings.append((f"weights_{w0:g}_{w1:g}", (w0, w1)))
@@ -241,9 +236,6 @@ def run_frontier(config: dict) -> Table:
                      "estimator")
     seeds = seed_lists(config, "frontier")
     shares = read_list(config, "pop_shares", defaults["pop_shares"], length=2)
-    equal_alloc = read_list(config, "equal_alloc",
-                            [budget // 2, budget - budget // 2], int, 2)
-    rep_alloc = read_list(config, "representative_alloc", None, int, 2)
     weight_settings = _weight_settings(config, defaults, shares)
     grid = _frontier_grid(budget, min_pg, step)
 
@@ -271,15 +263,13 @@ def run_frontier(config: dict) -> Table:
             rows.append(split_row("frontier", f"split_{n0}_{n1}", seed, (n0, n1)))
 
     cost = CostModel([1.0, 1.0], float(budget))
-    if rep_alloc is None:
-        rep = baseline_policy("representative", None, cost, step_cost=float(step),
-                              pop_shares=shares)
-        rep_alloc = rep.counts
+    # whole pairs: equal_allocation would split an odd budget in halves
+    equal = (budget // 2, budget - budget // 2)
+    representative = representative_allocation(cost, shares, float(step)).counts
     start = Allocation([float(min_pg), float(min_pg)])
     for seed in seeds["policy_seeds"]:
-        parity = baseline_policy("parity", session_of(seed), cost,
-                                 step_cost=policy_step, start_alloc=start)
-        for label, counts in (("equal", equal_alloc), ("representative", rep_alloc),
+        parity = parity_allocation(session_of(seed), cost, policy_step, start)
+        for label, counts in (("equal", equal), ("representative", representative),
                               ("parity", parity.counts)):
             rows.append(split_row("marker", label, seed, counts))
 

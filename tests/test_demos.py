@@ -1,16 +1,26 @@
-"""The demos import only names the package still provides.
+"""The demos import only names the package still provides, and the quick
+ones run to completion.
 
-No test runs the demos, so this is what stops a deleted or renamed
-public name from breaking them silently.
+A deleted or renamed public name, or a changed signature, would
+otherwise break a demo without any test failing.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import equalloc
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# Demo 02 takes about 6 s, so it is only import-checked.
+QUICK_DEMOS = [p for p in DEMOS if not p.name.startswith("02_")]
+# The directory the tests import equalloc from, for the demo subprocesses.
+PACKAGE_ROOT = str(Path(equalloc.__file__).resolve().parents[1])
 
 
 def _imports(path):
@@ -27,3 +37,11 @@ def test_demo_imports_exist(path):
     missing = [f"{module}.{name}" for module, name in names
                if not hasattr(importlib.import_module(module), name)]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", QUICK_DEMOS, ids=lambda p: p.name)
+def test_quick_demo_runs(path, tmp_path):
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    result = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -8,9 +8,11 @@ from equalloc import (
     EstimatorSettings,
     GreedyConfig,
     UtilitySpec,
-    baseline_policy,
     batch_enum_optimum,
+    equal_allocation,
     eval_perf,
+    parity_allocation,
+    representative_allocation,
     run_greedy,
     solve_grid,
     utility_eval,
@@ -135,33 +137,25 @@ class TestBatchEnumeration:
 
 class TestBaselinePolicies:
     def test_equal_sampling(self, four_group_curve, four_group_cost):
-        alloc = baseline_policy("equal", four_group_curve, four_group_cost)
+        alloc = equal_allocation(four_group_cost)
         assert np.allclose(alloc.counts, [200, 200, 200, 200])
         perf = eval_perf(four_group_curve, alloc).values
         assert np.allclose(perf, [19.5, 16.7, 19.5, 19.5], atol=0.05)
 
     def test_representative_sampling(self, four_group_curve, four_group_cost):
-        alloc = baseline_policy(
-            "representative", four_group_curve, four_group_cost,
-            pop_shares=[2, 2, 2, 1],
-        )
+        alloc = representative_allocation(four_group_cost, [2, 2, 2, 1])
         assert np.allclose(alloc.counts, [222.2, 222.2, 222.2, 111.1], atol=0.5)
         perf = eval_perf(four_group_curve, alloc).values
         assert np.allclose(perf, [19.7, 16.7, 19.7, 17.6], atol=0.05)
 
     def test_representative_rounding_stays_feasible(self):
         cost = CostModel(costs=[1.0, 1.0], budget=600.0)
-        alloc = baseline_policy(
-            "representative", None, cost, step_cost=100.0,
-            pop_shares=[0.825, 0.175],
-        )
+        alloc = representative_allocation(cost, [0.825, 0.175], step_cost=100.0)
         assert np.allclose(alloc.counts, [500.0, 100.0])
         assert cost.spend(alloc) <= cost.budget + 1e-9
 
     def test_parity_equalizes_performance(self, four_group_curve, four_group_cost):
-        alloc = baseline_policy(
-            "parity", four_group_curve, four_group_cost, step_cost=1.0
-        )
+        alloc = parity_allocation(four_group_curve, four_group_cost, step_cost=1.0)
         perf = eval_perf(four_group_curve, alloc).values
         assert np.allclose(perf, 18.8, atol=0.1)
 
@@ -186,21 +180,14 @@ class TestBaselinePolicies:
                 jump = curve.perf_values(counts)[worst] - perf[worst]
                 largest_jump = max(largest_jump, jump)
 
-            alloc = baseline_policy("parity", curve, cost, step_cost=step)
+            alloc = parity_allocation(curve, cost, step_cost=step)
             assert np.allclose(alloc.counts, counts)
             perf = eval_perf(curve, alloc).values
             assert perf.max() - perf.min() <= largest_jump + 1e-9
 
     def test_degenerate_shares_rejected(self, four_group_curve, four_group_cost):
         with pytest.raises(DomainError):
-            baseline_policy(
-                "representative", four_group_curve, four_group_cost,
-                pop_shares=[0, 0, 0, 0],
-            )
-
-    def test_unknown_policy_rejected(self, four_group_curve, four_group_cost):
-        with pytest.raises(DomainError):
-            baseline_policy("zigzag", four_group_curve, four_group_cost)
+            representative_allocation(four_group_cost, [0, 0, 0, 0])
 
 
 class TestEstimatorDrivenGreedy:
@@ -290,8 +277,7 @@ class TestMetamorphic:
                 begin = Allocation(start[order])
                 greedy, _ = run_greedy(curve, util, cost,
                                        GreedyConfig(step_cost=step, start_alloc=begin))
-                parity = baseline_policy("parity", curve, cost, step_cost=step,
-                                         start_alloc=begin)
+                parity = parity_allocation(curve, cost, step_cost=step, start_alloc=begin)
                 runs.append((greedy.counts, parity.counts))
             (greedy, parity), (greedy_p, parity_p) = runs
             assert np.allclose(greedy[perm], greedy_p, rtol=1e-12, atol=0)
@@ -310,7 +296,7 @@ class TestMetamorphic:
             for c in (1.0, scale):  # powers of two keep every float exact
                 cost = CostModel(costs * c, budget * c)
                 greedy, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=step * c))
-                parity = baseline_policy("parity", curve, cost, step_cost=step * c)
+                parity = parity_allocation(curve, cost, step_cost=step * c)
                 counts.append((greedy.counts, parity.counts))
             assert np.array_equal(counts[0][0], counts[1][0])
             assert np.array_equal(counts[0][1], counts[1][1])

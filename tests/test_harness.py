@@ -25,8 +25,9 @@ from equalloc.harness import (
 from collections import Counter
 
 from equalloc.envs import GenomicSamplingSession, genomic
+from equalloc.harness import config as config_module
 from equalloc.harness import experiments
-from equalloc.harness.config import apply_seed_offset, load_config
+from equalloc.harness.config import apply_seed_offset, load_config, seed_lists
 from tables import column, mean_gaps
 
 SMALL_FRONTIER = {
@@ -378,6 +379,19 @@ class TestPersistence:
         assert shifted["seeds"] == [5, 6, 7, 8, 9]
         assert shifted["curve_seeds"] == [5, 6]
 
+    def test_seed_defaults_follow_the_default_documents(self, monkeypatch):
+        # a kind's default document is the one home of its seed lists
+        frontier, prs = (config_module.default_frontier_config,
+                         config_module.default_prs_sim_config)
+        monkeypatch.setattr(config_module, "default_frontier_config",
+                            lambda: dict(frontier(), frontier_seeds=2, policy_seeds=[7]))
+        monkeypatch.setattr(config_module, "default_prs_sim_config",
+                            lambda: dict(prs(), seeds=[4]))
+        assert seed_lists({"kind": "frontier"}) == {
+            "frontier_seeds": [0, 1], "policy_seeds": [7]}
+        assert seed_lists({}, "adaptive_prs") == {
+            "seeds": [4], "curve_seeds": list(range(10))}
+
 
 class TestCli:
     def test_table1_writes_outputs(self, tmp_path, capsys):
@@ -521,6 +535,11 @@ class TestCli:
         ("solve", "utility", {"weights": [1.0, 1.0], "normalise": True}),
         ("table1", "step_cost", "x"),
         ("convergence", "forms", ["cubic"]),
+        ("convergence", "num_instances", 2.7),
+        ("convergence", "seeds", [0.5]),
+        ("convergence", "seeds", [-1]),
+        ("convergence", "--seed-offset", "-1"),
+        ("greedy", "--seed", "-1"),
     ])
     def test_malformed_value_exits_2_without_traceback(
         self, tmp_path, capsys, monkeypatch, command, key, value
@@ -534,22 +553,25 @@ class TestCli:
             "environment": {"type": "analytic", "noise_sd": 0.01},
         }
         path = tmp_path / "config.json"
+        # a key starting with "--" is a command-line option, not a config key
+        option = [key, value] if key.startswith("--") else []
+        settings = {} if option else {key: value}
         if command == "greedy" and key == "start":
             start = tmp_path / "start.json"
             start.write_text(json.dumps(value))
             path.write_text(json.dumps(instance))
             argv = ["greedy", "--instance", str(path), "--start", str(start)]
         elif command == "greedy":
-            path.write_text(json.dumps(dict(instance, **{key: value})))
+            path.write_text(json.dumps(dict(instance, **settings)))
             argv = ["greedy", "--instance", str(path), "--marginals", "estimated"]
         else:
             doc = instance if command == "solve" else {
                 "table1": default_table1_config,
                 "convergence": default_convergence_config,
             }[command]()
-            path.write_text(json.dumps(dict(doc, **{key: value})))
+            path.write_text(json.dumps(dict(doc, **settings)))
             argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
-        assert main(argv) == 2
+        assert main(argv + option) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
@@ -560,7 +582,7 @@ class TestCli:
         ("frontier", "weight_ratio_bounds", "x"),
         ("frontier", "weight_ratio_bounds", [0, 1]),
         ("frontier", "extra_weights", [[1.0]]),
-        ("frontier", "equal_alloc", ["half", 300]),
+        ("frontier", "budget_pairs", 600.5),
         ("prs-sim", "start_pairs", ["a", 1]),
         ("prs-sim", "weight_settings", [1.0, 1.0]),
         ("prs-sim", "weight_settings", [[1.0]]),
@@ -581,6 +603,8 @@ class TestCli:
         ("prs-sim", "world.populaton", 5000),
         ("prs-sim", "world.variants", 200.5),
         ("prs-sim", "estimator.min_pionts", 3),
+        ("frontier", "include_share_weights", "no"),
+        ("frontier", "world.rng_seed", -1),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value
