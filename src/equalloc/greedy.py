@@ -118,18 +118,40 @@ class GreedyTrace:
             )
 
 
-def _true_marginals(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    counts: np.ndarray,
-    step_cost: float,
-    cost: CostModel,
-    base_utility: float,
-) -> np.ndarray:
-    k = counts.size
-    candidates = np.repeat(counts[:, None], k, axis=1)
-    candidates[np.arange(k), np.arange(k)] += step_cost / cost.costs
-    return batch_utilities(curve, utility, candidates) - base_utility
+class _CandidateScan:
+    """Exact utility gains of one more batch from each group, from one
+    kernel call per step.
+
+    :meth:`evaluate` scores the K candidates ``counts + step_cost / costs[k]``
+    (one per group k) as one batch; :meth:`take` returns their gains over
+    the current utility and makes the chosen candidate's utility the base
+    of the next step, so the new counts are never evaluated again.
+    """
+
+    def __init__(self, curve, utility, cost, step_cost, counts):
+        self.curve, self.utility = curve, utility
+        self.base = float(batch_utilities(curve, utility, counts[:, None])[0])
+        # adding the zero off-diagonal leaves every other count's bits as they are
+        self._steps = np.diag(step_cost / cost.costs)
+        self._candidates = np.empty_like(self._steps)
+        self.utilities = None
+
+    def evaluate(self, counts: np.ndarray) -> np.ndarray:
+        np.add(counts[:, None], self._steps, out=self._candidates)
+        self.utilities = batch_utilities(self.curve, self.utility, self._candidates)
+        return self.utilities
+
+    def take(self, group: int) -> np.ndarray:
+        u = self.utilities
+        # from a -inf base (log transform, a group at zero performance) a
+        # finite candidate gains inf and a -inf one has no defined gain:
+        # NaN, which -inf - -inf gives too, but with a RuntimeWarning
+        if self.base > -np.inf:
+            gains = u - self.base
+        else:
+            gains = np.where(u > -np.inf, np.inf, np.nan)
+        self.base = float(u[group])
+        return gains
 
 
 def run_greedy(
@@ -193,24 +215,25 @@ def _observe(env, counts: np.ndarray) -> np.ndarray:
 
 
 def _run_true_curve(curve, utility, cost, config, start):
-    """Buy from the group with the largest exact marginal gain."""
+    """Buy from the group with the largest exact marginal gain.
+
+    The choice compares the candidates' utilities, not their gains, so it
+    does not depend on the base: from a -inf base every gain of a finite
+    candidate is inf, and only the utilities still rank them.
+    """
     s = config.step_cost
     trace = GreedyTrace()
-    u_now = float(batch_utilities(curve, utility, start.counts[:, None])[0])
-    marginals = None
+    scan = _CandidateScan(curve, utility, cost, s, start.counts)
 
     def choose(counts, step):
-        nonlocal marginals
-        marginals = _true_marginals(curve, utility, counts, s, cost, u_now)
-        return int(np.argmax(marginals))
+        return int(np.argmax(scan.evaluate(counts)))
 
     def record(counts, group, step):
-        nonlocal u_now
-        u_now = float(batch_utilities(curve, utility, counts[:, None])[0])
+        marginals = scan.take(group)
         trace.records.append(
             StepRecord(step=step, group=group, spend=s, counts=counts.copy(),
-                       marginal_est=marginals, marginal_true=marginals.copy(),
-                       utility=u_now)
+                       marginal_est=marginals, marginal_true=marginals,
+                       utility=scan.base)
         )
 
     counts, trace.residual_budget = _spend_budget(cost, start, s, choose, record)
@@ -229,6 +252,8 @@ def _run_estimated(env, utility, cost, config, start):
     est = config.estimator
     s = config.step_cost
     true_curve = getattr(env, "curve", None)
+    scan = (None if true_curve is None
+            else _CandidateScan(true_curve, utility, cost, s, start.counts))
 
     history = PerformanceHistory(k)
     perf = _observe(env, start.counts)
@@ -236,10 +261,10 @@ def _run_estimated(env, utility, cost, config, start):
         history.append(g, start.counts[g], perf[g])
 
     trace = GreedyTrace()
-    priorities = marg_true = None
+    priorities = None
 
     def choose(counts, step):
-        nonlocal priorities, marg_true
+        nonlocal priorities
         priorities = np.full(k, np.nan)
         under = [g for g in range(k) if history.count(g) < est.min_points]
         if under:
@@ -263,14 +288,12 @@ def _run_estimated(env, utility, cost, config, start):
                 priorities[g] = me.priority * utility.weights[g]
             group = int(np.argmax(priorities))
 
-        if true_curve is not None:
-            base_u = float(batch_utilities(true_curve, utility, counts[:, None])[0])
-            marg_true = _true_marginals(true_curve, utility, counts, s, cost, base_u)
-        else:
-            marg_true = np.full(k, np.nan)
+        if scan is not None:
+            scan.evaluate(counts)
         return group
 
     def record(counts, group, step):
+        marg_true = np.full(k, np.nan) if scan is None else scan.take(group)
         perf = _observe(env, counts)
         history.append(group, counts[group], perf[group])
         trace.records.append(

@@ -4,7 +4,8 @@ A config is a plain JSON object with a ``kind`` plus the blocks each
 experiment needs.  Every block is read by :func:`read_block`, so its keys
 are exactly the keyword arguments of the type it builds.  An unknown
 block key, a non-integer for an integer setting (in a block or at the
-top level, ``5.0`` included), a negative seed, or a value the type rejects
+top level, ``5.0`` included), a non-boolean for a boolean block setting,
+a negative seed or seed count, or a value the type rejects
 raises :class:`ConfigError`, which the CLI turns into exit status 2.
 Unknown top-level keys are ignored.
 """
@@ -72,8 +73,9 @@ def read_block(cls, block, name: str, **fixed):
     keyword arguments of ``cls``.
 
     A key that is not one of ``cls``'s parameters, a missing required one,
-    a non-integer for a parameter annotated ``int``, or a value ``cls``
-    rejects raises :class:`ConfigError`, so no key is ever ignored.
+    a value of another type for a parameter annotated ``int`` or ``bool``,
+    or a value ``cls`` rejects raises :class:`ConfigError`, so no key is
+    ever ignored.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{name} block must be a JSON object, got {block!r}")
@@ -81,8 +83,10 @@ def read_block(cls, block, name: str, **fixed):
         signature = inspect.signature(cls)
         signature.bind(**fixed, **block)  # an unknown key, or a required one missing
         for key, value in block.items():
-            if signature.parameters[key].annotation in (int, "int"):
-                _cast(value, int, key)
+            annotation = signature.parameters[key].annotation
+            for cast in (int, bool):
+                if annotation in (cast, cast.__name__):
+                    _cast(value, cast, key)
         return cls(**fixed, **block)
     except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
         raise ConfigError(f"bad {name} block: {exc}") from exc
@@ -148,8 +152,8 @@ SEED_KEYS = ("seeds", "frontier_seeds", "policy_seeds", "curve_seeds")
 def seed_lists(config: dict, kind: str | None = None) -> dict:
     """Every seed list an experiment of ``kind`` (by default the config's
     own kind) runs, keyed by config key: the lists the config names, and
-    the kind's defaults for the seed keys it omits.  A seed that is not a
-    non-negative integer raises :class:`ConfigError`."""
+    the kind's defaults for the seed keys it omits.  A seed, or a seed
+    count, that is not a non-negative integer raises :class:`ConfigError`."""
     kind = kind or config.get("kind")
     # curve_seeds is the one seed default no default document holds: adding
     # it to the prs-sim document would change that document's digest
@@ -161,6 +165,8 @@ def seed_lists(config: dict, kind: str | None = None) -> dict:
     for key in SEED_KEYS:
         seeds = config.get(key, defaults.get(key))
         if type(seeds) is int:
+            if seeds < 0:
+                raise ConfigError(f"{key!r} is a negative seed count: {seeds}")
             seeds = list(range(seeds))
         if seeds is not None:
             lists[key] = read_list({key: seeds}, key, None, int)

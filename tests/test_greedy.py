@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import equalloc.greedy
 from equalloc import (
     Allocation,
     AnalyticCurve,
@@ -17,6 +18,7 @@ from equalloc import (
     solve_grid,
     utility_eval,
 )
+from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
 from equalloc.errors import CapacityError, DomainError
 
@@ -79,6 +81,128 @@ class TestTrueCurveGreedy:
         cfg = GreedyConfig(step_cost=1.0, start_alloc=Allocation([2000, 0, 0, 0]))
         with pytest.raises(DomainError):
             run_greedy(four_group_curve, u_equal, four_group_cost, cfg)
+
+
+def _reference_gains(curve, util, cost, step, counts):
+    """One true-curve greedy step as a loop that evaluates the K candidates,
+    then the counts again as a one-column batch: the reference for the
+    step that reuses the chosen candidate's utility.  Returns the gains of
+    the candidates and the utility of ``counts``; the loop bought the first
+    group of largest gain."""
+    k = counts.size
+    candidates = np.repeat(counts[:, None], k, axis=1)
+    candidates[np.arange(k), np.arange(k)] += step / cost.costs
+    u_now = float(batch_utilities(curve, util, counts[:, None])[0])
+    return batch_utilities(curve, util, candidates) - u_now, u_now
+
+
+def _reference_greedy(curve, util, cost, step, start):
+    counts = np.array(start, dtype=float)
+    spent = cost.spend(Allocation(counts))
+    while spent + step <= cost.spend_limit:
+        group = int(np.argmax(_reference_gains(curve, util, cost, step, counts)[0]))
+        counts[group] += step / cost.costs[group]
+        spent += step
+    return counts
+
+
+def _within(got, want, u):
+    # relative, but absolute near zero, where log utilities cross zero by
+    # cancellation between terms of order one
+    return np.all(np.abs(np.subtract(got, want)) <= 1e-14 * max(1.0, abs(u)))
+
+
+def _step_instances():
+    """Random instances for K = 1-6 over every curve form, both transforms,
+    with and without a parity penalty, from zero and non-zero starts, plus
+    exactly symmetric ones whose candidates tie.  Every start has a finite
+    utility (a log transform from zero gets a positive curve offset), the
+    one case where the reference's choice by gain is defined."""
+    rng = np.random.default_rng(41)
+    for trial in range(240):
+        k = int(rng.integers(1, 7))
+        form = ("sqrt", "log1p", "power")[trial % 3]
+        transform = ("identity", "log")[trial // 3 % 2]
+        from_zero = trial // 6 % 2 == 0
+        penalty = float(rng.uniform(0.1, 0.5)) if trial // 12 % 2 else 0.0
+        offset = float(rng.uniform(0.1, 1.0)) if rng.random() < 0.5 or (
+            transform == "log" and from_zero) else 0.0
+        gamma = rng.uniform(0.0, 1.0, (k, k)) + np.diag(rng.uniform(0.2, 1.0, k))
+        curve = AnalyticCurve(gamma=gamma, form=form,
+                              power_exponent=float(rng.uniform(0.2, 0.8)), offset=offset)
+        util = UtilitySpec(rng.uniform(0.1, 1.0, k), parity_penalty=penalty,
+                           transform=transform, normalize=bool(rng.random() < 0.5))
+        step = float(rng.uniform(0.5, 1.5))
+        start = np.zeros(k) if from_zero else rng.uniform(0.0, 3.0, k)
+        costs = rng.uniform(0.3, 2.0, k)
+        yield curve, util, CostModel(costs, float(costs @ start) + 30 * step), step, start
+    for k in range(2, 7):
+        for form, transform, penalty in [("sqrt", "identity", 0.0), ("log1p", "log", 0.0),
+                                         ("sqrt", "log", 0.3), ("log1p", "identity", 0.3)]:
+            gamma = 0.7 * np.eye(k) + 0.3
+            offset = 0.5 if transform == "log" else 0.0
+            curve = AnalyticCurve(gamma=gamma, form=form, offset=offset)
+            util = UtilitySpec(np.ones(k), parity_penalty=penalty, transform=transform)
+            yield curve, util, CostModel(np.ones(k), 4.0 * k), 1.0, np.zeros(k)
+
+
+class TestGreedyStep:
+    def test_matches_the_two_call_reference(self):
+        for curve, util, cost, step, start in _step_instances():
+            config = GreedyConfig(step_cost=step, start_alloc=Allocation(start))
+            alloc, trace = run_greedy(curve, util, cost, config)
+            want = _reference_greedy(curve, util, cost, step, start)
+            assert np.array_equal(alloc.counts, want)
+            gains, u_now = _reference_gains(curve, util, cost, step, start)
+            for rec in trace.records:
+                # the reference's choice; or, where its subtraction rounded
+                # two gains into a tie (a symmetric instance), one of them
+                assert gains[rec.group] == gains.max()
+                assert _within(rec.marginal_true, gains, u_now)
+                gains, u_now = _reference_gains(curve, util, cost, step, rec.counts)
+                assert _within(rec.utility, u_now, u_now)
+
+    def test_estimator_logs_the_reference_marginals(self, four_group_curve, u_equal):
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 40.0)
+        env = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=2)
+        cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=2)
+        _, trace = run_greedy(env, u_equal, cost, cfg)
+        before = [np.zeros(4)] + [r.counts for r in trace.records[:-1]]
+        for counts, rec in zip(before, trace.records):
+            gains, u_now = _reference_gains(four_group_curve, u_equal, cost, 1.0, counts)
+            assert _within(rec.marginal_true, gains, u_now)
+
+    @pytest.mark.parametrize("source", ["true_curve", "estimator"])
+    def test_one_kernel_call_per_step(self, monkeypatch, four_group_curve, u_equal, source):
+        columns = []
+
+        def counted(curve, utility, counts_matrix):
+            columns.append(counts_matrix.shape[1])
+            return batch_utilities(curve, utility, counts_matrix)
+
+        monkeypatch.setattr(equalloc.greedy, "batch_utilities", counted)
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 25.0)
+        if source == "true_curve":
+            runner = four_group_curve
+        else:
+            runner = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=3)
+        cfg = GreedyConfig(step_cost=1.0, marginal_source=source, seed=3)
+        _, trace = run_greedy(runner, u_equal, cost, cfg)
+        assert len(trace) == 25
+        assert columns == [1] + [4] * len(trace)
+
+    def test_log_utility_from_a_dead_group_reaches_the_optimum(self):
+        # at zero counts every group performs 0, so the start utility is
+        # -inf and so is every candidate but group 0's, the only one that
+        # lifts all three groups
+        curve = AnalyticCurve(gamma=[[1, 0, 0], [0.5, 1, 0], [0.5, 0, 1]], form="sqrt")
+        util = UtilitySpec(np.ones(3), transform="log")
+        cost = CostModel(np.ones(3), 6.0)
+        alloc, trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
+        best = batch_enum_optimum(curve, util, cost, step_cost=1.0)
+        assert np.array_equal(alloc.counts, [6.0, 0.0, 0.0])
+        assert np.array_equal(alloc.counts, best.alloc.counts)
+        assert trace.records[-1].utility == pytest.approx(best.utility, rel=1e-12)
 
 
 class TestBatchEnumeration:

@@ -534,10 +534,13 @@ class TestCli:
         ("solve", "resolution", "abc"),
         ("solve", "utility", {"weights": [1.0, 1.0], "normalise": True}),
         ("table1", "step_cost", "x"),
+        ("table1", "utilities", {"equal": {"weights": [1.0] * 4, "normalize": "no"},
+                                 "priority": {"weights": [1.0] * 4}}),
         ("convergence", "forms", ["cubic"]),
         ("convergence", "num_instances", 2.7),
         ("convergence", "seeds", [0.5]),
         ("convergence", "seeds", [-1]),
+        ("convergence", "seeds", -3),
         ("convergence", "--seed-offset", "-1"),
         ("greedy", "--seed", "-1"),
     ])
