@@ -27,6 +27,7 @@ from .estimator import EstimatorSettings
 from .greedy import GreedyConfig, run_greedy
 from .harness.config import (
     apply_seed_offset,
+    check_groups,
     config_digest,
     default_audit_config,
     default_convergence_config,
@@ -37,7 +38,7 @@ from .harness.config import (
     parse_cost,
     read_block,
     read_number,
-    require_block,
+    reading,
     seed_lists,
 )
 from .harness.experiments import (
@@ -93,16 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     doc = load_config(args.config)
-    curve, cost, utility = _instance(doc)
-    method = doc.get("method", "grid")
-    if method == "grid":
-        result = solve_grid(curve, utility, cost, read_number(doc, "resolution", None))
-    elif method == "concave":
-        result = solve_concave(curve, utility, cost,
-                               tol=read_number(doc, "tol", 1e-8),
-                               max_iter=read_number(doc, "max_iter", 10_000, int))
-    else:
-        raise ConfigError(f"unknown solve method {method!r}")
+    with reading("solve config"):
+        curve, cost, utility = _instance(doc)
+        solver = {"grid": solve_grid, "concave": solve_concave}[doc.get("method", "grid")]
+        options = ({"resolution": read_number(doc, "resolution", None, above=0)}
+                   if solver is solve_grid else
+                   {"tol": read_number(doc, "tol", 1e-8, above=0),
+                    "max_iter": read_number(doc, "max_iter", 10_000, int, above=0)})
+    result = solver(curve, utility, cost, **options)
     payload = json.dumps(result.to_dict(), indent=2)
     if args.out:
         out = Path(args.out)
@@ -114,9 +113,11 @@ def _cmd_solve(args) -> int:
 
 def _instance(doc):
     """The curve, cost model and utility of a one-instance document."""
-    return (read_block(AnalyticCurve, require_block(doc, "curve"), "curve"),
-            parse_cost(doc),
-            read_block(UtilitySpec, require_block(doc, "utility"), "utility"))
+    curve = read_block(AnalyticCurve, doc["curve"], "curve")
+    cost = parse_cost(doc)
+    utility = read_block(UtilitySpec, doc["utility"], "utility")
+    check_groups(curve, costs=cost, utility=utility)
+    return curve, cost, utility
 
 
 def _genomic_session(world: dict | None = None, rng_seed: int = 0):
@@ -128,34 +129,26 @@ def _genomic_session(world: dict | None = None, rng_seed: int = 0):
 def _greedy_source(doc, curve, marginals):
     if marginals == "true":
         return curve, "true_curve"
-    env = doc.get("environment")
-    if not isinstance(env, dict):
-        raise ConfigError("estimated marginals need an 'environment' block")
-    env = dict(env)
-    env_type = env.pop("type", "analytic")
-    if env_type == "analytic":
-        return read_block(AnalyticEnvironment, env, "environment", curve=curve), "estimator"
-    if env_type == "genomic":
-        return read_block(_genomic_session, env, "environment"), "estimator"
-    raise ConfigError(f"unknown environment type {env_type!r}")
+    env = dict(doc["environment"])
+    cls, fixed = {"analytic": (AnalyticEnvironment, {"curve": curve}),
+                  "genomic": (_genomic_session, {})}[env.pop("type", "analytic")]
+    return read_block(cls, env, "environment", **fixed), "estimator"
 
 
 def _cmd_greedy(args) -> int:
     doc = load_config(args.instance)
-    curve, cost, utility = _instance(doc)
-    step = args.step if args.step is not None else read_number(doc, "step_cost", 1.0)
-    start = (None if args.start == "zero"
-             else read_block(Allocation, load_config(args.start), "start"))
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    source, mode = _greedy_source(doc, curve, args.marginals)
-    cfg = GreedyConfig(
-        step_cost=step,
-        start_alloc=start,
-        marginal_source=mode,
-        seed=args.seed,
-        estimator=read_block(EstimatorSettings, doc.get("estimator", {}), "estimator"),
-    )
+    with reading("greedy config"):
+        curve, cost, utility = _instance(doc)
+        step = read_number(doc if args.step is None else {"step_cost": args.step},
+                           "step_cost", 1.0, above=0)
+        start = (None if args.start == "zero"
+                 else read_block(Allocation, load_config(args.start), "start"))
+        source, mode = _greedy_source(doc, curve, args.marginals)
+        est = read_block(EstimatorSettings, doc.get("estimator", {}), "estimator")
+        cfg = GreedyConfig(step_cost=step, start_alloc=start, marginal_source=mode,
+                           seed=args.seed, estimator=est)
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)
     elapsed = time.perf_counter() - t0

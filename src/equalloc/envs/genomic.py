@@ -44,7 +44,8 @@ class GenomicWorldConfig:
     set it to 0 for fully independent variants.
     ``case_train_fraction`` of each group's cases form the obtainable
     training pool; the rest are held out for evaluation together with
-    enough controls to restore the population prevalence.
+    enough controls to restore the population prevalence.  Clumping compares
+    ``r2_threshold`` with ``|r|``, so 0.2 prunes neighbors at r² > 0.04.
     """
 
     variants: int = 2000

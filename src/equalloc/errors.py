@@ -5,17 +5,17 @@ class EqualLocError(Exception):
     """Base class for all equalloc errors."""
 
 
-class DimensionMismatchError(EqualLocError):
+class DomainError(EqualLocError):
+    """An input lies outside the mathematical domain of an operation."""
+
+
+class DimensionMismatchError(DomainError):
     """Vectors of incompatible group counts were combined."""
 
     def __init__(self, expected: int, actual: int, what: str = "vector"):
         self.expected = expected
         self.actual = actual
         super().__init__(f"{what} has {actual} groups, expected {expected}")
-
-
-class DomainError(EqualLocError):
-    """An input lies outside the mathematical domain of an operation."""
 
 
 class CapacityError(EqualLocError):

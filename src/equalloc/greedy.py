@@ -44,6 +44,8 @@ __all__ = [
 
 _MAX_ENUM_BATCHES = 24
 _MAX_ENUM_GROUPS = 5
+# The most steps one budget loop may take, as solvers.MAX_GRID_POINTS caps the grid.
+MAX_STEPS = 10_000_000
 
 
 class GreedyStepError(EqualLocError):
@@ -70,8 +72,6 @@ class GreedyConfig:
     estimator: EstimatorSettings = field(default_factory=EstimatorSettings)
 
     def __post_init__(self):
-        if self.step_cost <= 0:
-            raise DomainError("step_cost must be positive")
         if self.marginal_source not in ("true_curve", "estimator"):
             raise DomainError(f"unknown marginal_source {self.marginal_source!r}")
 
@@ -194,11 +194,16 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
     Each step spends ``step_cost`` on the group ``choose(counts, step)``
     returns, then calls ``record(counts, group, step)`` if given; the loop
     stops as soon as another step would break the budget.  Returns the
-    final counts and the budget left unspent.
+    final counts and the budget left unspent.  A step of zero or less is a
+    DomainError, and more than ``MAX_STEPS`` steps a CapacityError.
     """
     counts = start.counts.copy()
     spent = cost.spend(start)
     limit = cost.spend_limit
+    if not step_cost > 0:
+        raise DomainError(f"step_cost must be positive, got {step_cost}")
+    if (limit - spent) / step_cost > MAX_STEPS:
+        raise CapacityError(f"step_cost {step_cost:g} takes over {MAX_STEPS} steps")
     step = 0
     while spent + step_cost <= limit:
         step += 1

@@ -1,17 +1,19 @@
 """Experiment configuration: JSON documents, validation, and digests.
 
 A config is a plain JSON object with a ``kind`` plus the blocks each
-experiment needs.  Every block is read by :func:`read_block`, so its keys
-are exactly the keyword arguments of the type it builds.  An unknown
-block key, a non-integer for an integer setting (in a block or at the
-top level, ``5.0`` included), a non-boolean for a boolean block setting,
-a negative seed or seed count, or a value the type rejects
-raises :class:`ConfigError`, which the CLI turns into exit status 2.
-Unknown top-level keys are ignored.
+experiment needs.  Each runner reads every value, and builds every typed
+input from them, in one :func:`reading` scope before any work: the one
+place that turns a ``LookupError`` (a missing key), ``TypeError``,
+``ValueError``, ``ArithmeticError`` or :class:`DomainError` into a
+:class:`ConfigError`, which the CLI turns into exit status 2.  A block's
+keys are exactly the keyword arguments of the type it builds
+(:func:`read_block`), an integer setting must be one (``5.0`` is not),
+and a setting must lie above its bound; unknown top-level keys are ignored.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import hashlib
@@ -21,16 +23,16 @@ from pathlib import Path
 
 from ..core import CostModel
 from ..envs.genomic import GenomicWorldConfig
-from ..errors import ConfigError, DomainError
+from ..errors import ConfigError, DimensionMismatchError, DomainError
 
 __all__ = [
+    "reading",
     "load_config",
     "config_digest",
     "read_block",
     "parse_cost",
     "read_number",
     "read_list",
-    "require_block",
     "default_table1_config",
     "default_convergence_config",
     "default_frontier_config",
@@ -53,10 +55,8 @@ def load_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    with reading(f"config {p}"):
+        doc = json.loads(p.read_text())  # not JSON, or not UTF-8: a ValueError
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc
@@ -68,80 +68,94 @@ def config_digest(doc: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+@contextlib.contextmanager
+def reading(name: str):
+    """Scope in which config value ``name`` is read or built, never computed:
+    a LookupError, TypeError, ValueError, ArithmeticError or DomainError
+    raised inside it becomes a ConfigError naming the value."""
+    try:
+        yield
+    except LookupError as exc:
+        raise ConfigError(f"bad {name}: no entry {exc}") from exc
+    except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
+        raise ConfigError(f"bad {name}: {exc}") from exc
+
+
 def read_block(cls, block, name: str, **fixed):
     """``cls(**fixed, **block)``: the config block ``name`` read as the
     keyword arguments of ``cls``.
 
-    A key that is not one of ``cls``'s parameters, a missing required one,
-    a value of another type for a parameter annotated ``int`` or ``bool``,
-    or a value ``cls`` rejects raises :class:`ConfigError`, so no key is
-    ever ignored.
+    A block that is not a mapping, a key that is not one of ``cls``'s
+    parameters, a missing required one, a value of another type for a
+    parameter annotated ``int`` or ``bool``, or a value ``cls`` rejects
+    raises :class:`ConfigError`, so no key is ever ignored.
     """
-    if not isinstance(block, dict):
-        raise ConfigError(f"{name} block must be a JSON object, got {block!r}")
-    try:
+    with reading(f"{name} block"):
         signature = inspect.signature(cls)
-        signature.bind(**fixed, **block)  # an unknown key, or a required one missing
+        signature.bind(**fixed, **block)  # a non-mapping, an unknown key, a missing one
         for key, value in block.items():
             annotation = signature.parameters[key].annotation
             for cast in (int, bool):
                 if annotation in (cast, cast.__name__):
                     _cast(value, cast, key)
         return cls(**fixed, **block)
-    except (TypeError, ValueError, ArithmeticError, DomainError) as exc:
-        raise ConfigError(f"bad {name} block: {exc}") from exc
 
 
 def parse_cost(doc: dict) -> CostModel:
-    try:
+    with reading("cost block"):
         return CostModel(doc["costs"], doc["budget"])
-    except KeyError as exc:
-        raise ConfigError(f"cost block is missing {exc}") from exc
-    except Exception as exc:
-        raise ConfigError(f"bad cost block: {exc}") from exc
 
 
-def _cast(value, cast, key: str):
-    """``cast(value)``; an ``int`` or ``bool`` setting must already be one
-    (neither ``5.0`` nor ``True`` is an integer)."""
+def check_groups(curve, /, **parts) -> None:
+    """Raise :class:`DimensionMismatchError` unless each part (a cost
+    model, utility or allocation) has the curve's number of groups."""
+    for what, part in parts.items():
+        if part.num_groups != curve.num_groups:
+            raise DimensionMismatchError(curve.num_groups, part.num_groups, what)
+
+
+def whole_number(value) -> float:
+    """``float(value)``, which must be whole: a count of genomic pairs."""
+    if not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return float(value)
+
+
+def _cast(value, cast, key: str, above=None):
+    """``cast(value)``, which must exceed ``above`` when given; an ``int``
+    or ``bool`` setting must already be one (neither ``5.0`` nor ``True``
+    is an integer)."""
     if cast in (int, bool) and type(value) is not cast:
         raise TypeError(f"{key!r} must be of type {cast.__name__}, got {value!r}")
-    return cast(value)
+    value = cast(value)
+    if above is not None and not value > above:
+        raise ValueError(f"must be greater than {above}, got {value!r}")
+    return value
 
 
-def read_number(doc: dict, key: str, default, cast=float):
+def read_number(doc: dict, key: str, default, cast=float, above=None):
     """``cast(doc[key])``, or ``cast(default)`` when the key is absent or
     null (``None`` when the default is ``None``).  A value ``cast``
-    rejects, or a non-integer where ``cast`` is ``int``, raises
-    :class:`ConfigError`.
+    rejects, a non-integer where ``cast`` is ``int``, or a value not
+    greater than ``above`` raises :class:`ConfigError`.
     """
     value = default if doc.get(key) is None else doc[key]
     if value is None:
         return None
-    try:
-        return _cast(value, cast, key)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key!r}: {exc}") from exc
+    with reading(repr(key)):
+        return _cast(value, cast, key, above)
 
 
-def read_list(doc: dict, key: str, default, cast=float, length=None):
+def read_list(doc: dict, key: str, default, cast=float, length=None, above=None):
     """Like :func:`read_number`, for a list of ``cast`` values (of
     ``length`` entries, when given); anything else raises ConfigError."""
     value = default if doc.get(key) is None else doc[key]
     if value is None:
         return None
-    try:
+    with reading(f"{key!r} {value!r}"):
         if not isinstance(value, list) or length not in (None, len(value)):
             raise TypeError(f"expected a list of {length or 'any number of'} entries")
-        return [_cast(x, cast, key) for x in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key!r} {value!r}: {exc}") from exc
-
-
-def require_block(doc: dict, key: str):
-    if key not in doc:
-        raise ConfigError(f"config is missing required block {key!r}")
-    return doc[key]
+        return [_cast(x, cast, key, above) for x in value]
 
 
 # Every config key that holds a seed list; an integer n stands for the
@@ -169,9 +183,7 @@ def seed_lists(config: dict, kind: str | None = None) -> dict:
                 raise ConfigError(f"{key!r} is a negative seed count: {seeds}")
             seeds = list(range(seeds))
         if seeds is not None:
-            lists[key] = read_list({key: seeds}, key, None, int)
-            if min(lists[key], default=0) < 0:
-                raise ConfigError(f"{key!r} holds a negative seed: {lists[key]}")
+            lists[key] = read_list({key: seeds}, key, None, int, above=-1)
     return lists
 
 

@@ -8,11 +8,13 @@ computes deterministically from the seeds it contains, and returns
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
 
-from ..core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
+from ..core import (Allocation, CostModel, PerformanceVector, UtilitySpec, check_feasible,
+                    utility_eval)
 from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import (
     GenomicSamplingSession,
@@ -26,6 +28,7 @@ from ..greedy import (GreedyConfig, equal_allocation, parity_allocation,
                       representative_allocation, run_greedy)
 from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
+    check_groups,
     check_kind,
     config_digest,
     default_convergence_config,
@@ -36,8 +39,9 @@ from .config import (
     read_block,
     read_list,
     read_number,
-    require_block,
+    reading,
     seed_lists,
+    whole_number,
 )
 from .io import Table
 
@@ -50,17 +54,6 @@ __all__ = [
 ]
 
 
-def _table1_instance(config):
-    curve = read_block(AnalyticCurve, require_block(config, "curve"), "curve")
-    cost = parse_cost(config)
-    blocks = config.get("utilities", {})
-    if not isinstance(blocks, dict) or not {"equal", "priority"} <= blocks.keys():
-        raise ConfigError("table1 config needs 'equal' and 'priority' utilities")
-    utilities = {name: read_block(UtilitySpec, block, f"utilities.{name}")
-                 for name, block in blocks.items()}
-    return curve, cost, utilities
-
-
 def run_table1(config: dict) -> Table:
     """Compare static, parity, optimal, and greedy policies on one instance.
 
@@ -68,27 +61,35 @@ def run_table1(config: dict) -> Table:
     performances, and both utility columns.
     """
     check_kind(config, "table1")
-    curve, cost, utilities = _table1_instance(config)
-    u_equal, u_priority = utilities["equal"], utilities["priority"]
-    k = curve.num_groups
     defaults = default_table1_config()
-    step = read_number(config, "step_cost", defaults["step_cost"])
-    resolution = read_number(config, "grid_resolution", defaults["grid_resolution"])
-    shares = read_list(config, "pop_shares", None)
-    if shares is None:
-        raise ConfigError("table1 config needs pop_shares")
+    with reading("table1 config"):
+        curve = read_block(AnalyticCurve, config["curve"], "curve")
+        cost = parse_cost(config)
+        blocks = config["utilities"]
+        utilities = {name: read_block(UtilitySpec, blocks[name], f"utilities.{name}")
+                     for name in blocks}
+        u_equal, u_priority = utilities["equal"], utilities["priority"]
+        check_groups(curve, costs=cost, **utilities)
+        step = read_number(config, "step_cost", defaults["step_cost"], above=0)
+        resolution = read_number(config, "grid_resolution", defaults["grid_resolution"],
+                                 above=0)
+        policies: list[tuple[str, Allocation]] = [
+            ("Equal", equal_allocation(cost)),
+            ("Representative",
+             representative_allocation(cost, read_list(config, "pop_shares", None))),
+        ]
+        greedy = GreedyConfig(step_cost=step)
 
-    policies: list[tuple[str, Allocation]] = [
-        ("Equal", equal_allocation(cost)),
-        ("Representative", representative_allocation(cost, shares)),
+    policies += [
         ("Performance Parity", parity_allocation(curve, cost, step)),
         ("Optimal (U_equal)", solve_grid(curve, u_equal, cost, resolution).alloc),
         ("Optimal (U_priority)", solve_grid(curve, u_priority, cost, resolution).alloc),
     ]
     for name, util in (("Greedy (U_equal)", u_equal), ("Greedy (U_priority)", u_priority)):
-        alloc, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=step))
+        alloc, _ = run_greedy(curve, util, cost, greedy)
         policies.append((name, alloc))
 
+    k = curve.num_groups
     header = (
         ["policy"]
         + [f"count_{i}" for i in range(k)]
@@ -133,35 +134,32 @@ def run_convergence(config: dict) -> Table:
     """
     check_kind(config, "convergence")
     defaults = default_convergence_config()
-    n_instances = read_number(config, "num_instances", defaults["num_instances"], int)
-    k_range = read_list(config, "group_range", defaults["group_range"], int, 2)
-    forms = read_list(config, "forms", defaults["forms"], str)
-    budget = read_number(config, "budget", defaults["budget"])
-    divisors = read_list(config, "step_divisors", defaults["step_divisors"], int)
-    if not 1 <= k_range[0] <= k_range[1] or min(divisors, default=1) < 1:
-        raise ConfigError("group_range needs 1 <= low <= high and step_divisors "
-                          "positive entries")
-    tol = read_number(config, "solver_tol", defaults["solver_tol"])
-    master_seeds = seed_lists(config, "convergence")["seeds"]
+    with reading("convergence config"):
+        n_instances = read_number(config, "num_instances", defaults["num_instances"], int)
+        k_range = read_list(config, "group_range", defaults["group_range"], int, 2)
+        if not 1 <= k_range[0] <= k_range[1]:
+            raise ConfigError(f"group_range needs 1 <= low <= high, got {k_range}")
+        streams = [(form, {"sqrt": 1, "log1p": 2, "power": 3}[form])
+                   for form in read_list(config, "forms", defaults["forms"], str)]
+        budget = read_number(config, "budget", defaults["budget"], above=0)
+        divs = read_list(config, "step_divisors", defaults["step_divisors"], int, above=0)
+        steps = [(div, GreedyConfig(step_cost=budget / div)) for div in divs]
+        tol = read_number(config, "solver_tol", defaults["solver_tol"], above=0)
+        master_seeds = seed_lists(config, "convergence")["seeds"]
 
     header = [
         "form", "instance", "seed", "num_groups", "step_divisor",
         "utility_opt", "utility_greedy", "gap", "relative_gap",
         "certificate", "converged",
     ]
-    form_streams = {"sqrt": 1, "log1p": 2, "power": 3}
-    unknown = [f for f in forms if f not in form_streams]
-    if unknown:
-        raise ConfigError(f"unknown curve forms {unknown}; expected {list(form_streams)}")
     rows = []
     for master in master_seeds:
-        for form in forms:
-            rng = np.random.default_rng([master, form_streams[form]])
+        for form, stream in streams:
+            rng = np.random.default_rng([master, stream])
             for inst in range(n_instances):
                 curve, cost, util = _random_instance(rng, k_range, form, budget)
                 opt = solve_concave(curve, util, cost, tol=tol)
-                for div in divisors:
-                    cfg = GreedyConfig(step_cost=budget / div)
+                for div, cfg in steps:
                     alloc, _ = run_greedy(curve, util, cost, cfg)
                     u_greedy = utility_eval(util, eval_perf(curve, alloc))
                     gap = opt.utility - u_greedy
@@ -172,19 +170,6 @@ def run_convergence(config: dict) -> Table:
                          opt.certificate, opt.converged]
                     )
     return Table("convergence", header, rows, digest=config_digest(config))
-
-
-def _frontier_grid(budget, min_per_group, step):
-    points = []
-    n0 = min_per_group
-    while budget - n0 >= min_per_group:
-        points.append((int(n0), int(budget - n0)))
-        n0 += step
-    if not points:
-        raise ConfigError(
-            "frontier grid is empty: budget too small for min_per_group"
-        )
-    return points
 
 
 def _weight_settings(config, defaults, shares):
@@ -200,12 +185,33 @@ def _weight_settings(config, defaults, shares):
         settings.append(("shares", tuple(shares)))
     for w0, w1 in read_list(config, "extra_weights", defaults["extra_weights"], _pair):
         settings.append((f"weights_{w0:g}_{w1:g}", (w0, w1)))
-    return settings
+    return [(label, UtilitySpec(weights=list(weights))) for label, weights in settings]
 
 
 def _pair(entry):
     w0, w1 = entry
     return float(w0), float(w1)
+
+
+def _estimator_policy(config, defaults, budget, start, step):
+    """Cost model and base greedy config of the estimator policy from ``start``."""
+    cost = CostModel([1.0, 1.0], budget)
+    if not check_feasible(start, cost):
+        raise ConfigError(f"start {start.counts.tolist()} exceeds the budget of {budget:g}")
+    est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
+                     "estimator")
+    return cost, GreedyConfig(step_cost=step, start_alloc=start,
+                              marginal_source="estimator", estimator=est)
+
+
+def _world_holding(world_config, reach):
+    """The world of ``world_config``, whose pools must hold ``reach`` pairs each."""
+    world = generate_world(world_config)
+    for g, split in enumerate(world.splits):
+        if reach > split.max_pairs:
+            raise ConfigError(f"runs reach {reach:g} pairs, more than the "
+                              f"{split.max_pairs} training pairs of group {g}")
+    return world
 
 
 def _session_per_seed(world):
@@ -227,31 +233,27 @@ def run_frontier(config: dict) -> Table:
     """
     check_kind(config, "frontier")
     defaults = default_frontier_config()
-    world_config = read_block(GenomicWorldConfig, require_block(config, "world"), "world")
-    budget = read_number(config, "budget_pairs", defaults["budget_pairs"], int)
-    min_pg = read_number(config, "min_per_group", defaults["min_per_group"], int)
-    step = read_number(config, "grid_step", defaults["grid_step"], int)
-    policy_step = read_number(config, "policy_step", defaults["policy_step"])
-    est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
-                     "estimator")
-    seeds = seed_lists(config, "frontier")
-    shares = read_list(config, "pop_shares", defaults["pop_shares"], length=2)
-    weight_settings = _weight_settings(config, defaults, shares)
-    grid = _frontier_grid(budget, min_pg, step)
+    with reading("frontier config"):
+        world_config = read_block(GenomicWorldConfig, config["world"], "world")
+        budget = read_number(config, "budget_pairs", defaults["budget_pairs"], int)
+        min_pg = read_number(config, "min_per_group", defaults["min_per_group"], int)
+        grid_step = read_number(config, "grid_step", defaults["grid_step"], int, above=0)
+        policy_step = read_number(config, "policy_step", defaults["policy_step"],
+                                  whole_number, above=0)
+        start = Allocation([float(min_pg), float(min_pg)])
+        cost, base = _estimator_policy(config, defaults, budget, start, policy_step)
+        seeds = seed_lists(config, "frontier")
+        shares = read_list(config, "pop_shares", defaults["pop_shares"], length=2)
+        utilities = _weight_settings(config, defaults, shares)
+        grid = [(n0, budget - n0) for n0 in range(min_pg, budget - min_pg + 1, grid_step)]
+        # whole pairs: equal_allocation would split an odd budget in halves
+        equal = (budget // 2, budget - budget // 2)
+        representative = representative_allocation(cost, shares, float(grid_step)).counts
 
-    world = generate_world(world_config)
-    for n0, n1 in grid:
-        for g, n in ((0, n0), (1, n1)):
-            if n > world.splits[g].max_pairs:
-                raise ConfigError(
-                    f"frontier grid point {n} exceeds group {g}'s "
-                    f"{world.splits[g].max_pairs} available training pairs"
-                )
-
+    world = _world_holding(world_config, max(budget - min_pg, *representative))
+    session_of = _session_per_seed(world)
     header = ["kind", "label", "seed", "n_0", "n_1", "M_0", "M_1"]
     rows = []
-
-    session_of = _session_per_seed(world)
 
     def split_row(kind, label, seed, counts):
         n0, n1 = (int(x) for x in counts)
@@ -262,25 +264,16 @@ def run_frontier(config: dict) -> Table:
         for n0, n1 in grid:
             rows.append(split_row("frontier", f"split_{n0}_{n1}", seed, (n0, n1)))
 
-    cost = CostModel([1.0, 1.0], float(budget))
-    # whole pairs: equal_allocation would split an odd budget in halves
-    equal = (budget // 2, budget - budget // 2)
-    representative = representative_allocation(cost, shares, float(step)).counts
-    start = Allocation([float(min_pg), float(min_pg)])
     for seed in seeds["policy_seeds"]:
         parity = parity_allocation(session_of(seed), cost, policy_step, start)
         for label, counts in (("equal", equal), ("representative", representative),
                               ("parity", parity.counts)):
             rows.append(split_row("marker", label, seed, counts))
 
-    for label, weights in weight_settings:
-        util = UtilitySpec(weights=list(weights))
+    for label, util in utilities:
         for seed in seeds["policy_seeds"]:
-            cfg = GreedyConfig(
-                step_cost=policy_step, start_alloc=start,
-                marginal_source="estimator", seed=seed, estimator=est,
-            )
-            alloc, _ = run_greedy(session_of(seed), util, cost, cfg)
+            alloc, _ = run_greedy(session_of(seed), util, cost,
+                                  dataclasses.replace(base, seed=seed))
             rows.append(split_row("greedy", label, seed, alloc.counts))
 
     return Table("frontier", header, rows, digest=config_digest(config))
@@ -295,33 +288,29 @@ def run_adaptive_prs(config: dict):
     """
     check_kind(config, "adaptive_prs")
     defaults = default_prs_sim_config()
-    world_config = read_block(GenomicWorldConfig, require_block(config, "world"), "world")
-    budget = read_number(config, "budget_pairs", defaults["budget_pairs"])
-    start_pairs = read_list(config, "start_pairs", defaults["start_pairs"], length=2)
-    step = read_number(config, "step_cost", defaults["step_cost"])
-    est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
-                     "estimator")
-    seeds = seed_lists(config, "adaptive_prs")
-    settings = read_list(config, "weight_settings", defaults["weight_settings"], _pair)
-    grid = read_list(config, "learning_curve_grid", None, int)
+    with reading("adaptive_prs config"):
+        world_config = read_block(GenomicWorldConfig, config["world"], "world")
+        budget = read_number(config, "budget_pairs", defaults["budget_pairs"])
+        start = Allocation(read_list(config, "start_pairs", defaults["start_pairs"],
+                                     whole_number, length=2))
+        step = read_number(config, "step_cost", defaults["step_cost"], whole_number,
+                           above=0)
+        cost, base = _estimator_policy(config, defaults, budget, start, step)
+        seeds = seed_lists(config, "adaptive_prs")
+        utilities = [("/".join(f"{w:g}" for w in weights), UtilitySpec(weights=weights))
+                     for weights in read_list(config, "weight_settings",
+                                              defaults["weight_settings"], _pair)]
+        grid = read_list(config, "learning_curve_grid", None, int, above=-1)
 
-    world = generate_world(world_config)
-    cost = CostModel([1.0, 1.0], budget)
-    start = Allocation(start_pairs)
+    world = _world_holding(world_config, max([budget - start.counts.min(), *(grid or [])]))
     digest = config_digest(config)
     header = ["weights", "seed", "n_0", "n_1", "M_0", "M_1", "utility"]
     rows = []
     session_of = _session_per_seed(world)
-    for weights in settings:
-        util = UtilitySpec(weights=weights)
-        label = "/".join(f"{w:g}" for w in weights)
+    for label, util in utilities:
         for seed in seeds["seeds"]:
             session = session_of(seed)
-            cfg = GreedyConfig(
-                step_cost=step, start_alloc=start,
-                marginal_source="estimator", seed=seed, estimator=est,
-            )
-            alloc, _ = run_greedy(session, util, cost, cfg)
+            alloc, _ = run_greedy(session, util, cost, dataclasses.replace(base, seed=seed))
             n0, n1 = (int(x) for x in alloc.counts)
             m0, m1 = session.value_at(0, n0), session.value_at(1, n1)
             rows.append([label, seed, n0, n1, m0, m1,
@@ -343,15 +332,16 @@ def run_adaptive_prs(config: dict):
 def run_audit(config: dict) -> Table:
     """Audit one observed allocation against an auditor's utility."""
     check_kind(config, "audit")
-    curve = read_block(AnalyticCurve, require_block(config, "curve"), "curve")
-    cost = parse_cost(config)
-    auditor = read_block(UtilitySpec, require_block(config, "auditor_utility"),
-                         "auditor_utility")
-    observed = read_block(Allocation, require_block(config, "observed"), "observed")
+    with reading("audit config"):
+        curve = read_block(AnalyticCurve, config["curve"], "curve")
+        cost = parse_cost(config)
+        auditor = read_block(UtilitySpec, config["auditor_utility"], "auditor_utility")
+        observed = read_block(Allocation, config["observed"], "observed")
+        check_groups(curve, costs=cost, auditor_utility=auditor, observed=observed)
+        resolution = read_number(config, "grid_resolution", None, above=0)
+        tol = read_number(config, "solver_tol", 1e-8, above=0)
 
-    best, observed_u, gap = audit_gap(curve, auditor, cost, observed,
-                                      read_number(config, "grid_resolution", None),
-                                      tol=read_number(config, "solver_tol", 1e-8))
+    best, observed_u, gap = audit_gap(curve, auditor, cost, observed, resolution, tol=tol)
 
     k = curve.num_groups
     header = (
@@ -365,4 +355,3 @@ def run_audit(config: dict) -> Table:
         + [float(x) for x in best.alloc.counts]
     ]
     return Table("audit", header, rows, digest=config_digest(config))
-

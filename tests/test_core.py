@@ -13,7 +13,7 @@ from equalloc import (
     utility_eval,
 )
 from equalloc.errors import ConfigError, DimensionMismatchError, DomainError
-from equalloc.harness.config import parse_cost, read_block
+from equalloc.harness.config import parse_cost, read_block, reading
 
 
 class TestFeasibility:
@@ -172,6 +172,22 @@ class TestTypesAndSerialization:
         assert np.array_equal(cost.costs, [1.0, 2.0])
         with pytest.raises(ConfigError):
             parse_cost({"costs": [1, 2]})
+
+    @pytest.mark.parametrize("exc", [KeyError("k"), IndexError("i"), TypeError("t"),
+                                     ValueError("v"), ZeroDivisionError("z"),
+                                     DomainError("d"), DimensionMismatchError(2, 3)])
+    def test_reading_names_the_value(self, exc):
+        with pytest.raises(ConfigError, match="^bad step_cost: ") as err:
+            with reading("step_cost"):
+                raise exc
+        assert err.value.__cause__ is exc
+
+    def test_reading_passes_other_errors_through(self):
+        # computation errors are not config errors
+        for exc in (RuntimeError("r"), AttributeError("a"), OSError("o")):
+            with pytest.raises(type(exc)):
+                with reading("step_cost"):
+                    raise exc
 
     def test_utility_roundtrip_field_names(self):
         spec = read_block(UtilitySpec, {

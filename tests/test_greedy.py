@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,21 @@ from equalloc import (
 from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
 from equalloc.errors import CapacityError, DomainError
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestTrueCurveGreedy:
@@ -308,6 +326,30 @@ class TestBaselinePolicies:
             assert np.allclose(alloc.counts, counts)
             perf = eval_perf(curve, alloc).values
             assert perf.max() - perf.min() <= largest_jump + 1e-9
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+    def test_budget_loop_rejects_a_step_that_spends_nothing(
+        self, four_group_curve, four_group_cost, u_equal, step
+    ):
+        # parity reaches the budget loop without a GreedyConfig, so the loop
+        # itself is where a non-positive step is refused
+        with _deadline(10), pytest.raises(DomainError):
+            parity_allocation(four_group_curve, four_group_cost, step_cost=step)
+        with _deadline(10), pytest.raises(DomainError):
+            run_greedy(four_group_curve, u_equal, four_group_cost,
+                       GreedyConfig(step_cost=step))
+
+    def test_budget_loop_caps_its_step_count(self, four_group_curve, u_equal):
+        cost = CostModel(costs=[1, 1, 2, 1], budget=1e12)
+        with _deadline(10), pytest.raises(CapacityError):
+            parity_allocation(four_group_curve, cost, step_cost=1.0)
+        with _deadline(10), pytest.raises(CapacityError):
+            run_greedy(four_group_curve, u_equal, cost, GreedyConfig(step_cost=1.0))
+        # the cap counts only the steps left after the start: about a thousand
+        # here, within the budget's float slack
+        start = Allocation([1e12 - 5.0, 0.0, 0.0, 0.0])
+        alloc = parity_allocation(four_group_curve, cost, 1.0, start)
+        assert 0 < alloc.counts.sum() - start.counts.sum() < 2000
 
     def test_degenerate_shares_rejected(self, four_group_curve, four_group_cost):
         with pytest.raises(DomainError):

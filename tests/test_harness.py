@@ -1,9 +1,15 @@
 import functools
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equalloc
 from equalloc import cli
 from equalloc.cli import main
 from equalloc.errors import ConfigError
@@ -29,6 +35,9 @@ from equalloc.harness import config as config_module
 from equalloc.harness import experiments
 from equalloc.harness.config import apply_seed_offset, load_config, seed_lists
 from tables import column, mean_gaps
+
+# The directory the tests import equalloc from, for the CLI subprocesses.
+PACKAGE_ROOT = str(Path(equalloc.__file__).resolve().parents[1])
 
 SMALL_FRONTIER = {
     "kind": "frontier",
@@ -532,6 +541,11 @@ class TestCli:
         ("greedy", "environment", {"type": "genomic", "world": {"populaton": 5000}}),
         ("greedy", "environment", {"type": "genomic", "world": {"variants": 200.5}}),
         ("solve", "resolution", "abc"),
+        ("solve", "resolution", 0),
+        ("solve", "method", "simplex"),
+        ("solve", "costs", [1.0]),
+        ("greedy", "--step", "0"),
+        ("greedy", "environment", {"type": "quantum"}),
         ("solve", "utility", {"weights": [1.0, 1.0], "normalise": True}),
         ("table1", "step_cost", "x"),
         ("table1", "utilities", {"equal": {"weights": [1.0] * 4, "normalize": "no"},
@@ -608,6 +622,31 @@ class TestCli:
         ("prs-sim", "estimator.min_pionts", 3),
         ("frontier", "include_share_weights", "no"),
         ("frontier", "world.rng_seed", -1),
+        ("table1", "grid_resolution", 0),
+        ("table1", "pop_shares", [1.0, 1.0, 1.0]),
+        ("table1", "pop_shares", [0.0, 0.0, 0.0, 0.0]),
+        ("table1", "pop_shares", None),
+        ("table1", "costs", [1.0, 1.0, 1.0]),
+        ("table1", "utilities.equal.weights", [1.0, 1.0, 1.0]),
+        ("table1", "utilities", [1]),
+        ("audit", "grid_resolution", 0),
+        ("audit", "solver_tol", -1),
+        ("audit", "costs", [1.0, 1.0, 1.0]),
+        ("audit", "auditor_utility.weights", [1.0, 1.0, 1.0]),
+        ("audit", "observed.counts", [200.0, 200.0, 200.0]),
+        ("convergence", "budget", 0),
+        ("convergence", "budget", -1),
+        ("frontier", "min_per_group", -5),
+        ("frontier", "budget_pairs", 150),
+        ("frontier", "policy_step", 0),
+        ("frontier", "policy_step", 25.5),
+        ("frontier", "extra_weights", [[0.0, 0.0]]),
+        ("prs-sim", "step_cost", 0),
+        ("prs-sim", "step_cost", 33.3),
+        ("prs-sim", "start_pairs", [400, 400]),
+        ("prs-sim", "start_pairs", [100.5, 100]),
+        ("prs-sim", "weight_settings", [[0, 0]]),
+        ("prs-sim", "learning_curve_grid", [-5, 20]),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value
@@ -633,6 +672,27 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,changes", [
+        # the sweep's split (20, 80) overruns the 50-pair pools
+        ("frontier", {"budget_pairs": 100, "min_per_group": 20, "grid_step": 20}),
+        # from (20, 20) greedy can give one group 60 pairs
+        ("prs-sim", {"budget_pairs": 80, "learning_curve_grid": [20, 40]}),
+        # the runs reach 40 pairs, the learning curve 60
+        ("prs-sim", {"budget_pairs": 60, "learning_curve_grid": [20, 60]}),
+    ])
+    def test_pairs_beyond_the_training_pool_exit_2(self, tmp_path, capsys, command,
+                                                   changes):
+        # population 2000 at prevalence 0.05 holds 50 training pairs per group
+        world = {"variants": 200, "causal_count": 20, "population": 2000, "rng_seed": 1}
+        doc = dict(SMALL_FRONTIER) if command == "frontier" else _small_prs_config(
+            start_pairs=[20, 20], weight_settings=[[1.0, 1.0]], curve_seeds=[0])
+        doc.update(changes, world=world)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "training pairs" in err
 
     def test_omitted_seeds_follow_offset_into_manifest(self, tmp_path):
         cfg = _small_prs_config(weight_settings=[[1.0, 1.0]])
@@ -660,6 +720,39 @@ class TestCli:
 
 def _no_world(_config):
     raise AssertionError("world built before the config was checked")
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command,key,value,code", [
+    ("table1", "step_cost", 0, 2),
+    ("table1", "step_cost", -1, 2),
+    ("table1", "budget", 1e12, 3),
+    ("frontier", "grid_step", 0, 2),
+    ("frontier", "grid_step", -100, 2),
+    ("convergence", "solver_tol", -1, 2),
+    ("convergence", "solver_tol", 0, 2),
+])
+def test_unbounded_loop_inputs_exit_promptly(tmp_path, command, key, value, code):
+    # each of these once spun a loop without end (or, for the tolerances, ran
+    # every solve to max_iter), so the CLI runs in a child process with a
+    # deadline and a 3 GB address-space cap
+    doc = {"table1": default_table1_config, "frontier": default_frontier_config,
+           "convergence": default_convergence_config}[command]()
+    doc[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "equalloc.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+    )
+    assert result.returncode == code, result.stderr
+    prefix = "config error:" if code == 2 else "capacity error:"
+    assert result.stderr.startswith(prefix) and "Traceback" not in result.stderr
 
 
 def test_load_config_rejects_non_object(tmp_path):
