@@ -24,7 +24,7 @@ from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig, generate_world
 from .errors import CapacityError, ConfigError, EqualLocError
 from .estimator import EstimatorSettings
-from .greedy import GreedyConfig, run_greedy
+from .greedy import GreedyConfig, check_step, run_greedy
 from .harness.config import (
     apply_seed_offset,
     check_groups,
@@ -149,6 +149,7 @@ def _cmd_greedy(args) -> int:
         est = read_block(EstimatorSettings, doc.get("estimator", {}), "estimator")
         cfg = GreedyConfig(step_cost=step, start_alloc=start, marginal_source=mode,
                            seed=args.seed, estimator=est)
+        check_step(step, cost)
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)
     elapsed = time.perf_counter() - t0

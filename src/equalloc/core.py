@@ -129,8 +129,8 @@ class UtilitySpec:
 
     Evaluates ``sum_k a_k * t(M_k) - b * sum_k |t(M_k) - mean(t(M))|``
     where ``t`` is the identity or elementwise log transform, with an
-    optional division by ``sum_k a_k``.  The parity penalty sums the
-    per-group deviation terms over k.
+    optional division by ``sum_k a_k``, which ``weight_total`` holds.  The
+    parity penalty sums the per-group deviation terms over k.
     """
 
     weights: np.ndarray
@@ -150,6 +150,8 @@ class UtilitySpec:
             raise DomainError("parity_penalty must be non-negative")
         object.__setattr__(self, "weights", arr)
         object.__setattr__(self, "parity_penalty", float(self.parity_penalty))
+        # summed once for the kernel's normalising division; not a field
+        object.__setattr__(self, "weight_total", arr.sum())
 
     @property
     def num_groups(self) -> int:
@@ -187,7 +189,7 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
         dev = np.abs(t - t.mean(axis=0, keepdims=True)).sum(axis=0)
         u = u - spec.parity_penalty * dev
     if spec.normalize:
-        u = u / spec.weights.sum()
+        u = u / spec.weight_total
     return np.where(valid.all(axis=0), u, -np.inf) if log else u
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
@@ -91,8 +92,7 @@ class PerformanceHistory:
         return len(self._records[group])
 
 
-@dataclass(frozen=True)
-class MarginalEstimate:
+class MarginalEstimate(NamedTuple):
     """One group's estimated gain for the next batch.
 
     ``priority`` is the truncated-normal slope draw times the number of
@@ -218,10 +218,4 @@ def estimate_marginal(
     slope, se = fit_local_slope(history._records[group], window=window,
                                 se_floor=se_floor)
     draw = draw_truncated_normal(slope, se, rng_seed)
-    cost_k = float(cost.costs[group])
-    return MarginalEstimate(
-        slope_hat=slope,
-        slope_se=se,
-        draw=draw,
-        priority=draw * step_cost / cost_k,
-    )
+    return MarginalEstimate(slope, se, draw, draw * step_cost / float(cost.costs[group]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "StepRecord",
     "GreedyTrace",
     "run_greedy",
+    "check_step",
     "batch_enum_optimum",
     "equal_allocation",
     "representative_allocation",
@@ -76,8 +78,7 @@ class GreedyConfig:
             raise DomainError(f"unknown marginal_source {self.marginal_source!r}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One greedy step: who was sampled, what it cost, what it looked like."""
 
     step: int
@@ -101,38 +102,31 @@ class GreedyTrace:
 
     def csv_header(self, num_groups: int) -> list[str]:
         cols = ["step", "group", "spend"]
-        cols += [f"count_{k}" for k in range(num_groups)]
-        cols += [f"marginal_est_{k}" for k in range(num_groups)]
-        cols += [f"marginal_true_{k}" for k in range(num_groups)]
-        cols.append("utility")
-        return cols
+        for name in ("count", "marginal_est", "marginal_true"):
+            cols += [f"{name}_{k}" for k in range(num_groups)]
+        return cols + ["utility"]
 
     def csv_rows(self):
         for r in self.records:
-            yield (
-                [r.step, r.group, r.spend]
-                + [float(x) for x in r.counts]
-                + [float(x) for x in r.marginal_est]
-                + [float(x) for x in r.marginal_true]
-                + [r.utility]
-            )
+            vectors = np.concatenate([r.counts, r.marginal_est, r.marginal_true])
+            yield [r.step, r.group, r.spend, *vectors.tolist(), r.utility]
 
 
 class _CandidateScan:
     """Exact utility gains of one more batch from each group, from one
     kernel call per step.
 
-    :meth:`evaluate` scores the K candidates ``counts + step_cost / costs[k]``
-    (one per group k) as one batch; :meth:`take` returns their gains over
-    the current utility and makes the chosen candidate's utility the base
-    of the next step, so the new counts are never evaluated again.
+    :meth:`evaluate` scores the K candidates ``counts + sizes[k]`` (one per
+    group k) as one batch; :meth:`take` returns their gains over the
+    current utility and makes the chosen candidate's utility the base of
+    the next step, so the new counts are never evaluated again.
     """
 
-    def __init__(self, curve, utility, cost, step_cost, counts):
+    def __init__(self, curve, utility, sizes, counts):
         self.curve, self.utility = curve, utility
         self.base = float(batch_utilities(curve, utility, counts[:, None])[0])
         # adding the zero off-diagonal leaves every other count's bits as they are
-        self._steps = np.diag(step_cost / cost.costs)
+        self._steps = np.diag(sizes)
         self._candidates = np.empty_like(self._steps)
         self.utilities = None
 
@@ -177,8 +171,7 @@ def run_greedy(
         raise DomainError("start allocation, cost, and utility sizes must match")
     if not check_feasible(start, cost):
         raise DomainError("start allocation exceeds the budget")
-    if config.step_cost > cost.spend_limit:
-        raise DomainError("step_cost exceeds the budget")
+    check_step(config.step_cost, cost)
 
     if config.marginal_source == "true_curve":
         if not isinstance(source, AnalyticCurve):
@@ -187,15 +180,22 @@ def run_greedy(
     return _run_estimated(source, utility, cost, config, start)
 
 
-def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
-                  record=None) -> tuple[np.ndarray, float]:
+def check_step(step_cost: float, cost: CostModel) -> None:
+    """Raise DomainError when one step of ``step_cost`` breaks the budget."""
+    if step_cost > cost.spend_limit:
+        raise DomainError(f"step_cost {step_cost:g} exceeds the budget of {cost.budget:g}")
+
+
+def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, sizes: np.ndarray,
+                  choose, record=None) -> tuple[np.ndarray, float]:
     """The budget-stepping loop shared by every sequential policy.
 
     Each step spends ``step_cost`` on the group ``choose(counts, step)``
-    returns, then calls ``record(counts, group, step)`` if given; the loop
-    stops as soon as another step would break the budget.  Returns the
-    final counts and the budget left unspent.  A step of zero or less is a
-    DomainError, and more than ``MAX_STEPS`` steps a CapacityError.
+    returns, which buys ``sizes[group]`` (``step_cost / costs[group]``), then
+    calls ``record(counts, group, step)`` if given; the loop stops as soon
+    as another step would break the budget.  Returns the final counts and
+    the budget left unspent.  A step of zero or less is a DomainError, and
+    more than ``MAX_STEPS`` steps a CapacityError.
     """
     counts = start.counts.copy()
     spent = cost.spend(start)
@@ -208,7 +208,7 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, choose,
     while spent + step_cost <= limit:
         step += 1
         group = choose(counts, step)
-        counts[group] += step_cost / cost.costs[group]
+        counts[group] += sizes[group]
         spent += step_cost
         if record is not None:
             record(counts, group, step)
@@ -227,21 +227,19 @@ def _run_true_curve(curve, utility, cost, config, start):
     candidate is inf, and only the utilities still rank them.
     """
     s = config.step_cost
+    sizes = s / cost.costs
     trace = GreedyTrace()
-    scan = _CandidateScan(curve, utility, cost, s, start.counts)
+    scan = _CandidateScan(curve, utility, sizes, start.counts)
 
     def choose(counts, step):
-        return int(np.argmax(scan.evaluate(counts)))
+        return int(scan.evaluate(counts).argmax())
 
     def record(counts, group, step):
         marginals = scan.take(group)
         trace.records.append(
-            StepRecord(step=step, group=group, spend=s, counts=counts.copy(),
-                       marginal_est=marginals, marginal_true=marginals,
-                       utility=scan.base)
-        )
+            StepRecord(step, group, s, counts.copy(), marginals, marginals, scan.base))
 
-    counts, trace.residual_budget = _spend_budget(cost, start, s, choose, record)
+    counts, trace.residual_budget = _spend_budget(cost, start, s, sizes, choose, record)
     return Allocation(counts), trace
 
 
@@ -256,9 +254,10 @@ def _run_estimated(env, utility, cost, config, start):
     k = cost.num_groups
     est = config.estimator
     s = config.step_cost
+    sizes = s / cost.costs
     true_curve = getattr(env, "curve", None)
     scan = (None if true_curve is None
-            else _CandidateScan(true_curve, utility, cost, s, start.counts))
+            else _CandidateScan(true_curve, utility, sizes, start.counts))
 
     history = PerformanceHistory(k)
     perf = _observe(env, start.counts)
@@ -291,7 +290,7 @@ def _run_estimated(env, utility, cost, config, start):
                 except EqualLocError as exc:
                     raise GreedyStepError(step, exc) from exc
                 priorities[g] = me.priority * utility.weights[g]
-            group = int(np.argmax(priorities))
+            group = int(priorities.argmax())
 
         if scan is not None:
             scan.evaluate(counts)
@@ -301,13 +300,10 @@ def _run_estimated(env, utility, cost, config, start):
         marg_true = np.full(k, np.nan) if scan is None else scan.take(group)
         perf = _observe(env, counts)
         history.append(group, counts[group], perf[group])
-        trace.records.append(
-            StepRecord(step=step, group=group, spend=s, counts=counts.copy(),
-                       marginal_est=priorities, marginal_true=marg_true,
-                       utility=float(utility_kernel(utility, perf)))
-        )
+        trace.records.append(StepRecord(step, group, s, counts.copy(), priorities,
+                                        marg_true, float(utility_kernel(utility, perf))))
 
-    counts, trace.residual_budget = _spend_budget(cost, start, s, choose, record)
+    counts, trace.residual_budget = _spend_budget(cost, start, s, sizes, choose, record)
     return Allocation(counts), trace
 
 
@@ -397,6 +393,6 @@ def parity_allocation(source, cost: CostModel, step_cost: float,
         measure = source.perf_values
     else:
         measure = partial(_observe, source)
-    counts, _ = _spend_budget(cost, start, step_cost,
-                              lambda counts, step: int(np.argmin(measure(counts))))
+    counts, _ = _spend_budget(cost, start, step_cost, step_cost / cost.costs,
+                              lambda counts, step: int(measure(counts).argmin()))
     return Allocation(counts)

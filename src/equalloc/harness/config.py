@@ -52,11 +52,12 @@ _FOUR_GROUP_GAMMA = [
 
 def load_config(path) -> dict:
     """Read a JSON config document, raising ConfigError on any problem."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    with reading(f"config {p}"):
-        doc = json.loads(p.read_text())  # not JSON, or not UTF-8: a ValueError
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
+    with reading(f"config {path}"):
+        doc = json.loads(blob)  # not JSON, or not Unicode: a ValueError
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc

@@ -24,7 +24,7 @@ from ..envs.genomic import (
 )
 from ..errors import ConfigError
 from ..estimator import EstimatorSettings
-from ..greedy import (GreedyConfig, equal_allocation, parity_allocation,
+from ..greedy import (GreedyConfig, check_step, equal_allocation, parity_allocation,
                       representative_allocation, run_greedy)
 from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
@@ -79,6 +79,7 @@ def run_table1(config: dict) -> Table:
              representative_allocation(cost, read_list(config, "pop_shares", None))),
         ]
         greedy = GreedyConfig(step_cost=step)
+        check_step(step, cost)
 
     policies += [
         ("Performance Parity", parity_allocation(curve, cost, step)),
@@ -198,6 +199,7 @@ def _estimator_policy(config, defaults, budget, start, step):
     cost = CostModel([1.0, 1.0], budget)
     if not check_feasible(start, cost):
         raise ConfigError(f"start {start.counts.tolist()} exceeds the budget of {budget:g}")
+    check_step(step, cost)
     est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
                      "estimator")
     return cost, GreedyConfig(step_cost=step, start_alloc=start,

@@ -209,7 +209,7 @@ def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) ->
     scale = np.nan_to_num(fprime * tprime, nan=1e12, posinf=1e12)
     g = (utility.weights * scale) @ curve.gamma
     if utility.normalize:
-        g = g / utility.weights.sum()
+        g = g / utility.weight_total
     return g
 
 

@@ -8,6 +8,7 @@ inline; the suite is deterministic given the seeds written here.
 import time
 
 import numpy as np
+import pytest
 
 from equalloc import (
     Allocation,
@@ -132,6 +133,7 @@ def test_c02_separable_greedy_is_exactly_optimal():
     )
 
 
+@pytest.mark.slow
 def test_c03_convergence_study():
     t0 = time.perf_counter()
     table = run_convergence(default_convergence_config())
@@ -236,6 +238,7 @@ def test_c07_adaptive_tracks_true_curve_greedy():
     )
 
 
+@pytest.mark.slow
 def test_c08_genomic_environment_properties():
     t0 = time.perf_counter()
     world = generate_world(GenomicWorldConfig(rng_seed=5))

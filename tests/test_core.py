@@ -12,6 +12,7 @@ from equalloc import (
     realize_allocation,
     utility_eval,
 )
+from equalloc.core import utility_kernel
 from equalloc.errors import ConfigError, DimensionMismatchError, DomainError
 from equalloc.harness.config import parse_cost, read_block, reading
 
@@ -106,6 +107,23 @@ class TestUtilityEval:
         assert utility_eval(spec, PerformanceVector(better)) >= utility_eval(
             spec, PerformanceVector(m)
         )
+
+    @given(
+        st.lists(st.floats(0.0, 1e3, allow_subnormal=False), min_size=1, max_size=8)
+        .filter(lambda w: max(w) > 0),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from(["identity", "log"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_divides_by_the_weight_sum(self, weights, points, seed, penalty,
+                                                  transform):
+        perf = np.random.default_rng(seed).uniform(-0.5, 10.0, (len(weights), points))
+        raw = UtilitySpec(weights, penalty, transform)
+        spec = UtilitySpec(weights, penalty, transform, normalize=True)
+        want = utility_kernel(raw, perf) / np.array(weights).sum()
+        assert np.array_equal(utility_kernel(spec, perf), want)
 
 
 class TestRealizeAllocation:

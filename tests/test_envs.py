@@ -208,6 +208,7 @@ class TestRiskModelTraining:
         assert np.all(np.diff(model.variant_idx) > 0)
         assert np.all(np.isfinite(model.log_odds))
 
+    @pytest.mark.slow
     def test_training_power_at_spec_scale(self):
         # 2500 case-control pairs: the screen should essentially always
         # find something at h2 = 0.5

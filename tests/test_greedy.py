@@ -11,6 +11,8 @@ from equalloc import (
     CostModel,
     EstimatorSettings,
     GreedyConfig,
+    GreedyTrace,
+    StepRecord,
     UtilitySpec,
     batch_enum_optimum,
     equal_allocation,
@@ -208,6 +210,17 @@ class TestGreedyStep:
         _, trace = run_greedy(runner, u_equal, cost, cfg)
         assert len(trace) == 25
         assert columns == [1] + [4] * len(trace)
+
+    def test_record_fields_are_the_csv_columns_in_order(self, four_group_curve, u_equal):
+        header = GreedyTrace().csv_header(4)
+        stems = list(dict.fromkeys(h.rstrip("_0123456789") for h in header))
+        assert stems == [f.removesuffix("s") for f in StepRecord._fields]
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 5.0)
+        _, trace = run_greedy(four_group_curve, u_equal, cost, GreedyConfig(step_cost=1.0))
+        for row, rec in zip(trace.csv_rows(), trace.records):
+            assert row == [x for value in rec for x in np.atleast_1d(value).tolist()]
+        with pytest.raises(AttributeError):
+            rec.utility = 0.0
 
     def test_log_utility_from_a_dead_group_reaches_the_optimum(self):
         # at zero counts every group performs 0, so the start utility is

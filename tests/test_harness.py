@@ -134,6 +134,7 @@ class TestFrontier:
                 assert row[3] + row[4] <= SMALL_FRONTIER["budget_pairs"]
                 assert min(row[3], row[4]) >= SMALL_FRONTIER["min_per_group"]
 
+    @pytest.mark.slow
     def test_greedy_endpoints_near_best_split_on_strong_signal_world(self):
         # seed-averaged greedy endpoint utility should sit within 5% of
         # the best full-budget split for every weight setting
@@ -455,6 +456,18 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["audit", "--config", str(bad)]) == 2
 
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        assert main(["audit", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may read any file")
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "locked.json"
+        path.write_text(json.dumps(default_audit_config()))
+        path.chmod(0)
+        assert main(["audit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_capacity_error_exits_3(self, tmp_path, capsys):
         instance = {
             "curve": {"gamma": np.eye(5).tolist(), "form": "sqrt"},
@@ -557,6 +570,7 @@ class TestCli:
         ("convergence", "seeds", -3),
         ("convergence", "--seed-offset", "-1"),
         ("greedy", "--seed", "-1"),
+        ("greedy", "--step", "7"),
     ])
     def test_malformed_value_exits_2_without_traceback(
         self, tmp_path, capsys, monkeypatch, command, key, value
@@ -647,6 +661,9 @@ class TestCli:
         ("prs-sim", "start_pairs", [100.5, 100]),
         ("prs-sim", "weight_settings", [[0, 0]]),
         ("prs-sim", "learning_curve_grid", [-5, 20]),
+        ("table1", "step_cost", 2000),
+        ("frontier", "policy_step", 700),
+        ("prs-sim", "step_cost", 700),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value
