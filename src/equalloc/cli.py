@@ -24,7 +24,7 @@ from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig, generate_world
 from .errors import CapacityError, ConfigError, EqualLocError
 from .estimator import EstimatorSettings
-from .greedy import GreedyConfig, check_step, run_greedy
+from .greedy import GreedyConfig, check_start, check_step, run_greedy
 from .harness.config import (
     apply_seed_offset,
     check_groups,
@@ -143,12 +143,13 @@ def _cmd_greedy(args) -> int:
         curve, cost, utility = _instance(doc)
         step = read_number(doc if args.step is None else {"step_cost": args.step},
                            "step_cost", 1.0, above=0)
-        start = (None if args.start == "zero"
+        start = (Allocation.zeros(cost.num_groups) if args.start == "zero"
                  else read_block(Allocation, load_config(args.start), "start"))
         source, mode = _greedy_source(doc, curve, args.marginals)
         est = read_block(EstimatorSettings, doc.get("estimator", {}), "estimator")
         cfg = GreedyConfig(step_cost=step, start_alloc=start, marginal_source=mode,
                            seed=args.seed, estimator=est)
+        check_start(start, cost)
         check_step(step, cost)
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)

@@ -9,26 +9,15 @@ stops as soon as another step would break the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import NamedTuple
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (
-    Allocation,
-    CostModel,
-    UtilitySpec,
-    check_feasible,
-    utility_eval,
-    utility_kernel,
-)
+from .core import (Allocation, CostModel, UtilitySpec, check_feasible, utility_eval,
+                   utility_kernel)
 from .curves import AnalyticCurve, batch_utilities, eval_perf
-from .errors import (
-    CapacityError,
-    DomainError,
-    EqualLocError,
-    UnsupportedUtilityError,
-)
+from .errors import CapacityError, DomainError, EqualLocError, UnsupportedUtilityError
 from .estimator import EstimatorSettings, PerformanceHistory, estimate_marginal
 from .solvers import SolveResult, lattice_points
 
@@ -37,6 +26,7 @@ __all__ = [
     "StepRecord",
     "GreedyTrace",
     "run_greedy",
+    "check_start",
     "check_step",
     "batch_enum_optimum",
     "equal_allocation",
@@ -92,13 +82,20 @@ class StepRecord(NamedTuple):
 
 @dataclass
 class GreedyTrace:
-    """Ordered step records plus the budget left unspent at the end."""
+    """Ordered step records plus the budget left unspent at the end.  A run
+    keeps only what its choices need; ``build`` makes the records from that
+    on first read, and ``len`` is the step count, which builds nothing."""
 
-    records: list[StepRecord] = field(default_factory=list)
+    steps: int = 0
     residual_budget: float = 0.0
+    build: Callable[[], list[StepRecord]] = field(default=list, repr=False, compare=False)
+
+    @cached_property
+    def records(self) -> list[StepRecord]:
+        return self.build()
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.steps
 
     def csv_header(self, num_groups: int) -> list[str]:
         cols = ["step", "group", "spend"]
@@ -112,14 +109,23 @@ class GreedyTrace:
             yield [r.step, r.group, r.spend, *vectors.tolist(), r.utility]
 
 
-class _CandidateScan:
-    """Exact utility gains of one more batch from each group, from one
-    kernel call per step.
+def _gains(u: np.ndarray, base: float) -> np.ndarray:
+    """Gains of candidate utilities ``u`` over the utility ``base``.  From a
+    -inf base (log transform, a group at zero performance) a finite candidate
+    gains inf and a -inf one NaN, as -inf - -inf gives but without its warning."""
+    if base > -np.inf:
+        return u - base
+    return np.where(u > -np.inf, np.inf, np.nan)
 
-    :meth:`evaluate` scores the K candidates ``counts + sizes[k]`` (one per
-    group k) as one batch; :meth:`take` returns their gains over the
-    current utility and makes the chosen candidate's utility the base of
-    the next step, so the new counts are never evaluated again.
+
+class _CandidateScan:
+    """Exact utilities of one more batch from each group, from one kernel
+    call per step.
+
+    ``base`` is the utility of the start counts; :meth:`evaluate` scores
+    the K candidates ``counts + sizes[k]`` (one per group k) as one batch.
+    The chosen candidate's utility is the next step's base, so the new
+    counts are never evaluated again.
     """
 
     def __init__(self, curve, utility, sizes, counts):
@@ -128,24 +134,10 @@ class _CandidateScan:
         # adding the zero off-diagonal leaves every other count's bits as they are
         self._steps = np.diag(sizes)
         self._candidates = np.empty_like(self._steps)
-        self.utilities = None
 
     def evaluate(self, counts: np.ndarray) -> np.ndarray:
         np.add(counts[:, None], self._steps, out=self._candidates)
-        self.utilities = batch_utilities(self.curve, self.utility, self._candidates)
-        return self.utilities
-
-    def take(self, group: int) -> np.ndarray:
-        u = self.utilities
-        # from a -inf base (log transform, a group at zero performance) a
-        # finite candidate gains inf and a -inf one has no defined gain:
-        # NaN, which -inf - -inf gives too, but with a RuntimeWarning
-        if self.base > -np.inf:
-            gains = u - self.base
-        else:
-            gains = np.where(u > -np.inf, np.inf, np.nan)
-        self.base = float(u[group])
-        return gains
+        return batch_utilities(self.curve, self.utility, self._candidates)
 
 
 def run_greedy(
@@ -161,16 +153,16 @@ def run_greedy(
     ``observe(alloc)`` method (and optionally a ``curve`` attribute used
     to log true marginals) when using the estimator.
 
-    Returns the final allocation and the full step-by-step trace.  Any
-    residual budget smaller than one step is left unspent and reported on
-    the trace.
+    Returns the final allocation and the full step-by-step trace, whose
+    records are built on first read from what the run kept (see
+    :class:`GreedyTrace`).  Any residual budget smaller than one step is
+    left unspent and reported on the trace.
     """
     k = cost.num_groups
     start = config.start_alloc if config.start_alloc is not None else Allocation.zeros(k)
-    if start.num_groups != k or utility.num_groups != k:
-        raise DomainError("start allocation, cost, and utility sizes must match")
-    if not check_feasible(start, cost):
-        raise DomainError("start allocation exceeds the budget")
+    if utility.num_groups != k:
+        raise DomainError("cost and utility sizes must match")
+    check_start(start, cost)
     check_step(config.step_cost, cost)
 
     if config.marginal_source == "true_curve":
@@ -178,6 +170,14 @@ def run_greedy(
             raise DomainError("true_curve marginals need an AnalyticCurve source")
         return _run_true_curve(source, utility, cost, config, start)
     return _run_estimated(source, utility, cost, config, start)
+
+
+def check_start(start: Allocation, cost: CostModel) -> None:
+    """Raise DomainError when ``start`` has another group count than ``cost``
+    or breaks its budget."""
+    if start.num_groups != cost.num_groups or not check_feasible(start, cost):
+        raise DomainError(f"start {start.counts.tolist()} does not fit "
+                          f"{cost.num_groups} groups and a budget of {cost.budget:g}")
 
 
 def check_step(step_cost: float, cost: CostModel) -> None:
@@ -224,47 +224,53 @@ def _run_true_curve(curve, utility, cost, config, start):
 
     The choice compares the candidates' utilities, not their gains, so it
     does not depend on the base: from a -inf base every gain of a finite
-    candidate is inf, and only the utilities still rank them.
+    candidate is inf, and only the utilities still rank them.  The run keeps
+    each step's candidate utilities, and the trace's records replay them.
     """
     s = config.step_cost
     sizes = s / cost.costs
-    trace = GreedyTrace()
     scan = _CandidateScan(curve, utility, sizes, start.counts)
+    utilities = []
 
     def choose(counts, step):
-        return int(scan.evaluate(counts).argmax())
+        u = scan.evaluate(counts)
+        utilities.append(u)
+        return int(u.argmax())
 
-    def record(counts, group, step):
-        marginals = scan.take(group)
-        trace.records.append(
-            StepRecord(step, group, s, counts.copy(), marginals, marginals, scan.base))
+    def build():
+        counts, base, records = start.counts.copy(), scan.base, []
+        for step, u in enumerate(utilities, 1):
+            group = int(u.argmax())
+            gains = _gains(u, base)
+            base = float(u[group])
+            counts[group] += sizes[group]
+            records.append(StepRecord(step, group, s, counts.copy(), gains, gains, base))
+        return records
 
-    counts, trace.residual_budget = _spend_budget(cost, start, s, sizes, choose, record)
-    return Allocation(counts), trace
+    counts, residual = _spend_budget(cost, start, s, sizes, choose)
+    return Allocation(counts), GreedyTrace(len(utilities), residual, build)
 
 
 def _run_estimated(env, utility, cost, config, start):
     """Force-explore groups with too few measurements, then buy from the
-    group with the largest Thompson-style priority."""
+    group with the largest Thompson-style priority.  The trace's records
+    replay each step's group, priorities and observed performances, and only
+    then score the true marginals on the environment's ``curve``, if any."""
     if utility.transform != "identity" or utility.parity_penalty > 0:
-        raise UnsupportedUtilityError(
-            "estimator-driven greedy supports only linear utilities"
-        )
+        raise UnsupportedUtilityError("estimator-driven greedy supports only linear utilities")
     rng = np.random.default_rng(config.seed)
     k = cost.num_groups
     est = config.estimator
     s = config.step_cost
     sizes = s / cost.costs
     true_curve = getattr(env, "curve", None)
-    scan = (None if true_curve is None
-            else _CandidateScan(true_curve, utility, sizes, start.counts))
 
     history = PerformanceHistory(k)
     perf = _observe(env, start.counts)
     for g in range(k):
         history.append(g, start.counts[g], perf[g])
 
-    trace = GreedyTrace()
+    kept = []  # (group, priorities, observed performances) of each step
     priorities = None
 
     def choose(counts, step):
@@ -273,38 +279,40 @@ def _run_estimated(env, utility, cost, config, start):
         under = [g for g in range(k) if history.count(g) < est.min_points]
         if under:
             # Forced exploration: bootstrap the least-measured group.
-            group = min(under, key=lambda g: (history.count(g), g))
-        else:
-            for g in range(k):
-                try:
-                    me = estimate_marginal(
-                        history,
-                        g,
-                        s,
-                        cost,
-                        window=est.window,
-                        se_floor=est.se_floor,
-                        rng_seed=rng,
-                        min_points=est.min_points,
-                    )
-                except EqualLocError as exc:
-                    raise GreedyStepError(step, exc) from exc
-                priorities[g] = me.priority * utility.weights[g]
-            group = int(priorities.argmax())
-
-        if scan is not None:
-            scan.evaluate(counts)
-        return group
+            return min(under, key=lambda g: (history.count(g), g))
+        for g in range(k):
+            try:
+                me = estimate_marginal(history, g, s, cost, window=est.window,
+                                       se_floor=est.se_floor, rng_seed=rng,
+                                       min_points=est.min_points)
+            except EqualLocError as exc:
+                raise GreedyStepError(step, exc) from exc
+            priorities[g] = me.priority * utility.weights[g]
+        return int(priorities.argmax())
 
     def record(counts, group, step):
-        marg_true = np.full(k, np.nan) if scan is None else scan.take(group)
         perf = _observe(env, counts)
         history.append(group, counts[group], perf[group])
-        trace.records.append(StepRecord(step, group, s, counts.copy(), priorities,
-                                        marg_true, float(utility_kernel(utility, perf))))
+        kept.append((group, priorities, perf))
 
-    counts, trace.residual_budget = _spend_budget(cost, start, s, sizes, choose, record)
-    return Allocation(counts), trace
+    def build():
+        scan = (None if true_curve is None
+                else _CandidateScan(true_curve, utility, sizes, start.counts))
+        base = None if scan is None else scan.base
+        counts, records = start.counts.copy(), []
+        for step, (group, prio, perf) in enumerate(kept, 1):
+            if scan is None:
+                marg_true = np.full(k, np.nan)
+            else:
+                u = scan.evaluate(counts)
+                marg_true, base = _gains(u, base), float(u[group])
+            counts[group] += sizes[group]
+            records.append(StepRecord(step, group, s, counts.copy(), prio, marg_true,
+                                      float(utility_kernel(utility, perf))))
+        return records
+
+    counts, residual = _spend_budget(cost, start, s, sizes, choose, record)
+    return Allocation(counts), GreedyTrace(len(kept), residual, build)
 
 
 def batch_enum_optimum(

@@ -13,8 +13,7 @@ import functools
 
 import numpy as np
 
-from ..core import (Allocation, CostModel, PerformanceVector, UtilitySpec, check_feasible,
-                    utility_eval)
+from ..core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
 from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import (
     GenomicSamplingSession,
@@ -24,8 +23,8 @@ from ..envs.genomic import (
 )
 from ..errors import ConfigError
 from ..estimator import EstimatorSettings
-from ..greedy import (GreedyConfig, check_step, equal_allocation, parity_allocation,
-                      representative_allocation, run_greedy)
+from ..greedy import (GreedyConfig, check_start, check_step, equal_allocation,
+                      parity_allocation, representative_allocation, run_greedy)
 from ..solvers import audit_gap, solve_concave, solve_grid
 from .config import (
     check_groups,
@@ -197,8 +196,7 @@ def _pair(entry):
 def _estimator_policy(config, defaults, budget, start, step):
     """Cost model and base greedy config of the estimator policy from ``start``."""
     cost = CostModel([1.0, 1.0], budget)
-    if not check_feasible(start, cost):
-        raise ConfigError(f"start {start.counts.tolist()} exceeds the budget of {budget:g}")
+    check_start(start, cost)
     check_step(step, cost)
     est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
                      "estimator")

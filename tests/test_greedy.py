@@ -23,8 +23,10 @@ from equalloc import (
     solve_grid,
     utility_eval,
 )
+from equalloc.core import utility_kernel
 from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
+from equalloc.estimator import PerformanceHistory, estimate_marginal
 from equalloc.errors import CapacityError, DomainError
 
 
@@ -166,7 +168,135 @@ def _step_instances():
             yield curve, util, CostModel(np.ones(k), 4.0 * k), 1.0, np.zeros(k)
 
 
+def _eager_trace(source, util, cost, config):
+    """A greedy run that builds each step's record inside its step loop:
+    the reference for the records a trace builds when it is read.  Returns
+    the final counts and the records."""
+    k, s = cost.num_groups, config.step_cost
+    sizes = s / cost.costs
+    counts = np.zeros(k) if config.start_alloc is None else config.start_alloc.counts.copy()
+    estimated = config.marginal_source == "estimator"
+    curve = getattr(source, "curve", None) if estimated else source
+    if curve is not None:
+        base = float(batch_utilities(curve, util, counts[:, None])[0])
+    if estimated:
+        rng, est = np.random.default_rng(config.seed), config.estimator
+        history = PerformanceHistory(k)
+        perf = np.asarray(source.observe(Allocation(counts)).values, dtype=float)
+        for g in range(k):
+            history.append(g, counts[g], perf[g])
+    records, spent = [], cost.spend(Allocation(counts))
+    while spent + s <= cost.spend_limit:
+        if curve is not None:
+            u = batch_utilities(curve, util, counts[:, None] + np.diag(sizes))
+        if not estimated:
+            group = int(u.argmax())
+        else:
+            priorities = np.full(k, np.nan)
+            under = [g for g in range(k) if history.count(g) < est.min_points]
+            if under:
+                group = min(under, key=lambda g: (history.count(g), g))
+            else:
+                for g in range(k):
+                    me = estimate_marginal(history, g, s, cost, window=est.window,
+                                           se_floor=est.se_floor, rng_seed=rng,
+                                           min_points=est.min_points)
+                    priorities[g] = me.priority * util.weights[g]
+                group = int(priorities.argmax())
+        counts[group] += sizes[group]
+        spent += s
+        if curve is None:
+            marg_true = np.full(k, np.nan)
+        else:
+            marg_true = u - base if base > -np.inf else np.where(u > -np.inf, np.inf, np.nan)
+            base = float(u[group])
+        if estimated:
+            perf = np.asarray(source.observe(Allocation(counts)).values, dtype=float)
+            history.append(group, counts[group], perf[group])
+            records.append(StepRecord(len(records) + 1, group, s, counts.copy(), priorities,
+                                      marg_true, float(utility_kernel(util, perf))))
+        else:
+            records.append(StepRecord(len(records) + 1, group, s, counts.copy(), marg_true,
+                                      marg_true, base))
+    return counts, records
+
+
+def _assert_same_bits(got, want):
+    """Every field of every record has the other's type, dtype and bytes."""
+    def bits(record):
+        return [(type(x), np.asarray(x).dtype, np.asarray(x).tobytes()) for x in record]
+
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is StepRecord and bits(g) == bits(w)
+
+
+class _CurvelessEnv:
+    """An analytic environment that hides its curve, so no true marginals."""
+
+    def __init__(self, env):
+        self.observe = env.observe
+
+
+def _dead_group_instance():
+    # at zero counts every group performs 0, so the start utility is -inf
+    # and so is every candidate but group 0's
+    curve = AnalyticCurve(gamma=[[1, 0, 0], [0.5, 1, 0], [0.5, 0, 1]], form="sqrt")
+    return curve, UtilitySpec(np.ones(3), transform="log"), CostModel(np.ones(3), 6.0)
+
+
 class TestGreedyStep:
+    def test_records_built_on_read_are_the_eager_records(self):
+        curve, util, cost = _dead_group_instance()
+        instances = [*_step_instances(), (curve, util, cost, 1.0, np.zeros(3))]
+        for curve, util, cost, step, start in instances:
+            config = GreedyConfig(step_cost=step, start_alloc=Allocation(start))
+            alloc, trace = run_greedy(curve, util, cost, config)
+            want_counts, want = _eager_trace(curve, util, cost, config)
+            assert alloc.counts.tobytes() == want_counts.tobytes()
+            _assert_same_bits(trace.records, want)
+
+    @pytest.mark.parametrize("with_curve", [True, False])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_estimator_records_built_on_read_are_the_eager_records(
+        self, four_group_curve, u_equal, with_curve, seed
+    ):
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 60.0)
+        start = Allocation([3.0, 0.0, 1.0, 2.0]) if seed else None
+        cfg = GreedyConfig(step_cost=1.0, start_alloc=start, marginal_source="estimator",
+                           seed=seed, estimator=EstimatorSettings(window=4, min_points=3))
+
+        def env():
+            noisy = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=seed + 1)
+            return noisy if with_curve else _CurvelessEnv(noisy)
+
+        alloc, trace = run_greedy(env(), u_equal, cost, cfg)
+        want_counts, want = _eager_trace(env(), u_equal, cost, cfg)
+        assert alloc.counts.tobytes() == want_counts.tobytes()
+        _assert_same_bits(trace.records, want)
+        assert all(np.isnan(r.marginal_true).all() != with_curve for r in trace.records)
+
+    @pytest.mark.parametrize("source", ["true_curve", "estimator"])
+    def test_step_count_and_residual_build_nothing(self, monkeypatch, four_group_curve,
+                                                   u_equal, source):
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 25.5)
+        runner = (four_group_curve if source == "true_curve"
+                  else AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=3))
+        cfg = GreedyConfig(step_cost=1.0, marginal_source=source, seed=3)
+        _, trace = run_greedy(runner, u_equal, cost, cfg)
+        calls = []
+
+        def counted(f):
+            return lambda *args: calls.append(f.__name__) or f(*args)
+
+        for name in ("batch_utilities", "utility_kernel"):
+            monkeypatch.setattr(equalloc.greedy, name, counted(getattr(equalloc.greedy, name)))
+        assert (len(trace), trace.residual_budget) == (25, pytest.approx(0.5))
+        assert calls == []
+        records = trace.records
+        assert len(records) == 25 and trace.records is records
+        assert len(GreedyTrace()) == 0 and GreedyTrace().records == []
+
     def test_matches_the_two_call_reference(self):
         for curve, util, cost, step, start in _step_instances():
             config = GreedyConfig(step_cost=step, start_alloc=Allocation(start))
@@ -209,7 +339,12 @@ class TestGreedyStep:
         cfg = GreedyConfig(step_cost=1.0, marginal_source=source, seed=3)
         _, trace = run_greedy(runner, u_equal, cost, cfg)
         assert len(trace) == 25
-        assert columns == [1] + [4] * len(trace)
+        # the start and one candidate batch per step: while a true-curve run
+        # chooses; for an estimator run's true marginals, when they are read
+        calls = [1] + [4] * len(trace)
+        assert columns == (calls if source == "true_curve" else [])
+        assert len(trace.records) == 25
+        assert columns == calls
 
     def test_record_fields_are_the_csv_columns_in_order(self, four_group_curve, u_equal):
         header = GreedyTrace().csv_header(4)
@@ -223,12 +358,8 @@ class TestGreedyStep:
             rec.utility = 0.0
 
     def test_log_utility_from_a_dead_group_reaches_the_optimum(self):
-        # at zero counts every group performs 0, so the start utility is
-        # -inf and so is every candidate but group 0's, the only one that
-        # lifts all three groups
-        curve = AnalyticCurve(gamma=[[1, 0, 0], [0.5, 1, 0], [0.5, 0, 1]], form="sqrt")
-        util = UtilitySpec(np.ones(3), transform="log")
-        cost = CostModel(np.ones(3), 6.0)
+        # group 0's candidate is the only one that lifts all three groups
+        curve, util, cost = _dead_group_instance()
         alloc, trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
         best = batch_enum_optimum(curve, util, cost, step_cost=1.0)
         assert np.array_equal(alloc.counts, [6.0, 0.0, 0.0])

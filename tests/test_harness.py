@@ -548,6 +548,8 @@ class TestCli:
     @pytest.mark.parametrize("command,key,value", [
         ("greedy", "start", {"count": [1.0, 1.0]}),
         ("greedy", "start", [1.0, 1.0]),
+        ("greedy", "start", {"counts": [10.0, 10.0]}),
+        ("greedy", "start", {"counts": [1.0, 1.0, 1.0]}),
         ("greedy", "estimator", {"min_pionts": 3}),
         ("greedy", "environment", {"type": "analytic", "noise": 0.1}),
         ("greedy", "environment", {"type": "genomic", "rng_sed": 1}),
