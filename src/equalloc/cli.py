@@ -167,7 +167,7 @@ def _cmd_greedy(args) -> int:
         "counts": [float(x) for x in alloc.counts],
         "steps": len(trace),
         "residual_budget": trace.residual_budget,
-        "final_utility": trace.records[-1].utility if trace.records else None,
+        "final_utility": trace.final_utility,
         "seconds": elapsed,
     }
     if isinstance(source, AnalyticEnvironment) or mode == "true_curve":

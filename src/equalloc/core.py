@@ -35,7 +35,7 @@ def _as_readonly(values, name: str) -> np.ndarray:
         raise DomainError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 1:
         raise DomainError(f"{name} must have at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite entries")
     arr.flags.writeable = False
     return arr
@@ -59,7 +59,7 @@ class Allocation:
 
     def __post_init__(self):
         arr = _as_readonly(self.counts, "counts")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise DomainError("counts must be non-negative")
         object.__setattr__(self, "counts", arr)
 
@@ -85,7 +85,7 @@ class CostModel:
 
     def __post_init__(self):
         arr = _as_readonly(self.costs, "costs")
-        if np.any(arr <= 0):
+        if (arr <= 0).any():
             raise DomainError("costs must be strictly positive")
         if not np.isfinite(self.budget) or self.budget < 0:
             raise DomainError("budget must be a non-negative finite number")
@@ -140,9 +140,9 @@ class UtilitySpec:
 
     def __post_init__(self):
         arr = _as_readonly(self.weights, "weights")
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise DomainError("weights must be non-negative")
-        if not np.any(arr > 0):
+        if not (arr > 0).any():
             raise DomainError("at least one weight must be positive")
         if self.transform not in ("identity", "log"):
             raise DomainError(f"unknown transform {self.transform!r}")
@@ -202,7 +202,7 @@ def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:
     log transform.
     """
     _check_k(spec.num_groups, perf.num_groups, "performance vector")
-    if spec.transform == "log" and np.any(perf.values <= 0):
+    if spec.transform == "log" and (perf.values <= 0).any():
         raise DomainError("log transform requires strictly positive performances")
     return float(utility_kernel(spec, perf.values))
 

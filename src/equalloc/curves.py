@@ -40,9 +40,9 @@ class AnalyticCurve:
         g = np.array(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise DomainError(f"gamma must be square, got shape {g.shape}")
-        if np.any(g < 0) or not np.all(np.isfinite(g)):
+        if (g < 0).any() or not np.isfinite(g).all():
             raise DomainError("gamma entries must be finite and non-negative")
-        if not np.all(g.max(axis=1) > 0):
+        if not (g.max(axis=1) > 0).all():
             raise DomainError("every gamma row needs at least one positive entry")
         if self.form not in _FORMS:
             raise DomainError(f"unknown curve form {self.form!r}")

@@ -569,7 +569,7 @@ class GenomicSamplingSession:
 
     def observe(self, alloc: Allocation) -> PerformanceVector:
         """Holdout values at ``alloc``, whose counts must be whole pairs."""
-        if not np.all(alloc.counts == np.floor(alloc.counts)):
+        if not (alloc.counts == np.floor(alloc.counts)).all():
             raise DomainError(
                 f"pair counts must be whole numbers, got {alloc.counts.tolist()}"
             )

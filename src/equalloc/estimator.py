@@ -9,8 +9,9 @@ data never hurts.
 
 Both steps are scalar arithmetic on Python floats: the fit sums at most
 ``window`` points in order, and the draw is the closed-form inverse CDF
-of the truncated normal applied to one uniform from the caller's
-generator (the uniform scipy's ``truncnorm.rvs`` would take).
+of the truncated normal applied to one ``random()`` from the caller's
+generator, the same double as the ``uniform()`` scipy's ``truncnorm.rvs``
+would take.  A history keeps each group's fit until the group grows.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class PerformanceHistory:
     """Per-group log of (sample count, measured performance) pairs.
 
     Counts must be strictly increasing within a group; a run owns its
-    history and appends one record per measurement.
+    history and appends one record per measurement.  A group's slope fit
+    (see :meth:`fit`) is kept until the group's next ``append``.
     """
 
     def __init__(self, num_groups: int):
@@ -74,10 +76,8 @@ class PerformanceHistory:
         self._records: list[list[tuple[float, float]]] = [
             [] for _ in range(num_groups)
         ]
-
-    @property
-    def num_groups(self) -> int:
-        return len(self._records)
+        # per group: (window, se_floor, slope, se) of the last fit, or None
+        self._fits: list[tuple | None] = [None] * num_groups
 
     def append(self, group: int, n: float, perf: float) -> None:
         records = self._records[group]
@@ -87,6 +87,16 @@ class PerformanceHistory:
                 f"{n} after {records[-1][0]}"
             )
         records.append((float(n), float(perf)))
+        self._fits[group] = None
+
+    def fit(self, group: int, window: int, se_floor: float = 0.0) -> tuple[float, float]:
+        """:func:`fit_local_slope` of the group's records, kept until the
+        group's next ``append``."""
+        kept = self._fits[group]
+        if kept is None or kept[:2] != (window, se_floor):
+            kept = self._fits[group] = (
+                window, se_floor, *fit_local_slope(self._records[group], window, se_floor))
+        return kept[2:]
 
     def count(self, group: int) -> int:
         return len(self._records[group])
@@ -178,17 +188,18 @@ def _truncated_normal_ppf(q: float, a: float) -> float:
 def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     """One draw from N(mean, sd^2) conditioned on [0, inf).
 
-    The draw is the inverse CDF of one ``uniform()`` from the generator,
-    so it consumes the same random stream as scipy's ``truncnorm.rvs``
-    and agrees with its draws to about 1e-11 relative.  ``sd == 0``
-    degenerates to ``max(mean, 0)`` and draws nothing.  ``rng_seed`` may
-    be an integer seed or a ``numpy.random.Generator``.
+    The draw is the inverse CDF of one ``random()`` from the generator,
+    the same double ``uniform()`` returns, so it consumes the same random
+    stream as scipy's ``truncnorm.rvs`` and agrees with its draws to
+    about 1e-11 relative.  ``sd == 0`` degenerates to ``max(mean, 0)``
+    and draws nothing.  ``rng_seed`` may be an integer seed or a
+    ``numpy.random.Generator``.
     """
     if sd < 0:
         raise DomainError("sd must be non-negative")
     if sd == 0:
         return max(float(mean), 0.0)
-    q = np.random.default_rng(rng_seed).uniform()
+    q = np.random.default_rng(rng_seed).random()
     x = _truncated_normal_ppf(q, (0.0 - mean) / sd)
     return max(float(mean + sd * x), 0.0)
 
@@ -205,8 +216,9 @@ def estimate_marginal(
 ) -> MarginalEstimate:
     """Estimated utility-relevant gain of buying the group one more batch.
 
-    Composes the local slope fit with a truncated-normal draw; the
-    returned priority is ``draw * step_cost / cost_k``.  Raises
+    Composes the group's local slope fit (kept by the history until the
+    group grows) with a truncated-normal draw; the returned priority is
+    ``draw * step_cost / cost_k``.  Raises
     :class:`InsufficientHistoryError` when the group has fewer than
     ``min_points`` records; the caller must then sample that group next.
     """
@@ -215,7 +227,6 @@ def estimate_marginal(
     have = history.count(group)
     if have < min_points:
         raise InsufficientHistoryError(group=group, have=have, need=min_points)
-    slope, se = fit_local_slope(history._records[group], window=window,
-                                se_floor=se_floor)
+    slope, se = history.fit(group, window, se_floor)
     draw = draw_truncated_normal(slope, se, rng_seed)
     return MarginalEstimate(slope, se, draw, draw * step_cost / float(cost.costs[group]))

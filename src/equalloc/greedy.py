@@ -84,10 +84,12 @@ class StepRecord(NamedTuple):
 class GreedyTrace:
     """Ordered step records plus the budget left unspent at the end.  A run
     keeps only what its choices need; ``build`` makes the records from that
-    on first read, and ``len`` is the step count, which builds nothing."""
+    on first read.  ``len`` (the step count) and ``final_utility`` (the last
+    record's ``utility``, None after no step) build nothing."""
 
     steps: int = 0
     residual_budget: float = 0.0
+    final_utility: float | None = None
     build: Callable[[], list[StepRecord]] = field(default=list, repr=False, compare=False)
 
     @cached_property
@@ -248,7 +250,8 @@ def _run_true_curve(curve, utility, cost, config, start):
         return records
 
     counts, residual = _spend_budget(cost, start, s, sizes, choose)
-    return Allocation(counts), GreedyTrace(len(utilities), residual, build)
+    final = float(utilities[-1][utilities[-1].argmax()]) if utilities else None
+    return Allocation(counts), GreedyTrace(len(utilities), residual, final, build)
 
 
 def _run_estimated(env, utility, cost, config, start):
@@ -312,7 +315,8 @@ def _run_estimated(env, utility, cost, config, start):
         return records
 
     counts, residual = _spend_budget(cost, start, s, sizes, choose, record)
-    return Allocation(counts), GreedyTrace(len(kept), residual, build)
+    final = float(utility_kernel(utility, kept[-1][2])) if kept else None
+    return Allocation(counts), GreedyTrace(len(kept), residual, final, build)
 
 
 def batch_enum_optimum(
@@ -373,7 +377,7 @@ def representative_allocation(cost: CostModel, pop_shares,
     shares = np.asarray(pop_shares, dtype=float)
     if shares.size != cost.num_groups:
         raise DomainError(f"pop_shares must have {cost.num_groups} entries")
-    if np.any(shares < 0) or shares.sum() <= 0:
+    if (shares < 0).any() or shares.sum() <= 0:
         raise DomainError("pop_shares must be non-negative with a positive sum")
     counts = shares * cost.budget / float(cost.costs @ shares)
     if step_cost is None:

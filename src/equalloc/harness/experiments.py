@@ -113,7 +113,7 @@ def _random_instance(rng, k_range, form, budget):
     costs = rng.uniform(0.0, 1.0, k)
     costs = np.maximum(costs, 1e-9)  # zero cost would make a sample free
     weights = rng.uniform(0.0, 1.0, k)
-    if not np.any(weights > 0):
+    if not (weights > 0).any():
         weights[0] = 0.5
     gamma = rng.uniform(0.0, 1.0, (k, k))
     gamma[gamma.max(axis=1) == 0, 0] = 0.5

@@ -43,6 +43,40 @@ class TestFeasibility:
         assert check_feasible(Allocation([1.0] * 10), cost)
 
 
+_VALUE_TYPES = {
+    "Allocation": Allocation,
+    "CostModel": lambda values: CostModel(values, 10.0),
+    "PerformanceVector": PerformanceVector,
+    "UtilitySpec": UtilitySpec,
+}
+
+
+class TestValueTypeChecks:
+    @pytest.mark.parametrize("make", _VALUE_TYPES.values(), ids=_VALUE_TYPES.keys())
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.nan], "contains non-finite entries"),
+        ([1.0, np.inf], "contains non-finite entries"),
+        ([-np.inf, 1.0], "contains non-finite entries"),
+        ([], "must have at least one entry"),
+        ([[1.0, 2.0], [3.0, 4.0]], "must be one-dimensional"),
+    ], ids=["nan", "+inf", "-inf", "empty", "2-D"])
+    def test_rejects_malformed_vectors(self, make, values, message):
+        with pytest.raises(DomainError, match=message):
+            make(values)
+
+    @pytest.mark.parametrize("make, values, message", [
+        (Allocation, [1.0, -0.5], "counts must be non-negative"),
+        (_VALUE_TYPES["CostModel"], [1.0, 0.0], "costs must be strictly positive"),
+        (_VALUE_TYPES["CostModel"], [1.0, -2.0], "costs must be strictly positive"),
+        (UtilitySpec, [1.0, -0.5], "weights must be non-negative"),
+        (UtilitySpec, [0.0, 0.0], "at least one weight must be positive"),
+    ])
+    def test_rejects_out_of_range_entries(self, make, values, message):
+        with pytest.raises(DomainError, match=message):
+            make(values)
+        make([1.0, 2.0])  # in range: accepted
+
+
 class TestUtilityEval:
     def test_equal_weight_mean_value(self):
         spec = UtilitySpec(weights=[1, 1, 1, 1], normalize=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from equalloc import (
@@ -181,6 +183,38 @@ def _history_from(points_by_group):
         for n, perf in pts:
             hist.append(g, n, perf)
     return hist
+
+
+def _fit_or_error(fit, *args):
+    """The fit's bits, or the type and message of the error it raised."""
+    try:
+        return [x.hex() for x in fit(*args)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_HISTORY_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 1),
+              st.floats(1e-3, 50.0), st.floats(-10.0, 10.0)),
+    st.tuples(st.just("fit"), st.integers(0, 1), st.integers(0, 8),
+              st.sampled_from([0.0, 1e-6, 1e-2, 5.0]))), min_size=1, max_size=80)
+
+
+class TestHistoryFit:
+    @given(_HISTORY_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_kept_fit_is_a_fresh_fit(self, ops):
+        # any interleaving of appends and fits, windows 0-8 (below two points
+        # the fit raises) and floors that do and do not bind
+        hist, shadow = PerformanceHistory(2), [[], []]
+        for op, g, a, b in ops:
+            if op == "append":
+                n = (shadow[g][-1][0] if shadow[g] else 0.0) + a
+                hist.append(g, n, b)
+                shadow[g].append((n, b))
+            else:
+                want = _fit_or_error(fit_local_slope, list(shadow[g]), a, b)
+                assert _fit_or_error(hist.fit, g, a, b) == want
 
 
 class TestEstimateMarginal:

@@ -4,6 +4,7 @@ import signal
 import numpy as np
 import pytest
 
+import equalloc.estimator
 import equalloc.greedy
 from equalloc import (
     Allocation,
@@ -26,7 +27,7 @@ from equalloc import (
 from equalloc.core import utility_kernel
 from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
-from equalloc.estimator import PerformanceHistory, estimate_marginal
+from equalloc.estimator import _truncated_normal_ppf, fit_local_slope
 from equalloc.errors import CapacityError, DomainError
 
 
@@ -168,10 +169,21 @@ def _step_instances():
             yield curve, util, CostModel(np.ones(k), 4.0 * k), 1.0, np.zeros(k)
 
 
+def _reference_draw(mean, sd, rng):
+    """The truncated-normal draw from ``uniform()``, as it was written before
+    the draw took ``random()``; ``sd == 0`` draws nothing."""
+    if sd == 0:
+        return max(float(mean), 0.0)
+    x = _truncated_normal_ppf(rng.uniform(), (0.0 - mean) / sd)
+    return max(float(mean + sd * x), 0.0)
+
+
 def _eager_trace(source, util, cost, config):
     """A greedy run that builds each step's record inside its step loop:
-    the reference for the records a trace builds when it is read.  Returns
-    the final counts and the records."""
+    the reference for the records a trace builds when it is read.  Under the
+    estimator it fits every group with ``fit_local_slope`` and draws with
+    :func:`_reference_draw` at every step, keeping no fit between steps.
+    Returns the final counts and the records."""
     k, s = cost.num_groups, config.step_cost
     sizes = s / cost.costs
     counts = np.zeros(k) if config.start_alloc is None else config.start_alloc.counts.copy()
@@ -181,10 +193,8 @@ def _eager_trace(source, util, cost, config):
         base = float(batch_utilities(curve, util, counts[:, None])[0])
     if estimated:
         rng, est = np.random.default_rng(config.seed), config.estimator
-        history = PerformanceHistory(k)
         perf = np.asarray(source.observe(Allocation(counts)).values, dtype=float)
-        for g in range(k):
-            history.append(g, counts[g], perf[g])
+        history = [[(float(counts[g]), float(perf[g]))] for g in range(k)]
     records, spent = [], cost.spend(Allocation(counts))
     while spent + s <= cost.spend_limit:
         if curve is not None:
@@ -193,15 +203,14 @@ def _eager_trace(source, util, cost, config):
             group = int(u.argmax())
         else:
             priorities = np.full(k, np.nan)
-            under = [g for g in range(k) if history.count(g) < est.min_points]
+            under = [g for g in range(k) if len(history[g]) < est.min_points]
             if under:
-                group = min(under, key=lambda g: (history.count(g), g))
+                group = min(under, key=lambda g: (len(history[g]), g))
             else:
                 for g in range(k):
-                    me = estimate_marginal(history, g, s, cost, window=est.window,
-                                           se_floor=est.se_floor, rng_seed=rng,
-                                           min_points=est.min_points)
-                    priorities[g] = me.priority * util.weights[g]
+                    slope, se = fit_local_slope(history[g], est.window, est.se_floor)
+                    draw = _reference_draw(slope, se, rng)
+                    priorities[g] = draw * s / float(cost.costs[g]) * util.weights[g]
                 group = int(priorities.argmax())
         counts[group] += sizes[group]
         spent += s
@@ -212,13 +221,38 @@ def _eager_trace(source, util, cost, config):
             base = float(u[group])
         if estimated:
             perf = np.asarray(source.observe(Allocation(counts)).values, dtype=float)
-            history.append(group, counts[group], perf[group])
+            history[group].append((float(counts[group]), float(perf[group])))
             records.append(StepRecord(len(records) + 1, group, s, counts.copy(), priorities,
                                       marg_true, float(utility_kernel(util, perf))))
         else:
             records.append(StepRecord(len(records) + 1, group, s, counts.copy(), marg_true,
                                       marg_true, base))
     return counts, records
+
+
+def _estimator_instances():
+    """Estimator runs over K = 2-5, every curve form, noise 0, 1e-3 and 0.1,
+    se_floor 0, 1e-6 and 1e-2 (each noise with each floor, so noise 0 with
+    floor 0 draws nothing), windows 2-7 and min_points 2-3, from zero and
+    non-zero starts."""
+    rng = np.random.default_rng(17)
+    for trial in range(120):
+        k = int(rng.integers(2, 6))
+        gamma = rng.uniform(0.0, 1.0, (k, k)) + np.diag(rng.uniform(0.2, 1.0, k))
+        curve = AnalyticCurve(gamma=gamma, form=("sqrt", "log1p", "power")[trial % 3],
+                              power_exponent=float(rng.uniform(0.2, 0.8)),
+                              offset=float(rng.uniform(0.0, 1.0)))
+        env = AnalyticEnvironment(curve, noise_sd=(0.0, 1e-3, 0.1)[trial // 3 % 3],
+                                  rng_seed=trial)
+        settings = EstimatorSettings(window=int(rng.integers(2, 8)),
+                                     se_floor=(0.0, 1e-6, 1e-2)[trial // 9 % 3],
+                                     min_points=int(rng.integers(2, 4)))
+        util = UtilitySpec(rng.uniform(0.1, 1.0, k), normalize=bool(rng.random() < 0.5))
+        costs = rng.uniform(0.3, 2.0, k)
+        start = rng.uniform(0.0, 3.0, k) if trial // 27 % 2 else np.zeros(k)
+        config = GreedyConfig(step_cost=1.0, start_alloc=Allocation(start),
+                              marginal_source="estimator", seed=trial, estimator=settings)
+        yield env, util, CostModel(costs, float(costs @ start) + 30.0), config
 
 
 def _assert_same_bits(got, want):
@@ -255,6 +289,53 @@ class TestGreedyStep:
             want_counts, want = _eager_trace(curve, util, cost, config)
             assert alloc.counts.tobytes() == want_counts.tobytes()
             _assert_same_bits(trace.records, want)
+            assert trace.final_utility.hex() == want[-1].utility.hex()
+
+    def test_estimator_matches_the_eager_fit_and_draw_reference(self):
+        instances = list(_estimator_instances())
+        # noise 0 with floor 0 and a two-point window fits exactly: sd == 0
+        assert any(env.noise_sd == 0 and cfg.estimator.se_floor == 0
+                   and cfg.estimator.window == 2 for env, _, _, cfg in instances)
+        for env, util, cost, config in instances:
+            # a fresh copy of the environment, which was seeded with the run's seed
+            replay = AnalyticEnvironment(env.curve, env.noise_sd, rng_seed=config.seed)
+            alloc, trace = run_greedy(env, util, cost, config)
+            want_counts, want = _eager_trace(replay, util, cost, config)
+            assert alloc.counts.tobytes() == want_counts.tobytes()
+            _assert_same_bits(trace.records, want)
+            assert trace.final_utility.hex() == want[-1].utility.hex()
+
+    @pytest.mark.parametrize("min_points", [2, 3])
+    def test_one_fit_per_step_after_forced_exploration(self, monkeypatch, four_group_curve,
+                                                       u_equal, min_points):
+        fits, fits_at_observe = [], []
+        fit = equalloc.estimator.fit_local_slope
+        monkeypatch.setattr(equalloc.estimator, "fit_local_slope",
+                            lambda *args: fits.append(args) or fit(*args))
+        env = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=4)
+
+        class CountingEnv:
+            def observe(self, alloc):
+                fits_at_observe.append(len(fits))
+                return env.observe(alloc)
+
+        cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=4,
+                           estimator=EstimatorSettings(min_points=min_points))
+        _, trace = run_greedy(CountingEnv(), u_equal, CostModel([1.0, 1.0, 2.0, 1.0], 40.0),
+                              cfg)
+        per_step = np.diff(fits_at_observe).tolist()
+        forced = 4 * (min_points - 1)  # each group starts with one record
+        # the first estimated step fits every group, each later one the group that grew
+        assert per_step == [0] * forced + [4] + [1] * (len(trace) - forced - 1)
+
+    def test_final_utility_of_a_run_without_steps_is_none(self, four_group_curve, u_equal):
+        cost = CostModel([1.0, 1.0, 2.0, 1.0], 5.0)
+        start = Allocation([1.0, 1.0, 1.0, 0.5])  # leaves half a step of budget
+        for runner, mode in [(four_group_curve, "true_curve"),
+                             (AnalyticEnvironment(four_group_curve), "estimator")]:
+            cfg = GreedyConfig(step_cost=1.0, start_alloc=start, marginal_source=mode)
+            _, trace = run_greedy(runner, u_equal, cost, cfg)
+            assert (len(trace), trace.final_utility, trace.records) == (0, None, [])
 
     @pytest.mark.parametrize("with_curve", [True, False])
     @pytest.mark.parametrize("seed", [0, 5])
@@ -274,6 +355,7 @@ class TestGreedyStep:
         want_counts, want = _eager_trace(env(), u_equal, cost, cfg)
         assert alloc.counts.tobytes() == want_counts.tobytes()
         _assert_same_bits(trace.records, want)
+        assert trace.final_utility.hex() == want[-1].utility.hex()
         assert all(np.isnan(r.marginal_true).all() != with_curve for r in trace.records)
 
     @pytest.mark.parametrize("source", ["true_curve", "estimator"])
@@ -292,9 +374,11 @@ class TestGreedyStep:
         for name in ("batch_utilities", "utility_kernel"):
             monkeypatch.setattr(equalloc.greedy, name, counted(getattr(equalloc.greedy, name)))
         assert (len(trace), trace.residual_budget) == (25, pytest.approx(0.5))
-        assert calls == []
+        final = trace.final_utility
+        assert calls == [] and "records" not in trace.__dict__
         records = trace.records
         assert len(records) == 25 and trace.records is records
+        assert final.hex() == records[-1].utility.hex()
         assert len(GreedyTrace()) == 0 and GreedyTrace().records == []
 
     def test_matches_the_two_call_reference(self):

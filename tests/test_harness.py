@@ -448,6 +448,32 @@ class TestCli:
         assert header[:3] == ["step", "group", "spend"]
         assert len(lines) == 2 + 6  # digest + header + six steps
 
+    @pytest.mark.parametrize("marginals", ["true", "estimated"])
+    def test_greedy_summary_builds_no_records(self, tmp_path, capsys, monkeypatch,
+                                              marginals):
+        instance = {
+            "curve": {"gamma": [[1.0, 0.0], [0.0, 0.5]], "form": "sqrt"},
+            "costs": [1.0, 1.0],
+            "budget": 12.0,
+            "utility": {"weights": [1.0, 1.0]},
+            "environment": {"type": "analytic", "noise_sd": 0.01},
+        }
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(instance))
+        traces, run = [], cli.run_greedy
+
+        def recording(*args):
+            alloc, trace = run(*args)
+            traces.append(trace)
+            return alloc, trace
+
+        monkeypatch.setattr(cli, "run_greedy", recording)
+        assert main(["greedy", "--instance", str(path), "--marginals", marginals]) == 0
+        (trace,) = traces
+        assert "records" not in trace.__dict__
+        final = json.loads(capsys.readouterr().out)["final_utility"]
+        assert final.hex() == trace.records[-1].utility.hex()
+
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["table1", "--config", "/nonexistent/nope.json"]) == 2
 
