@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc, chdtri, ndtri
 
 from ..core import Allocation, PerformanceVector
 from ..errors import DomainError
@@ -86,6 +86,12 @@ class GenomicWorldConfig:
             raise DomainError("ld_rho must lie in [0, 1)")
         if not 0.0 < self.freq_low < self.freq_high < 1.0:
             raise DomainError("need 0 < freq_low < freq_high < 1")
+        if not (0.0 < self.pvalue_threshold < 1.0 and 0.0 <= self.maf_floor < 0.5):
+            raise DomainError("need pvalue_threshold in (0, 1) and maf_floor in [0, 0.5)")
+        if not (self.clump_window >= 0 and self.r2_threshold >= 0.0):
+            raise DomainError("clump_window and r2_threshold must be non-negative")
+        if not (self.benefit > 0.0 and self.cost >= 0.0):
+            raise DomainError("need benefit > 0 and cost >= 0")
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
@@ -98,6 +104,8 @@ class GroupSplit:
     train_controls: np.ndarray
     test_cases: np.ndarray
     test_controls: np.ndarray
+    pool: np.ndarray  # (pool size, variants) genotypes: train cases, then train controls
+    pool_row: np.ndarray  # each individual's row in ``pool``, -1 outside the pool
 
     @property
     def max_pairs(self) -> int:
@@ -108,10 +116,11 @@ class GroupSplit:
 class GenomicWorld:
     """A fully realized two-population world.
 
-    ``genotypes[g]`` is a population x variants 0/1 matrix; ``disease[g]``
-    marks the top-prevalence fraction of the liability distribution.
-    The per-group splits separate obtainable training cases/controls from
-    the holdout used for evaluation.
+    ``genotypes[g]`` is a variant-major ``(variants, population)`` uint8
+    0/1 matrix, one contiguous row per variant; ``disease[g]`` marks the
+    top-prevalence fraction of the liability distribution.  The per-group
+    splits separate obtainable training cases/controls, whose genotypes
+    they also hold individual-major, from the holdout used for evaluation.
     """
 
     config: GenomicWorldConfig
@@ -160,8 +169,9 @@ class RiskModel:
         return self.variant_idx.size == 0
 
     def predict_proba(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Predicted probabilities of the individuals ``genotypes[rows]``,
-        gathering only the columns the model uses."""
+        """Predicted probabilities of the individuals ``rows`` of a
+        variant-major ``(variants, individuals)`` matrix, gathering only the
+        variant rows the model uses."""
         if self.is_empty:
             return np.full(rows.size, self.prevalence)
         scores = _selected_scores(genotypes, rows, self.variant_idx, self.log_odds)
@@ -170,42 +180,37 @@ class RiskModel:
 
 
 def _selected_scores(genotypes, rows, variant_idx, log_odds) -> np.ndarray:
-    """``genotypes[rows][:, variant_idx].astype(float) @ log_odds``, gathering
-    only ``rows x variant_idx``.
+    """Scores of the individuals ``rows`` of a variant-major ``(variants,
+    individuals)`` matrix, gathering only ``variant_idx x rows``.
 
-    That column gather yields a Fortran-ordered matrix, and the matrix-vector
-    product sums in an order set by the layout, so the gathered block is
-    made Fortran-ordered too: every score keeps its bits.
+    The matrix-vector product sums in an order set by the layout.  The block
+    is gathered C-ordered and used transposed, a Fortran-ordered ``(rows,
+    variants)`` matrix, so each score has the bits of the population-major
+    ``G.T[rows][:, variant_idx].astype(float) @ log_odds``.
     """
-    cols = genotypes[np.ix_(rows, variant_idx)].astype(float, order="F")
-    return cols @ log_odds
-
-
-# Variants per transposed write in the correlated genotype fill: 64 uint8
-# columns of one output row make one 64-byte cache line.
-_FILL_BLOCK = 64
+    block = genotypes[np.ix_(variant_idx, rows)].astype(float, order="C")
+    return block.T @ log_odds
 
 
 def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) -> np.ndarray:
-    """Binary genotypes with optional AR(1) latent correlation along the index."""
+    """Binary genotypes as a variant-major ``(variants, population)`` uint8
+    matrix, with optional AR(1) latent correlation along the variant index;
+    the in-place latent update rounds exactly like ``ld_rho * z + carry * e``."""
     v = freqs.size
     if ld_rho == 0.0:
-        return (rng.random((population, v)) < freqs[None, :]).astype(np.uint8)
+        return (rng.random((population, v)) < freqs).T.astype(np.uint8, order="C")
     thresholds = ndtri(freqs)
-    out = np.empty((population, v), dtype=np.uint8)
+    out = np.empty((v, population), dtype=np.uint8)
     carry = np.sqrt(1.0 - ld_rho**2)
-    # Each variant's indicators are a contiguous row of ``block``; a full
-    # block goes into ``out`` in one transposed write instead of one strided
-    # column write per variant.
-    block = np.empty((min(_FILL_BLOCK, v), population), dtype=bool)
     z = rng.standard_normal(population)
-    for start in range(0, v, _FILL_BLOCK):
-        stop = min(start + _FILL_BLOCK, v)
-        for i in range(start, stop):
-            if i > 0:
-                z = ld_rho * z + carry * rng.standard_normal(population)
-            np.less(z, thresholds[i], out=block[i - start])
-        out[:, start:stop] = block[: stop - start].T
+    e = np.empty(population)
+    for i in range(v):
+        if i > 0:
+            rng.standard_normal(out=e)
+            z *= ld_rho
+            e *= carry
+            z += e
+        np.less(z, thresholds[i], out=out[i].view(bool))
     return out
 
 
@@ -236,7 +241,7 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     n_train_cases = int(np.floor(config.case_train_fraction * n_cases))
     for g in range(2):
         geno = _sample_genotypes(rng, freqs[g], p, config.ld_rho)
-        x = geno[:, causal_idx].astype(float) @ effect_sizes
+        x = geno[causal_idx].astype(float, order="C").T @ effect_sizes
         x_sd = x.std()
         genetic = (x - x.mean()) / x_sd if x_sd > 0 else np.zeros(p)
         eps = rng.standard_normal(p)
@@ -257,6 +262,9 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
         n_test_controls = min(n_test_controls, control_idx.size - n_train_cases)
         test_controls = control_idx[n_train_cases : n_train_cases + n_test_controls]
 
+        pool = np.concatenate([train_cases, train_controls])
+        pool_row = np.full(p, -1)
+        pool_row[pool] = np.arange(pool.size)
         genotypes.append(geno)
         disease.append(sick)
         splits.append(
@@ -265,6 +273,8 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
                 train_controls=train_controls,
                 test_cases=test_cases,
                 test_controls=test_controls,
+                pool=geno.T[pool],
+                pool_row=pool_row,
             )
         )
 
@@ -296,7 +306,12 @@ def draw_case_control_sample(
 
 
 def _chi2_screen(geno: np.ndarray, n_cases: int, maf_floor: float, p_threshold: float):
-    """Per-variant 2x2 chi-squared scan; returns (selected mask, pvals, log ORs)."""
+    """Per-variant 2x2 chi-squared scan; returns (selected mask, pvals, log ORs).
+
+    Only an eligible variant whose statistic is at least 0.999 times the
+    threshold's (a margin far wider than ``chdtri``'s rounding) gets a
+    p-value; every other p-value is NaN.  ``p_threshold`` lies in (0, 1).
+    """
     total = geno.shape[0]
     n_controls = total - n_cases
     present_cases = geno[:n_cases].sum(axis=0).astype(float)
@@ -317,8 +332,10 @@ def _chi2_screen(geno: np.ndarray, n_cases: int, maf_floor: float, p_threshold: 
         stat = np.where(
             denom > 0, total * (a * d - b * c) ** 2 / np.where(denom > 0, denom, 1.0), 0.0
         )
-    pvals = chdtrc(1, stat)
-    selected = eligible & (pvals < p_threshold)
+    near = eligible & (stat >= 0.999 * chdtri(1, p_threshold))
+    pvals = np.full(stat.shape, np.nan)
+    pvals[near] = chdtrc(1, stat[near])
+    selected = near & (pvals < p_threshold)
 
     # Haldane-Anscombe correction wherever the 2x2 table has a zero cell.
     zero_cell = (a == 0) | (b == 0) | (c == 0) | (d == 0)
@@ -403,17 +420,17 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     """
     cfg = world.config
     n_pairs = sample.num_pairs
-    if sample.case_idx.size < 1 or sample.control_idx.size < 1:
-        raise DomainError("training sample needs at least one case and one control")
-
-    geno_all = world.genotypes[sample.group]
+    split = world.splits[sample.group]
+    cases, controls = (split.pool_row[i] for i in (sample.case_idx, sample.control_idx))
+    if not (cases.size and controls.size and min(cases.min(), controls.min()) >= 0):
+        raise DomainError("training sample needs cases and controls, all from the train pools")
     n_cal = int(round(cfg.calibration_fraction * n_pairs))
     n_fit = n_pairs - n_cal
     if n_fit < 1 or n_cal < 1:
         n_fit, n_cal = n_pairs, n_pairs  # too few pairs to split; reuse all
 
-    fit_rows = np.concatenate([sample.case_idx[:n_fit], sample.control_idx[:n_fit]])
-    geno_fit = geno_all[fit_rows]
+    fit_rows = np.concatenate([cases[:n_fit], controls[:n_fit]])
+    geno_fit = split.pool[fit_rows]
     selected, pvals, log_or = _chi2_screen(
         geno_fit, n_fit, cfg.maf_floor, cfg.pvalue_threshold
     )
@@ -422,10 +439,10 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
         return _empty_model(cfg.prevalence)
     retained = _clump(geno_fit, candidates, pvals, cfg.clump_window, cfg.r2_threshold)
 
-    cal_cases = sample.case_idx[n_pairs - n_cal:]
-    cal_controls = sample.control_idx[n_pairs - n_cal:]
+    cal_cases = cases[n_pairs - n_cal:]
+    cal_controls = controls[n_pairs - n_cal:]
     cal_rows = np.concatenate([cal_cases, cal_controls])
-    cal_scores = _selected_scores(geno_all, cal_rows, retained, log_or[retained])
+    cal_scores = _selected_scores(split.pool.T, cal_rows, retained, log_or[retained])
     labels = np.zeros(cal_rows.size)
     labels[: cal_cases.size] = 1.0
     slope, intercept = _fit_platt(cal_scores, labels)

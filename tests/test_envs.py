@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import chdtrc
 from scipy.stats import norm
 
 from equalloc import Allocation, CostModel, GreedyConfig, UtilitySpec, eval_perf, run_greedy
 from equalloc.envs import (
     AnalyticEnvironment,
+    CaseControlSample,
     GenomicSamplingSession,
     GenomicWorldConfig,
     draw_case_control_sample,
@@ -14,9 +18,11 @@ from equalloc.envs import (
     train_risk_model,
 )
 from equalloc.envs.genomic import (
-    _FILL_BLOCK,
+    RiskModel,
     _chi2_screen,
+    _clump,
     _empty_model,
+    _fit_platt,
     _sample_genotypes,
     aggregate_curve,
     holdout_indices,
@@ -30,6 +36,11 @@ SMALL_WORLD = dict(variants=400, causal_count=40, population=4000)
 @pytest.fixture(scope="module")
 def world():
     return generate_world(GenomicWorldConfig(rng_seed=5, **SMALL_WORLD))
+
+
+@pytest.fixture(scope="module")
+def independent_world():
+    return generate_world(GenomicWorldConfig(rng_seed=5, ld_rho=0.0, **SMALL_WORLD))
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +104,7 @@ class TestGenerateWorld:
         cfg = GenomicWorldConfig(rng_seed=1, heritability=1.0, **SMALL_WORLD)
         w = generate_world(cfg)
         for g in range(2):
-            x = w.genotypes[g][:, w.causal_idx].astype(float) @ w.effect_sizes
+            x = w.genotypes[g][w.causal_idx].T.astype(float) @ w.effect_sizes
             top = np.argsort(-x, kind="stable")[: int(w.disease[g].sum())]
             assert np.array_equal(np.sort(top), np.flatnonzero(w.disease[g]))
 
@@ -108,7 +119,7 @@ class TestGenerateWorld:
         from scipy.stats import rankdata
 
         for g in range(2):
-            x = w.genotypes[g][:, w.causal_idx].astype(float) @ w.effect_sizes
+            x = w.genotypes[g][w.causal_idx].T.astype(float) @ w.effect_sizes
             sick = w.disease[g]
             ranks = rankdata(x)
             n1, n0 = sick.sum(), (~sick).sum()
@@ -140,7 +151,7 @@ class TestGenerateWorld:
         cfg = GenomicWorldConfig(rng_seed=3, ld_rho=0.6, **SMALL_WORLD)
         w = generate_world(cfg)
         g = w.genotypes[0].astype(float)
-        adjacent = [np.corrcoef(g[:, i], g[:, i + 1])[0, 1] for i in range(0, 60, 3)]
+        adjacent = [np.corrcoef(g[i], g[i + 1])[0, 1] for i in range(0, 60, 3)]
         assert np.mean(adjacent) > 0.2
 
 
@@ -157,20 +168,80 @@ def _per_variant_genotypes(rng, freqs, population, ld_rho):
     return out
 
 
-@pytest.mark.parametrize(
-    "variants", [1, _FILL_BLOCK - 1, _FILL_BLOCK, 2 * _FILL_BLOCK + 1]
-)
+@pytest.mark.parametrize("variants", [1, 63, 64, 129])
 def test_blocked_genotype_fill_matches_per_variant_loop(variants):
+    # the variant-major fill is the transpose of the population-major loop
     freqs = np.random.default_rng(1).uniform(0.05, 0.5, variants)
     expected = _per_variant_genotypes(np.random.default_rng(3), freqs, 1000, 0.3)
     rng = np.random.default_rng(3)
     got = _sample_genotypes(rng, freqs, 1000, 0.3)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, expected)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert np.array_equal(got, expected.T)
     # the generator is left where the reference loop leaves it
     after = np.random.default_rng(3)
     _per_variant_genotypes(after, freqs, 1000, 0.3)
     assert rng.random() == after.random()
+    # without LD, one population-major draw of uniforms, transposed
+    uniforms = np.random.default_rng(3).random((1000, variants))
+    independent = _sample_genotypes(np.random.default_rng(3), freqs, 1000, 0.0)
+    assert independent.flags.c_contiguous
+    assert np.array_equal(independent, (uniforms < freqs).astype(np.uint8).T)
+
+
+def _screen_everywhere(geno, n_cases, maf_floor, p_threshold):
+    """The chi-squared screen with a p-value for every variant: (selected
+    mask, p-values, log odds ratios, statistics)."""
+    total = geno.shape[0]
+    a = geno[:n_cases].sum(axis=0).astype(float)
+    c = geno[n_cases:].sum(axis=0).astype(float)
+    b, d = n_cases - a, total - n_cases - c
+    freq = (a + c) / total
+    eligible = np.minimum(freq, 1.0 - freq) > maf_floor
+    denom = (a + b) * (c + d) * (a + c) * (b + d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = np.where(
+            denom > 0, total * (a * d - b * c) ** 2 / np.where(denom > 0, denom, 1.0), 0.0
+        )
+    pvals = chdtrc(1, stat)
+    zero_cell = (a == 0) | (b == 0) | (c == 0) | (d == 0)
+    a2, b2, c2, d2 = (x + np.where(zero_cell, 0.5, 0.0) for x in (a, b, c, d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_or = np.log((a2 * d2) / (b2 * c2))
+    return eligible & (pvals < p_threshold), pvals, log_or, stat
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_screen_skips_only_p_values_that_cannot_pass(data):
+    # the threshold's statistic is put within a few ulps, or within 0.1%,
+    # of one variant's statistic: the p-values the screen skips must not
+    # change which variants pass, nor their p-values or clumping order
+    n_cases, n_controls = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    v = data.draw(st.integers(1, 6))
+    geno = np.zeros((n_cases + n_controls, v), dtype=np.uint8)
+    for j in range(v):
+        geno[: data.draw(st.integers(0, n_cases)), j] = 1
+        geno[n_cases : n_cases + data.draw(st.integers(0, n_controls)), j] = 1
+    maf_floor = data.draw(st.sampled_from([0.0, 0.01, 0.2]))
+    stat = _screen_everywhere(geno, n_cases, maf_floor, 0.5)[3]
+    target = stat[data.draw(st.integers(0, v - 1))]
+    if data.draw(st.booleans()):
+        steps = data.draw(st.integers(-4, 4))
+        for _ in range(abs(steps)):
+            target = np.nextafter(target, np.inf if steps > 0 else 0.0)
+    else:
+        target *= data.draw(st.floats(0.999, 1.001))
+    p_threshold = float(chdtrc(1, target))
+    assume(0.0 < p_threshold < 1.0)
+    selected, pvals, log_or = _chi2_screen(geno, n_cases, maf_floor, p_threshold)
+    want, want_pvals, want_log_or, _ = _screen_everywhere(geno, n_cases, maf_floor, p_threshold)
+    assert np.array_equal(selected, want)
+    candidates = np.flatnonzero(want)
+    assert np.array_equal(pvals[candidates], want_pvals[candidates])
+    assert np.array_equal(log_or, want_log_or)
+    if candidates.size:
+        assert np.array_equal(_clump(geno, candidates, pvals, 50, 0.2),
+                              _clump(geno, candidates, want_pvals, 50, 0.2))
 
 
 class TestRiskModelTraining:
@@ -230,6 +301,15 @@ class TestRiskModelTraining:
             hits += model.variant_idx.size > 0
         assert hits / len(list(seeds)) >= 0.95
 
+    def test_sample_outside_the_training_pool_rejected(self, world):
+        # training reads the pool block, so a holdout individual or an
+        # empty side must be refused, never read from a wrong row
+        split = world.splits[0]
+        for cases in (split.test_cases[:5], np.array([], dtype=int)):
+            sample = CaseControlSample(0, cases, split.train_controls[:5])
+            with pytest.raises(DomainError):
+                train_risk_model(world, sample)
+
     def test_sample_too_large_rejected(self, world):
         with pytest.raises(DomainError):
             draw_case_control_sample(world, 0, 10**6, 0)
@@ -241,6 +321,68 @@ class TestRiskModelTraining:
         assert np.array_equal(m1.variant_idx, m2.variant_idx)
         assert m1.slope == m2.slope and m1.intercept == m2.intercept
         assert evaluate_group_value(world, m1, 0) == evaluate_group_value(world, m2, 0)
+
+
+def _population_major_reference(world, sample):
+    """``train_risk_model`` and every group's holdout value, computed from
+    population-major ``(population, variants)`` matrices with a p-value for
+    every variant: ``(variant_idx, log_odds, slope, intercept, values)``."""
+    cfg, q = world.config, world.config.prevalence
+    geno = [np.ascontiguousarray(g.T) for g in world.genotypes]
+    n_pairs = sample.num_pairs
+    n_cal = int(round(cfg.calibration_fraction * n_pairs))
+    n_fit = n_pairs - n_cal
+    if n_fit < 1 or n_cal < 1:
+        n_fit, n_cal = n_pairs, n_pairs
+    fit_rows = np.concatenate([sample.case_idx[:n_fit], sample.control_idx[:n_fit]])
+    geno_fit = geno[sample.group][fit_rows]
+    selected, pvals, log_or, _ = _screen_everywhere(
+        geno_fit, n_fit, cfg.maf_floor, cfg.pvalue_threshold
+    )
+    candidates = np.flatnonzero(selected)
+    if candidates.size == 0:
+        model = _empty_model(q)
+    else:
+        retained = _clump(geno_fit, candidates, pvals, cfg.clump_window, cfg.r2_threshold)
+        cal_cases = sample.case_idx[n_pairs - n_cal:]
+        cal_rows = np.concatenate([cal_cases, sample.control_idx[n_pairs - n_cal:]])
+        block = geno[sample.group][np.ix_(cal_rows, retained)].astype(float, order="F")
+        labels = np.zeros(cal_rows.size)
+        labels[: cal_cases.size] = 1.0
+        slope, intercept = _fit_platt(block @ log_or[retained], labels)
+        q_sample = cal_cases.size / cal_rows.size
+        intercept += np.log(q / (1.0 - q)) - np.log(q_sample / (1.0 - q_sample))
+        model = RiskModel(retained, log_or[retained], slope, intercept, q)
+    values = []
+    for g in range(world.num_groups):
+        idx = holdout_indices(world, g)
+        probs = np.full(idx.size, q)
+        if not model.is_empty:
+            block = geno[g][np.ix_(idx, model.variant_idx)].astype(float, order="F")
+            logit = model.slope * (block @ model.log_odds) + model.intercept
+            probs = 1.0 / (1.0 + np.exp(-logit))
+        values.append(treatment_value(world, g, probs))
+    return model.variant_idx, model.log_odds, model.slope, model.intercept, values
+
+
+@pytest.mark.parametrize("world_fixture", ["world", "independent_world"])
+def test_training_and_value_match_population_major_reference(request, world_fixture):
+    # the variant-major store, the training-pool block and the screen's
+    # skipped p-values change no bit of a model or of a holdout value;
+    # one and two pairs are too few to split into fit and calibration
+    world = request.getfixturevalue(world_fixture)
+    nonempty = 0
+    for g in range(world.num_groups):
+        for n, seed in ((1, 0), (2, 1), (3, 2), (60, 3), (100, 4)):
+            sample = draw_case_control_sample(world, g, n, seed)
+            model = train_risk_model(world, sample)
+            got = (model.variant_idx, model.log_odds, model.slope, model.intercept,
+                   [evaluate_group_value(world, model, h) for h in range(world.num_groups)])
+            want = _population_major_reference(world, sample)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
+            nonempty += not model.is_empty
+    assert nonempty >= 4
 
 
 class TestEvaluation:
@@ -256,7 +398,7 @@ class TestEvaluation:
                 idx = holdout_indices(world, g)
                 probs = model.predict_proba(world.genotypes[g], idx)
                 if not model.is_empty:
-                    rows = world.genotypes[g][idx]
+                    rows = world.genotypes[g][:, idx].T
                     scores = rows[:, model.variant_idx].astype(float) @ model.log_odds
                     logit = model.slope * scores + model.intercept
                     assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-logit)))

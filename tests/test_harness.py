@@ -664,6 +664,14 @@ class TestCli:
         ("prs-sim", "estimator.min_pionts", 3),
         ("frontier", "include_share_weights", "no"),
         ("frontier", "world.rng_seed", -1),
+        ("frontier", "world.pvalue_threshold", 1.5),
+        ("prs-sim", "world.pvalue_threshold", -1.0),
+        ("frontier", "world.pvalue_threshold", float("nan")),
+        ("prs-sim", "world.maf_floor", 0.9),
+        ("frontier", "world.clump_window", -3),
+        ("prs-sim", "world.r2_threshold", -0.5),
+        ("frontier", "world.benefit", -10.0),
+        ("prs-sim", "world.cost", -1.0),
         ("table1", "grid_resolution", 0),
         ("table1", "pop_shares", [1.0, 1.0, 1.0]),
         ("table1", "pop_shares", [0.0, 0.0, 0.0, 0.0]),
