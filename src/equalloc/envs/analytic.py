@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Allocation, PerformanceVector
-from ..curves import AnalyticCurve, eval_perf
+from ..curves import AnalyticCurve
 from ..errors import DomainError
 
 __all__ = ["AnalyticEnvironment"]
@@ -23,8 +23,8 @@ class AnalyticEnvironment:
     """
 
     def __init__(self, curve: AnalyticCurve, noise_sd: float = 0.0, rng_seed: int = 0):
-        if noise_sd < 0:
-            raise DomainError("noise_sd must be non-negative")
+        if not 0 <= noise_sd < np.inf:
+            raise DomainError(f"noise_sd must be finite and non-negative, got {noise_sd}")
         self.curve = curve
         self.noise_sd = float(noise_sd)
         self._rng = np.random.default_rng(rng_seed)
@@ -33,10 +33,13 @@ class AnalyticEnvironment:
     def num_groups(self) -> int:
         return self.curve.num_groups
 
-    def observe(self, alloc: Allocation) -> PerformanceVector:
-        """Measure group performances at an allocation, with fresh noise."""
-        truth = eval_perf(self.curve, alloc).values
+    def perf_values(self, counts: np.ndarray) -> np.ndarray:
+        """Measured group performances at a counts vector, with fresh noise."""
+        truth = self.curve.perf_values(counts)
         if self.noise_sd == 0:
-            return PerformanceVector(truth)
-        noise = self._rng.normal(0.0, self.noise_sd, size=self.num_groups)
-        return PerformanceVector(truth + noise)
+            return truth
+        return truth + self._rng.normal(0.0, self.noise_sd, size=self.num_groups)
+
+    def observe(self, alloc: Allocation) -> PerformanceVector:
+        """:meth:`perf_values` at an allocation, as a typed vector."""
+        return PerformanceVector(self.perf_values(alloc.counts))

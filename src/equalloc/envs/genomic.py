@@ -19,8 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import chdtrc, chdtri, ndtri
 
-from ..core import Allocation, PerformanceVector
-from ..errors import DomainError
+from ..errors import CapacityError, DomainError
 
 __all__ = [
     "GenomicWorldConfig",
@@ -34,6 +33,10 @@ __all__ = [
     "run_allocation_curve",
     "GenomicSamplingSession",
 ]
+
+# The most genotype cells (two groups of variants x population, one byte each) a
+# world may hold, as solvers.MAX_GRID_POINTS caps the grid: 6.25 default worlds.
+MAX_GENOTYPE_CELLS = 500_000_000
 
 @dataclass(frozen=True)
 class GenomicWorldConfig:
@@ -74,6 +77,8 @@ class GenomicWorldConfig:
             )
         if self.population < 1000:
             raise DomainError("population must be at least 1000 per group")
+        if 2 * self.variants * self.population > MAX_GENOTYPE_CELLS:
+            raise CapacityError(f"world needs over {MAX_GENOTYPE_CELLS} genotype cells")
         if not 0.0 < self.heritability <= 1.0:
             raise DomainError("heritability must lie in (0, 1]")
         if not 0.0 < self.prevalence < 0.5:
@@ -533,7 +538,7 @@ def aggregate_curve(rows):
 class GenomicSamplingSession:
     """Adapter exposing a genomic world as a sequential sampling environment.
 
-    ``observe`` interprets allocation counts as case-control pair counts
+    ``perf_values(counts)`` reads the counts as case-control pair counts
     per group, trains one risk model per group on a prefix of the
     session's shuffled training pools, and reports holdout values.
     Results are cached per (group, n): within a session, re-measuring an
@@ -546,17 +551,11 @@ class GenomicSamplingSession:
     its grid.
     """
 
-    curve = None  # no analytic ground truth for this environment
-
     def __init__(self, world: GenomicWorld, rng_seed: int = 0):
         self.world = world
         rng = np.random.default_rng(rng_seed)
-        self._pools = []
-        for g in range(world.num_groups):
-            split = world.splits[g]
-            self._pools.append(
-                (rng.permutation(split.train_cases), rng.permutation(split.train_controls))
-            )
+        self._pools = [(rng.permutation(s.train_cases), rng.permutation(s.train_controls))
+                       for s in world.splits]
         self._cache: dict[tuple[int, int], float] = {}
 
     @property
@@ -567,7 +566,7 @@ class GenomicSamplingSession:
         key = (group, n_pairs)
         if key not in self._cache:
             pool_cases, pool_controls = self._pools[group]
-            if n_pairs > pool_cases.size:
+            if not 0 <= n_pairs <= pool_cases.size:
                 raise DomainError(
                     f"group {group} has only {pool_cases.size} training pairs, "
                     f"requested {n_pairs}"
@@ -575,21 +574,13 @@ class GenomicSamplingSession:
             if n_pairs == 0:
                 model = _empty_model(self.world.config.prevalence)
             else:
-                sample = CaseControlSample(
-                    group=group,
-                    case_idx=pool_cases[:n_pairs],
-                    control_idx=pool_controls[:n_pairs],
-                )
+                sample = CaseControlSample(group, pool_cases[:n_pairs], pool_controls[:n_pairs])
                 model = train_risk_model(self.world, sample)
             self._cache[key] = evaluate_group_value(self.world, model, group)
         return self._cache[key]
 
-    def observe(self, alloc: Allocation) -> PerformanceVector:
-        """Holdout values at ``alloc``, whose counts must be whole pairs."""
-        if not (alloc.counts == np.floor(alloc.counts)).all():
-            raise DomainError(
-                f"pair counts must be whole numbers, got {alloc.counts.tolist()}"
-            )
-        counts = alloc.counts.astype(int)
-        values = [self.value_at(g, int(counts[g])) for g in range(self.num_groups)]
-        return PerformanceVector(np.array(values))
+    def perf_values(self, counts: np.ndarray) -> np.ndarray:
+        """Holdout values at ``counts``, which must be whole numbers of pairs."""
+        if counts.shape != (self.num_groups,) or not (counts == np.floor(counts)).all():
+            raise DomainError(f"need {self.num_groups} whole pair counts, got {counts.tolist()}")
+        return np.array([self.value_at(g, int(counts[g])) for g in range(self.num_groups)])

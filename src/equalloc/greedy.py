@@ -9,7 +9,7 @@ stops as soon as another step would break the budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -151,9 +151,10 @@ def run_greedy(
     """Run the sequential greedy allocator until the budget is exhausted.
 
     ``source`` is an :class:`AnalyticCurve` when
-    ``config.marginal_source == "true_curve"``, or an environment with an
-    ``observe(alloc)`` method (and optionally a ``curve`` attribute used
-    to log true marginals) when using the estimator.
+    ``config.marginal_source == "true_curve"``, or an environment when
+    using the estimator: ``num_groups`` plus ``perf_values(counts)``, a new
+    array per call that must hold one finite value per group (and
+    optionally a ``curve`` attribute used to log true marginals).
 
     Returns the final allocation and the full step-by-step trace, whose
     records are built on first read from what the run kept (see
@@ -217,8 +218,12 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, sizes: n
     return counts, cost.budget - spent
 
 
-def _observe(env, counts: np.ndarray) -> np.ndarray:
-    return np.asarray(env.observe(Allocation(counts)).values, dtype=float)
+def _measure(source, counts: np.ndarray) -> np.ndarray:
+    """``source.perf_values(counts)``, refused unless a finite K-vector."""
+    perf = source.perf_values(counts)
+    if perf.shape != counts.shape or not np.isfinite(perf).all():
+        raise DomainError(f"measurement {perf!r} is not {counts.size} finite values")
+    return perf
 
 
 def _run_true_curve(curve, utility, cost, config, start):
@@ -267,9 +272,11 @@ def _run_estimated(env, utility, cost, config, start):
     s = config.step_cost
     sizes = s / cost.costs
     true_curve = getattr(env, "curve", None)
+    if env.num_groups != k:
+        raise DomainError(f"environment has {env.num_groups} groups, costs have {k}")
 
     history = PerformanceHistory(k)
-    perf = _observe(env, start.counts)
+    perf = _measure(env, start.counts)
     for g in range(k):
         history.append(g, start.counts[g], perf[g])
 
@@ -294,7 +301,7 @@ def _run_estimated(env, utility, cost, config, start):
         return int(priorities.argmax())
 
     def record(counts, group, step):
-        perf = _observe(env, counts)
+        perf = _measure(env, counts)
         history.append(group, counts[group], perf[group])
         kept.append((group, priorities, perf))
 
@@ -399,12 +406,11 @@ def representative_allocation(cost: CostModel, pop_shares,
 def parity_allocation(source, cost: CostModel, step_cost: float,
                       start_alloc: Allocation | None = None) -> Allocation:
     """Buy from the group that currently measures worst, read from
-    ``source`` (an analytic curve or an environment with ``observe``)."""
+    ``source``: an analytic curve or an environment, each of which has
+    ``num_groups`` and ``perf_values(counts)`` (see :func:`run_greedy`)."""
     start = start_alloc if start_alloc is not None else Allocation.zeros(cost.num_groups)
-    if isinstance(source, AnalyticCurve):
-        measure = source.perf_values
-    else:
-        measure = partial(_observe, source)
+    if source.num_groups != cost.num_groups:
+        raise DomainError(f"source has {source.num_groups} groups, costs have {cost.num_groups}")
     counts, _ = _spend_budget(cost, start, step_cost, step_cost / cost.costs,
-                              lambda counts, step: int(measure(counts).argmin()))
+                              lambda counts, step: int(_measure(source, counts).argmin()))
     return Allocation(counts)

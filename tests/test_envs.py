@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+
+import equalloc.envs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc
 from scipy.stats import norm
 
-from equalloc import Allocation, CostModel, GreedyConfig, UtilitySpec, eval_perf, run_greedy
+from equalloc import (Allocation, AnalyticCurve, CostModel, GreedyConfig, UtilitySpec,
+                      eval_perf, run_greedy)
 from equalloc.envs import (
     AnalyticEnvironment,
     CaseControlSample,
@@ -18,6 +21,7 @@ from equalloc.envs import (
     train_risk_model,
 )
 from equalloc.envs.genomic import (
+    MAX_GENOTYPE_CELLS,
     RiskModel,
     _chi2_screen,
     _clump,
@@ -28,7 +32,7 @@ from equalloc.envs.genomic import (
     holdout_indices,
     treatment_value,
 )
-from equalloc.errors import DomainError
+from equalloc.errors import CapacityError, DomainError
 
 SMALL_WORLD = dict(variants=400, causal_count=40, population=4000)
 
@@ -85,6 +89,36 @@ class TestAnalyticEnvironment:
         with pytest.raises(DomainError):
             AnalyticEnvironment(four_group_curve, noise_sd=-0.1)
 
+    @pytest.mark.parametrize("noise_sd", [np.inf, np.nan])
+    def test_non_finite_noise_rejected(self, four_group_curve, noise_sd):
+        # either one made every noisy measurement non-finite
+        with pytest.raises(DomainError):
+            AnalyticEnvironment(four_group_curve, noise_sd=noise_sd)
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.3])
+    def test_perf_values_and_observe_draw_one_noise_stream(self, four_group_curve, noise_sd):
+        # interleaved calls replay an observe-only sequence bit for bit
+        rng = np.random.default_rng(4)
+        allocs = [Allocation(rng.uniform(0.0, 50.0, 4)) for _ in range(12)]
+        typed = AnalyticEnvironment(four_group_curve, noise_sd, rng_seed=6)
+        want = [typed.observe(a).values for a in allocs]
+        mixed = AnalyticEnvironment(four_group_curve, noise_sd, rng_seed=6)
+        got = [mixed.perf_values(a.counts) if i % 3 else mixed.observe(a).values
+               for i, a in enumerate(allocs)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert all(type(g) is np.ndarray and g.dtype == float for g in got)
+        # each call draws exactly one K-vector of noise, or none without noise
+        stream = np.random.default_rng(6)
+        if noise_sd:
+            stream.normal(0.0, noise_sd, size=(len(allocs), 4))
+        assert mixed._rng.random() == stream.random()
+
+    def test_perf_values_returns_a_new_array(self, four_group_curve):
+        env = AnalyticEnvironment(four_group_curve, noise_sd=0.0)
+        counts = np.array([1.0, 2.0, 3.0, 4.0])
+        first = env.perf_values(counts)
+        assert env.perf_values(counts) is not first and first is not counts
+
 
 class TestGenerateWorld:
     def test_exact_case_counts(self, desk_world):
@@ -139,6 +173,14 @@ class TestGenerateWorld:
             GenomicWorldConfig(population=10)
         with pytest.raises(DomainError):
             GenomicWorldConfig(heritability=0.0)
+
+    def test_genotype_cells_capped_before_any_world_is_built(self):
+        # the cap is on 2 * variants * population; only configs are built here
+        at_cap = MAX_GENOTYPE_CELLS // 2 // 2500
+        assert GenomicWorldConfig(variants=2500, population=at_cap).population == at_cap
+        for variants, population in [(2500, at_cap + 1), (2000, 10**8)]:
+            with pytest.raises(CapacityError):
+                GenomicWorldConfig(variants=variants, population=population)
 
     def test_deterministic_given_seed(self):
         cfg = GenomicWorldConfig(rng_seed=9, **SMALL_WORLD)
@@ -483,28 +525,53 @@ class TestAllocationCurve:
 
 
 class TestSamplingSession:
-    def test_observe_caches_and_replays(self, world):
+    def test_perf_values_caches_and_replays(self, world):
         s1 = GenomicSamplingSession(world, rng_seed=8)
         s2 = GenomicSamplingSession(world, rng_seed=8)
-        alloc = Allocation([60.0, 40.0])
-        v1 = s1.observe(alloc).values
-        v2 = s2.observe(alloc).values
+        counts = np.array([60.0, 40.0])
+        v1 = s1.perf_values(counts)
+        v2 = s2.perf_values(counts)
         assert np.array_equal(v1, v2)
-        assert np.array_equal(v1, s1.observe(alloc).values)
+        assert np.array_equal(v1, s1.perf_values(counts))
+        assert v1.tolist() == [s1.value_at(0, 60), s1.value_at(1, 40)]
 
     def test_session_respects_pool_limits(self, world):
         session = GenomicSamplingSession(world, rng_seed=0)
         with pytest.raises(DomainError):
             session.value_at(0, 10**6)
+        # a negative count used to slice the pool from its end
+        with pytest.raises(DomainError):
+            session.value_at(0, -5)
 
     def test_non_integral_pair_counts_rejected(self, world):
         # a fractional step used to be rounded silently, so the estimator's
         # history recorded counts the model was never trained on
         session = GenomicSamplingSession(world, rng_seed=0)
         with pytest.raises(DomainError):
-            session.observe(Allocation([30.5, 20.0]))
+            session.perf_values(np.array([30.5, 20.0]))
+        for counts in ([30.0], [30.0, 20.0, 10.0]):
+            with pytest.raises(DomainError):
+                session.perf_values(np.array(counts))
         cost = CostModel([1.0, 1.0], 60.0)
         cfg = GreedyConfig(step_cost=10.5, start_alloc=Allocation([20.0, 20.0]),
                            marginal_source="estimator")
         with pytest.raises(DomainError):
             run_greedy(session, UtilitySpec([1.0, 1.0]), cost, cfg)
+
+
+
+def test_every_environment_answers_perf_values(world, four_group_curve):
+    # an environment is an exported class with a measurement call, typed or
+    # not; a new one needs an instance here
+    instances = {AnalyticEnvironment: AnalyticEnvironment(four_group_curve, noise_sd=0.1),
+                 GenomicSamplingSession: GenomicSamplingSession(world)}
+    exported = [getattr(equalloc.envs, name) for name in equalloc.envs.__all__]
+    assert set(instances) == {c for c in exported if isinstance(c, type) and any(
+        hasattr(c, m) for m in ("observe", "perf_values", "value_at"))}
+    for cls in [*instances, AnalyticCurve]:
+        assert callable(getattr(cls, "perf_values", None)), cls
+        assert hasattr(cls, "num_groups"), cls
+    for source in [*instances.values(), four_group_curve]:
+        k = source.num_groups
+        perf = source.perf_values(np.full(k, 20.0))
+        assert type(perf) is np.ndarray and perf.shape == (k,) and np.isfinite(perf).all()

@@ -266,10 +266,13 @@ def _assert_same_bits(got, want):
 
 
 class _CurvelessEnv:
-    """An analytic environment that hides its curve, so no true marginals."""
+    """An analytic environment that hides its curve, so no true marginals.
+    The program measures through ``perf_values``, the eager reference
+    through ``observe``; both read the one noise stream."""
 
     def __init__(self, env):
-        self.observe = env.observe
+        self.num_groups = env.num_groups
+        self.perf_values, self.observe = env.perf_values, env.observe
 
 
 def _dead_group_instance():
@@ -308,22 +311,24 @@ class TestGreedyStep:
     @pytest.mark.parametrize("min_points", [2, 3])
     def test_one_fit_per_step_after_forced_exploration(self, monkeypatch, four_group_curve,
                                                        u_equal, min_points):
-        fits, fits_at_observe = [], []
+        fits, fits_at_measure = [], []
         fit = equalloc.estimator.fit_local_slope
         monkeypatch.setattr(equalloc.estimator, "fit_local_slope",
                             lambda *args: fits.append(args) or fit(*args))
         env = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=4)
 
         class CountingEnv:
-            def observe(self, alloc):
-                fits_at_observe.append(len(fits))
-                return env.observe(alloc)
+            num_groups = 4
+
+            def perf_values(self, counts):
+                fits_at_measure.append(len(fits))
+                return env.perf_values(counts)
 
         cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=4,
                            estimator=EstimatorSettings(min_points=min_points))
         _, trace = run_greedy(CountingEnv(), u_equal, CostModel([1.0, 1.0, 2.0, 1.0], 40.0),
                               cfg)
-        per_step = np.diff(fits_at_observe).tolist()
+        per_step = np.diff(fits_at_measure).tolist()
         forced = 4 * (min_points - 1)  # each group starts with one record
         # the first estimated step fits every group, each later one the group that grew
         assert per_step == [0] * forced + [4] + [1] * (len(trace) - forced - 1)
@@ -593,11 +598,8 @@ class TestEstimatorDrivenGreedy:
             curve = None
             num_groups = 3
 
-            def observe(self, alloc):
-                from equalloc import PerformanceVector
-
-                slopes = np.array([0.03, 0.01, 0.02])
-                return PerformanceVector(slopes * alloc.counts)
+            def perf_values(self, counts):
+                return np.array([0.03, 0.01, 0.02]) * counts
 
         cost = CostModel(costs=np.ones(3), budget=30.0)
         util = UtilitySpec(weights=np.ones(3))
@@ -644,6 +646,42 @@ class TestEstimatorDrivenGreedy:
             return run_greedy(env, u_equal, four_group_cost, cfg)[0]
 
         assert np.array_equal(one().counts, one().counts)
+
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
+    @pytest.mark.parametrize("at_step", [0, 5])
+    def test_a_measurement_that_is_not_a_finite_k_vector_is_refused(
+        self, four_group_curve, four_group_cost, u_equal, bad, at_step
+    ):
+        # at_step 0 spoils the start measurement, 5 a measurement mid-run
+        env = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=3)
+
+        class SpoiledEnv:
+            num_groups = 4
+            calls = 0
+
+            def perf_values(self, counts):
+                perf, self.calls = env.perf_values(counts), self.calls + 1
+                if self.calls <= at_step:
+                    return perf
+                return {"short": perf[:3], "long": np.append(perf, 1.0),
+                        "matrix": perf[:, None], "nan": np.append(perf[:3], np.nan),
+                        "inf": np.append(perf[:3], np.inf)}[bad]
+
+        cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=3)
+        with pytest.raises(DomainError, match="finite values"):
+            run_greedy(SpoiledEnv(), u_equal, four_group_cost, cfg)
+        with pytest.raises(DomainError, match="finite values"):
+            parity_allocation(SpoiledEnv(), four_group_cost, step_cost=1.0)
+
+    def test_a_source_with_another_group_count_is_refused(self, four_group_cost, u_equal):
+        # checked once per run, before the first measurement
+        curve = AnalyticCurve(gamma=np.eye(3))
+        cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator")
+        with pytest.raises(DomainError, match="has 3 groups"):
+            run_greedy(AnalyticEnvironment(curve, 0.01), u_equal, four_group_cost, cfg)
+        for source in (curve, AnalyticEnvironment(curve, 0.01)):
+            with pytest.raises(DomainError, match="has 3 groups"):
+                parity_allocation(source, four_group_cost, step_cost=1.0)
 
 
 def _random_problem(rng, k):

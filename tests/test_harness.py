@@ -578,6 +578,8 @@ class TestCli:
         ("greedy", "start", {"counts": [1.0, 1.0, 1.0]}),
         ("greedy", "estimator", {"min_pionts": 3}),
         ("greedy", "environment", {"type": "analytic", "noise": 0.1}),
+        ("greedy", "environment", {"type": "analytic", "noise_sd": float("inf")}),
+        ("greedy", "environment", {"type": "analytic", "noise_sd": float("nan")}),
         ("greedy", "environment", {"type": "genomic", "rng_sed": 1}),
         ("greedy", "environment", {"type": "genomic", "world": {"populaton": 5000}}),
         ("greedy", "environment", {"type": "genomic", "world": {"variants": 200.5}}),
@@ -746,6 +748,29 @@ class TestCli:
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "training pairs" in err
+
+    @pytest.mark.parametrize("command", ["frontier", "prs-sim", "greedy"])
+    def test_oversized_world_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        # 2 x 2000 variants x 10^8 people is 4 x 10^11 genotype cells; it used
+        # to end in a MemoryError traceback and exit 1
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
+        monkeypatch.setattr(cli, "generate_world", _no_world)
+        world = {"population": 10**8}
+        path = tmp_path / "config.json"
+        if command == "greedy":
+            doc = {"curve": {"gamma": [[1.0, 0.0], [0.0, 1.0]]}, "costs": [1.0, 1.0],
+                   "budget": 60.0, "utility": {"weights": [1.0, 1.0]},
+                   "environment": {"type": "genomic", "world": world}}
+            argv = ["greedy", "--instance", str(path), "--marginals", "estimated"]
+        else:
+            doc = dict(default_frontier_config() if command == "frontier"
+                       else default_prs_sim_config(), world=world)
+            argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        path.write_text(json.dumps(doc))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error:") and "genotype cells" in err
 
     def test_omitted_seeds_follow_offset_into_manifest(self, tmp_path):
         cfg = _small_prs_config(weight_settings=[[1.0, 1.0]])
