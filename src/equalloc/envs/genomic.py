@@ -37,6 +37,8 @@ __all__ = [
 # The most genotype cells (two groups of variants x population, one byte each) a
 # world may hold, as solvers.MAX_GRID_POINTS caps the grid: 6.25 default worlds.
 MAX_GENOTYPE_CELLS = 500_000_000
+# Rows per scratch block in the independent-variant fill and the column reorder.
+_BLOCK = 16
 
 @dataclass(frozen=True)
 class GenomicWorldConfig:
@@ -103,18 +105,18 @@ class GenomicWorldConfig:
 
 @dataclass(frozen=True)
 class GroupSplit:
-    """Index bookkeeping for one group's train pools and holdout set."""
+    """One group's split, as ranges of its reordered genotype columns.
 
-    train_cases: np.ndarray
-    train_controls: np.ndarray
-    test_cases: np.ndarray
-    test_controls: np.ndarray
-    pool: np.ndarray  # (pool size, variants) genotypes: train cases, then train controls
-    pool_row: np.ndarray  # each individual's row in ``pool``, -1 outside the pool
+    Columns ``[0, max_pairs)`` hold the training cases and ``[max_pairs,
+    2 * max_pairs)`` the training controls; ``holdout`` covers the test
+    cases and then the test controls, and every other individual comes
+    after it.  ``pool`` is an individual-major copy of the training
+    columns, so a training column is also its row in ``pool``.
+    """
 
-    @property
-    def max_pairs(self) -> int:
-        return min(self.train_cases.size, self.train_controls.size)
+    max_pairs: int
+    holdout: slice
+    pool: np.ndarray  # (2 * max_pairs, variants) genotypes
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,11 @@ class GenomicWorld:
 
     ``genotypes[g]`` is a variant-major ``(variants, population)`` uint8
     0/1 matrix, one contiguous row per variant; ``disease[g]`` marks the
-    top-prevalence fraction of the liability distribution.  The per-group
-    splits separate obtainable training cases/controls, whose genotypes
-    they also hold individual-major, from the holdout used for evaluation.
+    top-prevalence fraction of the liability distribution.  Each group's
+    columns, and ``disease[g]`` with them, are in split order: training
+    cases, training controls, holdout cases, holdout controls, then
+    everyone else, so ``splits[g]`` holds only the range boundaries (and
+    the training genotypes individual-major).
     """
 
     config: GenomicWorldConfig
@@ -143,7 +147,9 @@ class GenomicWorld:
 
 @dataclass(frozen=True)
 class CaseControlSample:
-    """A matched case-control training sample for one group."""
+    """A matched case-control training sample for one group, as genotype
+    columns: cases in ``[0, max_pairs)``, controls in ``[max_pairs, 2 *
+    max_pairs)`` of the group's split."""
 
     group: int
     case_idx: np.ndarray
@@ -173,39 +179,43 @@ class RiskModel:
     def is_empty(self) -> bool:
         return self.variant_idx.size == 0
 
-    def predict_proba(self, genotypes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Predicted probabilities of the individuals ``rows`` of a
-        variant-major ``(variants, individuals)`` matrix, gathering only the
-        variant rows the model uses."""
+    def predict_proba(self, genotypes: np.ndarray) -> np.ndarray:
+        """Predicted probabilities of every individual (column) of a
+        variant-major ``(variants, individuals)`` matrix or column slice,
+        gathering only the variant rows the model uses."""
         if self.is_empty:
-            return np.full(rows.size, self.prevalence)
-        scores = _selected_scores(genotypes, rows, self.variant_idx, self.log_odds)
+            return np.full(genotypes.shape[1], self.prevalence)
+        scores = _selected_scores(genotypes, self.variant_idx, self.log_odds)
         logit = self.slope * scores + self.intercept
         return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _selected_scores(genotypes, rows, variant_idx, log_odds) -> np.ndarray:
-    """Scores of the individuals ``rows`` of a variant-major ``(variants,
-    individuals)`` matrix, gathering only ``variant_idx x rows``.
+def _selected_scores(genotypes, variant_idx, log_odds) -> np.ndarray:
+    """Scores of every column of a variant-major ``(variants, individuals)``
+    matrix or view, gathering only the rows ``variant_idx``.
 
     The matrix-vector product sums in an order set by the layout.  The block
-    is gathered C-ordered and used transposed, a Fortran-ordered ``(rows,
-    variants)`` matrix, so each score has the bits of the population-major
-    ``G.T[rows][:, variant_idx].astype(float) @ log_odds``.
+    is gathered C-ordered and used transposed, a Fortran-ordered
+    ``(individuals, variants)`` matrix, so each score has the bits of the
+    population-major ``G.T[:, variant_idx].astype(float) @ log_odds``.
     """
-    block = genotypes[np.ix_(variant_idx, rows)].astype(float, order="C")
-    return block.T @ log_odds
+    return genotypes[variant_idx].astype(float, order="C").T @ log_odds
 
 
 def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) -> np.ndarray:
     """Binary genotypes as a variant-major ``(variants, population)`` uint8
     matrix, with optional AR(1) latent correlation along the variant index;
-    the in-place latent update rounds exactly like ``ld_rho * z + carry * e``."""
+    the in-place latent update rounds exactly like ``ld_rho * z + carry * e``.
+    Without correlation the uniforms are drawn population-major, as one
+    ``(population, variants)`` draw would be, ``_BLOCK`` individuals at a time."""
     v = freqs.size
-    if ld_rho == 0.0:
-        return (rng.random((population, v)) < freqs).T.astype(np.uint8, order="C")
-    thresholds = ndtri(freqs)
     out = np.empty((v, population), dtype=np.uint8)
+    if ld_rho == 0.0:
+        for lo in range(0, population, _BLOCK):
+            block = rng.random((min(_BLOCK, population - lo), v))
+            out[:, lo:lo + block.shape[0]] = (block < freqs).T
+        return out
+    thresholds = ndtri(freqs)
     carry = np.sqrt(1.0 - ld_rho**2)
     z = rng.standard_normal(population)
     e = np.empty(population)
@@ -227,7 +237,8 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     more informative for the second (YRI-like) population.  Disease goes
     to the top-prevalence slice of a standardized genetic-plus-noise
     liability, so every world has exactly ``floor(q * P)`` cases per
-    group.
+    group.  Once a group's split is drawn, its genotype columns are
+    reordered in place, ``_BLOCK`` variant rows at a time, into split order.
     """
     rng = np.random.default_rng(config.rng_seed)
     v, p = config.variants, config.population
@@ -260,28 +271,17 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
 
         case_idx = rng.permutation(np.flatnonzero(sick))
         control_idx = rng.permutation(np.flatnonzero(~sick))
-        train_cases = case_idx[:n_train_cases]
-        test_cases = case_idx[n_train_cases:]
-        train_controls = control_idx[:n_train_cases]
-        n_test_controls = int(round(test_cases.size * (1.0 - q) / q))
+        n_test_controls = int(round((n_cases - n_train_cases) * (1.0 - q) / q))
         n_test_controls = min(n_test_controls, control_idx.size - n_train_cases)
-        test_controls = control_idx[n_train_cases : n_train_cases + n_test_controls]
-
-        pool = np.concatenate([train_cases, train_controls])
-        pool_row = np.full(p, -1)
-        pool_row[pool] = np.arange(pool.size)
+        cols = np.concatenate([case_idx[:n_train_cases], control_idx[:n_train_cases],
+                               case_idx[n_train_cases:], control_idx[n_train_cases:]])
+        for lo in range(0, v, _BLOCK):
+            geno[lo:lo + _BLOCK] = geno[lo:lo + _BLOCK].take(cols, axis=1)
         genotypes.append(geno)
-        disease.append(sick)
-        splits.append(
-            GroupSplit(
-                train_cases=train_cases,
-                train_controls=train_controls,
-                test_cases=test_cases,
-                test_controls=test_controls,
-                pool=geno.T[pool],
-                pool_row=pool_row,
-            )
-        )
+        disease.append(sick[cols])
+        holdout = slice(2 * n_train_cases, n_cases + n_train_cases + n_test_controls)
+        pool = np.ascontiguousarray(geno[:, :2 * n_train_cases].T)
+        splits.append(GroupSplit(n_train_cases, holdout, pool))
 
     return GenomicWorld(
         config=config,
@@ -298,15 +298,14 @@ def draw_case_control_sample(
     world: GenomicWorld, group: int, n_pairs: int, rng_seed
 ) -> CaseControlSample:
     """Draw ``n_pairs`` matched case-control pairs from a group's train pools."""
-    split = world.splits[group]
-    if n_pairs > split.max_pairs:
+    p = world.splits[group].max_pairs
+    if not 0 <= n_pairs <= p:
         raise DomainError(
-            f"requested {n_pairs} pairs but group {group} has only "
-            f"{split.max_pairs} available"
+            f"requested {n_pairs} pairs but group {group} has 0 to {p} available"
         )
     rng = np.random.default_rng(rng_seed)
-    cases = rng.permutation(split.train_cases)[:n_pairs]
-    controls = rng.permutation(split.train_controls)[:n_pairs]
+    cases = rng.permutation(p)[:n_pairs]
+    controls = p + rng.permutation(p)[:n_pairs]
     return CaseControlSample(group=group, case_idx=cases, control_idx=controls)
 
 
@@ -426,8 +425,9 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     cfg = world.config
     n_pairs = sample.num_pairs
     split = world.splits[sample.group]
-    cases, controls = (split.pool_row[i] for i in (sample.case_idx, sample.control_idx))
-    if not (cases.size and controls.size and min(cases.min(), controls.min()) >= 0):
+    cases, controls, p = sample.case_idx, sample.control_idx, split.max_pairs
+    if not (cases.size and controls.size and 0 <= cases.min() and cases.max() < p
+            and p <= controls.min() and controls.max() < 2 * p):
         raise DomainError("training sample needs cases and controls, all from the train pools")
     n_cal = int(round(cfg.calibration_fraction * n_pairs))
     n_fit = n_pairs - n_cal
@@ -447,7 +447,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     cal_cases = cases[n_pairs - n_cal:]
     cal_controls = controls[n_pairs - n_cal:]
     cal_rows = np.concatenate([cal_cases, cal_controls])
-    cal_scores = _selected_scores(split.pool.T, cal_rows, retained, log_or[retained])
+    cal_scores = _selected_scores(split.pool[cal_rows].T, retained, log_or[retained])
     labels = np.zeros(cal_rows.size)
     labels[: cal_cases.size] = 1.0
     slope, intercept = _fit_platt(cal_scores, labels)
@@ -465,19 +465,11 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     )
 
 
-def holdout_indices(world: GenomicWorld, group: int) -> np.ndarray:
-    split = world.splits[group]
-    return np.concatenate([split.test_cases, split.test_controls])
-
-
 def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float:
     """Per-capita value of treating holdout members whose risk exceeds q."""
-    split = world.splits[group]
-    idx = holdout_indices(world, group)
-    if idx.size == 0:
+    y = world.disease[group][world.splits[group].holdout]
+    if y.size == 0:
         raise DomainError("empty holdout split")
-    y = np.zeros(idx.size)
-    y[: split.test_cases.size] = 1.0
     treat = probs > world.config.prevalence
     payoff = y * world.config.benefit - world.config.cost
     return float(np.mean(treat * payoff))
@@ -485,7 +477,7 @@ def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float
 
 def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> float:
     """Value of the model's treat-if-risky rule on the group's holdout set."""
-    probs = model.predict_proba(world.genotypes[group], holdout_indices(world, group))
+    probs = model.predict_proba(world.genotypes[group][:, world.splits[group].holdout])
     return treatment_value(world, group, probs)
 
 
@@ -554,7 +546,7 @@ class GenomicSamplingSession:
     def __init__(self, world: GenomicWorld, rng_seed: int = 0):
         self.world = world
         rng = np.random.default_rng(rng_seed)
-        self._pools = [(rng.permutation(s.train_cases), rng.permutation(s.train_controls))
+        self._pools = [(rng.permutation(s.max_pairs), s.max_pairs + rng.permutation(s.max_pairs))
                        for s in world.splits]
         self._cache: dict[tuple[int, int], float] = {}
 

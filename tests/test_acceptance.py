@@ -33,7 +33,7 @@ from equalloc.envs import (
     generate_world,
     run_allocation_curve,
 )
-from equalloc.envs.genomic import aggregate_curve, holdout_indices, treatment_value
+from equalloc.envs.genomic import aggregate_curve, treatment_value
 from equalloc.harness import (
     default_convergence_config,
     default_frontier_config,
@@ -246,11 +246,12 @@ def test_c08_genomic_environment_properties():
     prevalence_ok = all(int(d.sum()) == 1000 for d in world.disease)
 
     split = world.splits[1]
-    idx = holdout_indices(world, 1)
-    everyone = np.full(idx.size, world.config.prevalence + 1e-9)
+    holdout_size = split.holdout.stop - split.holdout.start
+    everyone = np.full(holdout_size, world.config.prevalence + 1e-9)
     v_everyone = treatment_value(world, 1, everyone)
-    oracle = np.zeros(idx.size)
-    oracle[: split.test_cases.size] = 1.0
+    # the holdout's first columns are the cases the training pool left out
+    oracle = np.zeros(holdout_size)
+    oracle[: int(world.disease[1].sum()) - split.max_pairs] = 1.0
     v_oracle = treatment_value(world, 1, oracle)
 
     rows = run_allocation_curve(world, [100, 200, 300, 400, 500], seeds=range(20))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,7 @@ from equalloc.envs import (
     train_risk_model,
 )
 from equalloc.envs.genomic import (
+    _BLOCK,
     MAX_GENOTYPE_CELLS,
     RiskModel,
     _chi2_screen,
@@ -29,7 +35,6 @@ from equalloc.envs.genomic import (
     _fit_platt,
     _sample_genotypes,
     aggregate_curve,
-    holdout_indices,
     treatment_value,
 )
 from equalloc.errors import CapacityError, DomainError
@@ -187,7 +192,7 @@ class TestGenerateWorld:
         w1, w2 = generate_world(cfg), generate_world(cfg)
         assert np.array_equal(w1.genotypes[0], w2.genotypes[0])
         assert np.array_equal(w1.disease[1], w2.disease[1])
-        assert np.array_equal(w1.splits[0].train_cases, w2.splits[0].train_cases)
+        assert np.array_equal(w1.splits[0].pool, w2.splits[0].pool)
 
     def test_adjacent_ld_present_when_requested(self):
         cfg = GenomicWorldConfig(rng_seed=3, ld_rho=0.6, **SMALL_WORLD)
@@ -212,22 +217,77 @@ def _per_variant_genotypes(rng, freqs, population, ld_rho):
 
 @pytest.mark.parametrize("variants", [1, 63, 64, 129])
 def test_blocked_genotype_fill_matches_per_variant_loop(variants):
-    # the variant-major fill is the transpose of the population-major loop
+    # the variant-major fill is the transpose of the population-major loop;
+    # 1024 individuals are a whole number of blocks, 1000 and 7 are not
+    assert 1024 % _BLOCK == 0 and 1000 % _BLOCK and 7 < _BLOCK
     freqs = np.random.default_rng(1).uniform(0.05, 0.5, variants)
-    expected = _per_variant_genotypes(np.random.default_rng(3), freqs, 1000, 0.3)
-    rng = np.random.default_rng(3)
-    got = _sample_genotypes(rng, freqs, 1000, 0.3)
-    assert got.dtype == np.uint8 and got.flags.c_contiguous
-    assert np.array_equal(got, expected.T)
-    # the generator is left where the reference loop leaves it
-    after = np.random.default_rng(3)
-    _per_variant_genotypes(after, freqs, 1000, 0.3)
-    assert rng.random() == after.random()
-    # without LD, one population-major draw of uniforms, transposed
-    uniforms = np.random.default_rng(3).random((1000, variants))
-    independent = _sample_genotypes(np.random.default_rng(3), freqs, 1000, 0.0)
-    assert independent.flags.c_contiguous
-    assert np.array_equal(independent, (uniforms < freqs).astype(np.uint8).T)
+    for population in (1000, 1024, 7):
+        expected = _per_variant_genotypes(np.random.default_rng(3), freqs, population, 0.3)
+        rng = np.random.default_rng(3)
+        got = _sample_genotypes(rng, freqs, population, 0.3)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, expected.T)
+        # the generator is left where the reference loop leaves it
+        after = np.random.default_rng(3)
+        _per_variant_genotypes(after, freqs, population, 0.3)
+        assert rng.random() == after.random()
+        # without LD, one population-major draw of uniforms, transposed, and
+        # the generator is left where that one draw leaves it
+        reference = np.random.default_rng(3)
+        uniforms = reference.random((population, variants))
+        rng = np.random.default_rng(3)
+        independent = _sample_genotypes(rng, freqs, population, 0.0)
+        assert independent.dtype == np.uint8 and independent.flags.c_contiguous
+        assert np.array_equal(independent, (uniforms < freqs).astype(np.uint8).T)
+        assert rng.random() == reference.random()
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_independent_world_peak_memory_stays_near_the_genotypes():
+    # the ld_rho = 0 fill once drew the whole (population, variants) float
+    # matrix: a default-size world peaked at 463 MB, against about 176 MB
+    # with LD.  A fresh process measures this world's peak alone; it reads
+    # VmHWM, because ru_maxrss keeps the spawning process's peak across exec.
+    script = ("import re\n"
+              "from equalloc.envs import GenomicWorldConfig, generate_world\n"
+              "generate_world(GenomicWorldConfig(ld_rho=0.0))\n"
+              "status = open('/proc/self/status').read()\n"
+              "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n")
+    package_root = str(Path(equalloc.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=package_root), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) / 1024 < 300
+
+
+@pytest.mark.parametrize("world_fixture", ["world", "independent_world"])
+def test_columns_are_in_split_order(request, world_fixture):
+    # training cases, training controls, holdout cases, holdout controls, then
+    # everyone else, and each group's columns are its unpermuted draw's
+    world = request.getfixturevalue(world_fixture)
+    cfg = world.config
+    n_cases = int(np.floor(cfg.prevalence * cfg.population))
+    # replay the generator: after each group's genotype draw come its
+    # liability noise and two shuffles, whose sizes alone set what they use
+    rng = np.random.default_rng(cfg.rng_seed)
+    freqs = rng.uniform(cfg.freq_low, cfg.freq_high, size=(2, cfg.variants))
+    rng.normal(size=cfg.causal_count)
+    for g, split in enumerate(world.splits):
+        p, holdout, sick = split.max_pairs, split.holdout, world.disease[g]
+        assert sick.sum() == n_cases
+        assert p == int(np.floor(cfg.case_train_fraction * n_cases)) and holdout.start == 2 * p
+        assert sick[:p].all() and not sick[p:2 * p].any()
+        n_test_cases = n_cases - p
+        assert sick[holdout][:n_test_cases].all() and not sick[holdout][n_test_cases:].any()
+        assert not sick[holdout.stop:].any()
+        assert np.array_equal(split.pool, world.genotypes[g][:, :2 * p].T)
+        unpermuted = _sample_genotypes(rng, freqs[g], cfg.population, cfg.ld_rho)
+        rng.standard_normal(cfg.population)
+        rng.permutation(n_cases)
+        rng.permutation(cfg.population - n_cases)
+        assert not np.array_equal(unpermuted, world.genotypes[g])
+        assert (sorted(c.tobytes() for c in unpermuted.T)
+                == sorted(c.tobytes() for c in world.genotypes[g].T))
 
 
 def _screen_everywhere(geno, n_cases, maf_floor, p_threshold):
@@ -289,7 +349,7 @@ def test_screen_skips_only_p_values_that_cannot_pass(data):
 class TestRiskModelTraining:
     def test_empty_model_predicts_prevalence_and_zero_value(self, world):
         model = _empty_model(world.config.prevalence)
-        probs = model.predict_proba(world.genotypes[0], np.arange(10))
+        probs = model.predict_proba(world.genotypes[0][:, :10])
         assert np.allclose(probs, 0.05)
         assert evaluate_group_value(world, model, 0) == 0.0
 
@@ -344,17 +404,30 @@ class TestRiskModelTraining:
         assert hits / len(list(seeds)) >= 0.95
 
     def test_sample_outside_the_training_pool_rejected(self, world):
-        # training reads the pool block, so a holdout individual or an
-        # empty side must be refused, never read from a wrong row
-        split = world.splits[0]
-        for cases in (split.test_cases[:5], np.array([], dtype=int)):
-            sample = CaseControlSample(0, cases, split.train_controls[:5])
+        # training reads the pool block, so a holdout individual, an empty
+        # side, or a case and a control in each other's ranges must be
+        # refused, never read from a wrong row
+        p = world.splits[0].max_pairs
+        cases, controls = np.arange(5), p + np.arange(5)
+        holdout = np.arange(world.splits[0].holdout.start, world.splits[0].holdout.start + 5)
+        for bad_cases, bad_controls in ((holdout, controls), (cases, holdout),
+                                        (np.array([], dtype=int), controls),
+                                        (np.append(cases, p), controls),
+                                        (cases, np.append(controls, p - 1)),
+                                        (np.append(cases, -1), controls),
+                                        (cases, np.append(controls, 2 * p))):
+            sample = CaseControlSample(0, bad_cases, bad_controls)
             with pytest.raises(DomainError):
                 train_risk_model(world, sample)
+        # the first and last column of each range are accepted
+        train_risk_model(world, CaseControlSample(0, np.append(cases, p - 1),
+                                                  np.append(controls, 2 * p - 1)))
 
     def test_sample_too_large_rejected(self, world):
-        with pytest.raises(DomainError):
-            draw_case_control_sample(world, 0, 10**6, 0)
+        # a negative count used to slice the permutation from its end
+        for n_pairs in (10**6, world.splits[0].max_pairs + 1, -3):
+            with pytest.raises(DomainError):
+                draw_case_control_sample(world, 0, n_pairs, 0)
 
     def test_deterministic_training(self, world):
         s1 = draw_case_control_sample(world, 0, 60, 12)
@@ -397,10 +470,10 @@ def _population_major_reference(world, sample):
         model = RiskModel(retained, log_or[retained], slope, intercept, q)
     values = []
     for g in range(world.num_groups):
-        idx = holdout_indices(world, g)
-        probs = np.full(idx.size, q)
+        holdout = geno[g][world.splits[g].holdout]
+        probs = np.full(holdout.shape[0], q)
         if not model.is_empty:
-            block = geno[g][np.ix_(idx, model.variant_idx)].astype(float, order="F")
+            block = holdout[:, model.variant_idx].astype(float, order="F")
             logit = model.slope * (block @ model.log_odds) + model.intercept
             probs = 1.0 / (1.0 + np.exp(-logit))
         values.append(treatment_value(world, g, probs))
@@ -437,10 +510,10 @@ class TestEvaluation:
         assert not all(m.is_empty for m in models[1:])
         for model in models:
             for g in range(world.num_groups):
-                idx = holdout_indices(world, g)
-                probs = model.predict_proba(world.genotypes[g], idx)
+                holdout = world.genotypes[g][:, world.splits[g].holdout]
+                probs = model.predict_proba(holdout)
                 if not model.is_empty:
-                    rows = world.genotypes[g][:, idx].T
+                    rows = holdout.T
                     scores = rows[:, model.variant_idx].astype(float) @ model.log_odds
                     logit = model.slope * scores + model.intercept
                     assert np.array_equal(probs, 1.0 / (1.0 + np.exp(-logit)))
@@ -448,15 +521,15 @@ class TestEvaluation:
                 assert evaluate_group_value(world, model, g) == expected
 
     def test_treat_everyone_is_worthless(self, desk_world):
-        idx = holdout_indices(desk_world, 0)
-        probs = np.full(idx.size, desk_world.config.prevalence + 1e-9)
+        holdout = desk_world.splits[0].holdout
+        probs = np.full(holdout.stop - holdout.start, desk_world.config.prevalence + 1e-9)
         assert treatment_value(desk_world, 0, probs) == pytest.approx(0.0, abs=0.05)
 
     def test_oracle_attains_upper_bound(self, desk_world):
+        # the holdout's first columns are the cases the pool left out
         split = desk_world.splits[1]
-        idx = holdout_indices(desk_world, 1)
-        oracle = np.zeros(idx.size)
-        oracle[: split.test_cases.size] = 1.0
+        oracle = np.zeros(split.holdout.stop - split.holdout.start)
+        oracle[: int(desk_world.disease[1].sum()) - split.max_pairs] = 1.0
         assert treatment_value(desk_world, 1, oracle) == pytest.approx(4.75)
 
     def test_treat_nobody_is_zero(self, desk_world):
@@ -477,8 +550,8 @@ class TestEvaluation:
         for seed in range(20):
             sample = draw_case_control_sample(desk_world, 1, 400, seed)
             model = train_risk_model(desk_world, sample)
-            idx = holdout_indices(desk_world, 1)
-            means.append(model.predict_proba(desk_world.genotypes[1], idx).mean())
+            holdout = desk_world.genotypes[1][:, desk_world.splits[1].holdout]
+            means.append(model.predict_proba(holdout).mean())
         assert abs(np.mean(means) - desk_world.config.prevalence) <= 0.01
 
 
