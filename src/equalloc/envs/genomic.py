@@ -34,10 +34,12 @@ __all__ = [
     "GenomicSamplingSession",
 ]
 
-# The most genotype cells (two groups of variants x population, one byte each) a
-# world may hold, as solvers.MAX_GRID_POINTS caps the grid: 6.25 default worlds.
+# The most genotype cells (two groups of variants x population) a world may draw,
+# as solvers.MAX_GRID_POINTS caps the grid: 6.25 default worlds.  Drawn cells are
+# stored one bit each, and only the splits' columns are kept.
 MAX_GENOTYPE_CELLS = 500_000_000
-# Rows per scratch block in the independent-variant fill and the column reorder.
+# Individuals per block of the independent-variant fill (a multiple of 8, so a
+# block packs into whole bytes) and variant rows per block of the column reorder.
 _BLOCK = 16
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ class GroupSplit:
 
     Columns ``[0, max_pairs)`` hold the training cases and ``[max_pairs,
     2 * max_pairs)`` the training controls; ``holdout`` covers the test
-    cases and then the test controls, and every other individual comes
-    after it.  ``pool`` is an individual-major copy of the training
+    cases and then the test controls, and ends at the last kept column.
+    ``pool`` is an unpacked, individual-major copy of the training
     columns, so a training column is also its row in ``pool``.
     """
 
@@ -123,13 +125,15 @@ class GroupSplit:
 class GenomicWorld:
     """A fully realized two-population world.
 
-    ``genotypes[g]`` is a variant-major ``(variants, population)`` uint8
-    0/1 matrix, one contiguous row per variant; ``disease[g]`` marks the
-    top-prevalence fraction of the liability distribution.  Each group's
-    columns, and ``disease[g]`` with them, are in split order: training
-    cases, training controls, holdout cases, holdout controls, then
-    everyone else, so ``splits[g]`` holds only the range boundaries (and
-    the training genotypes individual-major).
+    ``genotypes[g]`` is a variant-major ``(variants, ceil(n / 8))`` uint8
+    matrix of 0/1 genotypes, each row bit-packed (``np.unpackbits(...,
+    axis=1, count=n)`` restores it), holding only the ``n =
+    splits[g].holdout.stop`` individuals of the group's split; the others,
+    all controls, are dropped.  ``disease[g]`` marks the top-prevalence
+    fraction of the liability distribution.  The columns, and ``disease[g]``
+    with them, are in split order: training cases, training controls,
+    holdout cases, holdout controls, so ``splits[g]`` holds only the range
+    boundaries (and the training genotypes individual-major).
     """
 
     config: GenomicWorldConfig
@@ -179,53 +183,56 @@ class RiskModel:
     def is_empty(self) -> bool:
         return self.variant_idx.size == 0
 
-    def predict_proba(self, genotypes: np.ndarray) -> np.ndarray:
-        """Predicted probabilities of every individual (column) of a
-        variant-major ``(variants, individuals)`` matrix or column slice,
-        gathering only the variant rows the model uses."""
+    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
+        """Predicted probabilities of every individual (column) of ``rows``,
+        the model's variant rows (``G[variant_idx]`` of a variant-major 0/1
+        ``(variants, individuals)`` matrix ``G``), or of a column slice of them."""
         if self.is_empty:
-            return np.full(genotypes.shape[1], self.prevalence)
-        scores = _selected_scores(genotypes, self.variant_idx, self.log_odds)
-        logit = self.slope * scores + self.intercept
+            return np.full(rows.shape[1], self.prevalence)
+        logit = self.slope * _selected_scores(rows, self.log_odds) + self.intercept
         return 1.0 / (1.0 + np.exp(-logit))
 
 
-def _selected_scores(genotypes, variant_idx, log_odds) -> np.ndarray:
-    """Scores of every column of a variant-major ``(variants, individuals)``
-    matrix or view, gathering only the rows ``variant_idx``.
+def _selected_scores(rows, weights) -> np.ndarray:
+    """Weighted scores of every column of selected variant rows, a
+    variant-major ``(selected variants, individuals)`` 0/1 matrix or view.
 
-    The matrix-vector product sums in an order set by the layout.  The block
-    is gathered C-ordered and used transposed, a Fortran-ordered
+    The matrix-vector product sums in an order set by the layout.  The rows
+    are copied C-ordered and used transposed, a Fortran-ordered
     ``(individuals, variants)`` matrix, so each score has the bits of the
-    population-major ``G.T[:, variant_idx].astype(float) @ log_odds``.
+    population-major ``G.T[:, variant_idx].astype(float) @ weights``.
     """
-    return genotypes[variant_idx].astype(float, order="C").T @ log_odds
+    return rows.astype(float, order="C").T @ weights
 
 
 def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) -> np.ndarray:
-    """Binary genotypes as a variant-major ``(variants, population)`` uint8
-    matrix, with optional AR(1) latent correlation along the variant index;
-    the in-place latent update rounds exactly like ``ld_rho * z + carry * e``.
-    Without correlation the uniforms are drawn population-major, as one
-    ``(population, variants)`` draw would be, ``_BLOCK`` individuals at a time."""
+    """Binary genotypes as a variant-major ``(variants, ceil(population / 8))``
+    uint8 matrix, each row bit-packed by ``np.packbits`` (pad bits zero), with
+    optional AR(1) latent correlation along the variant index; the in-place
+    latent update rounds exactly like ``ld_rho * z + carry * e``.  Without
+    correlation the uniforms are drawn population-major, as one ``(population,
+    variants)`` draw would be, ``_BLOCK`` individuals at a time."""
     v = freqs.size
-    out = np.empty((v, population), dtype=np.uint8)
+    out = np.empty((v, -(-population // 8)), dtype=np.uint8)
     if ld_rho == 0.0:
         for lo in range(0, population, _BLOCK):
             block = rng.random((min(_BLOCK, population - lo), v))
-            out[:, lo:lo + block.shape[0]] = (block < freqs).T
+            # a last, shorter block fills the rows' last ceil(len(block) / 8) bytes
+            out[:, lo // 8:(lo + _BLOCK) // 8] = np.packbits(block < freqs, axis=0).T
         return out
     thresholds = ndtri(freqs)
     carry = np.sqrt(1.0 - ld_rho**2)
     z = rng.standard_normal(population)
     e = np.empty(population)
+    row = np.empty(population, dtype=bool)
     for i in range(v):
         if i > 0:
             rng.standard_normal(out=e)
             z *= ld_rho
             e *= carry
             z += e
-        np.less(z, thresholds[i], out=out[i].view(bool))
+        np.less(z, thresholds[i], out=row)
+        out[i] = np.packbits(row)
     return out
 
 
@@ -237,8 +244,8 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     more informative for the second (YRI-like) population.  Disease goes
     to the top-prevalence slice of a standardized genetic-plus-noise
     liability, so every world has exactly ``floor(q * P)`` cases per
-    group.  Once a group's split is drawn, its genotype columns are
-    reordered in place, ``_BLOCK`` variant rows at a time, into split order.
+    group.  Once a group's split is drawn, its columns are reordered into
+    split order and cut to the split, ``_BLOCK`` unpacked variant rows at a time.
     """
     rng = np.random.default_rng(config.rng_seed)
     v, p = config.variants, config.population
@@ -257,7 +264,7 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     n_train_cases = int(np.floor(config.case_train_fraction * n_cases))
     for g in range(2):
         geno = _sample_genotypes(rng, freqs[g], p, config.ld_rho)
-        x = geno[causal_idx].astype(float, order="C").T @ effect_sizes
+        x = _selected_scores(np.unpackbits(geno[causal_idx], axis=1, count=p), effect_sizes)
         x_sd = x.std()
         genetic = (x - x.mean()) / x_sd if x_sd > 0 else np.zeros(p)
         eps = rng.standard_normal(p)
@@ -273,14 +280,17 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
         control_idx = rng.permutation(np.flatnonzero(~sick))
         n_test_controls = int(round((n_cases - n_train_cases) * (1.0 - q) / q))
         n_test_controls = min(n_test_controls, control_idx.size - n_train_cases)
+        holdout = slice(2 * n_train_cases, n_cases + n_train_cases + n_test_controls)
         cols = np.concatenate([case_idx[:n_train_cases], control_idx[:n_train_cases],
                                case_idx[n_train_cases:], control_idx[n_train_cases:]])
+        cols = cols[:holdout.stop]
+        kept = np.empty((v, -(-cols.size // 8)), dtype=np.uint8)
         for lo in range(0, v, _BLOCK):
-            geno[lo:lo + _BLOCK] = geno[lo:lo + _BLOCK].take(cols, axis=1)
-        genotypes.append(geno)
+            rows = np.unpackbits(geno[lo:lo + _BLOCK], axis=1, count=p)
+            kept[lo:lo + _BLOCK] = np.packbits(rows.take(cols, axis=1), axis=1)
+        genotypes.append(kept)
         disease.append(sick[cols])
-        holdout = slice(2 * n_train_cases, n_cases + n_train_cases + n_test_controls)
-        pool = np.ascontiguousarray(geno[:, :2 * n_train_cases].T)
+        pool = np.ascontiguousarray(np.unpackbits(kept, axis=1, count=2 * n_train_cases).T)
         splits.append(GroupSplit(n_train_cases, holdout, pool))
 
     return GenomicWorld(
@@ -447,7 +457,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     cal_cases = cases[n_pairs - n_cal:]
     cal_controls = controls[n_pairs - n_cal:]
     cal_rows = np.concatenate([cal_cases, cal_controls])
-    cal_scores = _selected_scores(split.pool[cal_rows].T, retained, log_or[retained])
+    cal_scores = _selected_scores(split.pool[cal_rows][:, retained].T, log_or[retained])
     labels = np.zeros(cal_rows.size)
     labels[: cal_cases.size] = 1.0
     slope, intercept = _fit_platt(cal_scores, labels)
@@ -477,8 +487,9 @@ def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float
 
 def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> float:
     """Value of the model's treat-if-risky rule on the group's holdout set."""
-    probs = model.predict_proba(world.genotypes[group][:, world.splits[group].holdout])
-    return treatment_value(world, group, probs)
+    holdout = world.splits[group].holdout
+    rows = np.unpackbits(world.genotypes[group][model.variant_idx], axis=1, count=holdout.stop)
+    return treatment_value(world, group, model.predict_proba(rows[:, holdout]))
 
 
 def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds, session_of=None):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,35 @@ def independent_world():
 def desk_world():
     # full desk-scale world shared by the slower statistical checks
     return generate_world(GenomicWorldConfig(rng_seed=5))
+
+
+def _unpacked(world, g):
+    """Group ``g``'s kept genotypes as a 0/1 ``(variants, holdout.stop)`` matrix."""
+    return np.unpackbits(world.genotypes[g], axis=1, count=world.splits[g].holdout.stop)
+
+
+def _replayed_genotypes(cfg):
+    """Each group's genotype draw, unpermuted and unpacked to ``(variants,
+    population)``, replayed from the seed: after a group's draw come its
+    liability noise and two shuffles, whose sizes alone set what they use."""
+    n_cases = int(np.floor(cfg.prevalence * cfg.population))
+    rng = np.random.default_rng(cfg.rng_seed)
+    freqs = rng.uniform(cfg.freq_low, cfg.freq_high, size=(2, cfg.variants))
+    rng.normal(size=cfg.causal_count)
+    for g in range(2):
+        packed = _sample_genotypes(rng, freqs[g], cfg.population, cfg.ld_rho)
+        rng.standard_normal(cfg.population)
+        rng.permutation(n_cases)
+        rng.permutation(cfg.population - n_cases)
+        yield np.unpackbits(packed, axis=1, count=cfg.population)
+
+
+def _draw_order_disease(world, g, unpermuted):
+    """Group ``g``'s disease labels for every individual of its replayed draw:
+    an individual is a case when its genotype column is one of the world's
+    case columns, so an individual the world dropped counts as a control."""
+    cases = {c.tobytes() for c in _unpacked(world, g)[:, world.disease[g]].T}
+    return np.array([c.tobytes() in cases for c in unpermuted.T])
 
 
 class TestAnalyticEnvironment:
@@ -140,12 +170,14 @@ class TestGenerateWorld:
             assert int(sick.sum()) == 51  # floor(0.05 * 1030)
 
     def test_full_heritability_tracks_genetic_rank(self):
+        # the cases are the top genetic scores of all P individuals drawn
         cfg = GenomicWorldConfig(rng_seed=1, heritability=1.0, **SMALL_WORLD)
         w = generate_world(cfg)
-        for g in range(2):
-            x = w.genotypes[g][w.causal_idx].T.astype(float) @ w.effect_sizes
+        for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
+            x = unpermuted[w.causal_idx].T.astype(float) @ w.effect_sizes
             top = np.argsort(-x, kind="stable")[: int(w.disease[g].sum())]
-            assert np.array_equal(np.sort(top), np.flatnonzero(w.disease[g]))
+            sick = _draw_order_disease(w, g, unpermuted)
+            assert np.array_equal(np.sort(top), np.flatnonzero(sick))
 
     def test_vanishing_heritability_gives_null_auc(self):
         # needs the full desk-scale case count: the null AUC standard
@@ -157,9 +189,10 @@ class TestGenerateWorld:
         w = generate_world(cfg)
         from scipy.stats import rankdata
 
-        for g in range(2):
-            x = w.genotypes[g][w.causal_idx].T.astype(float) @ w.effect_sizes
-            sick = w.disease[g]
+        for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
+            x = unpermuted[w.causal_idx].T.astype(float) @ w.effect_sizes
+            sick = _draw_order_disease(w, g, unpermuted)
+            assert sick.size == 20000 and sick.sum() == 1000
             ranks = rankdata(x)
             n1, n0 = sick.sum(), (~sick).sum()
             auc = (ranks[sick].sum() - n1 * (n1 + 1) / 2) / (n1 * n0)
@@ -197,7 +230,7 @@ class TestGenerateWorld:
     def test_adjacent_ld_present_when_requested(self):
         cfg = GenomicWorldConfig(rng_seed=3, ld_rho=0.6, **SMALL_WORLD)
         w = generate_world(cfg)
-        g = w.genotypes[0].astype(float)
+        g = _unpacked(w, 0).astype(float)
         adjacent = [np.corrcoef(g[i], g[i + 1])[0, 1] for i in range(0, 60, 3)]
         assert np.mean(adjacent) > 0.2
 
@@ -215,18 +248,27 @@ def _per_variant_genotypes(rng, freqs, population, ld_rho):
     return out
 
 
+def _unpacked_fill(packed, population):
+    """A packed fill's 0/1 matrix, after checking its shape and zero pad bits."""
+    assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+    assert packed.shape[1] == -(-population // 8)
+    bits = np.unpackbits(packed, axis=1)
+    assert not bits[:, population:].any()
+    return bits[:, :population]
+
+
 @pytest.mark.parametrize("variants", [1, 63, 64, 129])
 def test_blocked_genotype_fill_matches_per_variant_loop(variants):
-    # the variant-major fill is the transpose of the population-major loop;
-    # 1024 individuals are a whole number of blocks, 1000 and 7 are not
-    assert 1024 % _BLOCK == 0 and 1000 % _BLOCK and 7 < _BLOCK
+    # the variant-major fill, unpacked, is the transpose of the population-major
+    # loop; 1024 individuals are a whole number of blocks, 1000 and 1001 are
+    # not, and 1001, 13 and 7 end mid-byte
+    assert 1024 % _BLOCK == 0 and 1000 % _BLOCK and 7 < 13 < _BLOCK and _BLOCK % 8 == 0
     freqs = np.random.default_rng(1).uniform(0.05, 0.5, variants)
-    for population in (1000, 1024, 7):
+    for population in (1000, 1001, 1024, 13, 7):
         expected = _per_variant_genotypes(np.random.default_rng(3), freqs, population, 0.3)
         rng = np.random.default_rng(3)
         got = _sample_genotypes(rng, freqs, population, 0.3)
-        assert got.dtype == np.uint8 and got.flags.c_contiguous
-        assert np.array_equal(got, expected.T)
+        assert np.array_equal(_unpacked_fill(got, population), expected.T)
         # the generator is left where the reference loop leaves it
         after = np.random.default_rng(3)
         _per_variant_genotypes(after, freqs, population, 0.3)
@@ -237,57 +279,79 @@ def test_blocked_genotype_fill_matches_per_variant_loop(variants):
         uniforms = reference.random((population, variants))
         rng = np.random.default_rng(3)
         independent = _sample_genotypes(rng, freqs, population, 0.0)
-        assert independent.dtype == np.uint8 and independent.flags.c_contiguous
-        assert np.array_equal(independent, (uniforms < freqs).astype(np.uint8).T)
+        assert np.array_equal(_unpacked_fill(independent, population),
+                              (uniforms < freqs).astype(np.uint8).T)
         assert rng.random() == reference.random()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
-def test_independent_world_peak_memory_stays_near_the_genotypes():
-    # the ld_rho = 0 fill once drew the whole (population, variants) float
-    # matrix: a default-size world peaked at 463 MB, against about 176 MB
-    # with LD.  A fresh process measures this world's peak alone; it reads
-    # VmHWM, because ru_maxrss keeps the spawning process's peak across exec.
+@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
+def test_independent_world_peak_memory_stays_near_the_genotypes(ld_rho):
+    # bit-packed and cut to the splits, a default world holds 5.5 MB of
+    # genotypes and peaks at about 109 MB, mostly the imports; one byte per
+    # genotype for everyone peaked at about 175 MB, and drawing the whole
+    # ld_rho = 0 float matrix at 463 MB.  A fresh process measures this
+    # world's peak alone; it reads VmHWM, because ru_maxrss keeps the
+    # spawning process's peak across exec.
     script = ("import re\n"
               "from equalloc.envs import GenomicWorldConfig, generate_world\n"
-              "generate_world(GenomicWorldConfig(ld_rho=0.0))\n"
+              f"generate_world(GenomicWorldConfig(ld_rho={ld_rho}))\n"
               "status = open('/proc/self/status').read()\n"
               "print(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1))\n")
     package_root = str(Path(equalloc.__file__).resolve().parents[1])
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=package_root), timeout=120)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) / 1024 < 300
+    assert int(result.stdout) / 1024 < 150
 
 
 @pytest.mark.parametrize("world_fixture", ["world", "independent_world"])
 def test_columns_are_in_split_order(request, world_fixture):
-    # training cases, training controls, holdout cases, holdout controls, then
-    # everyone else, and each group's columns are its unpermuted draw's
+    # training cases, training controls, holdout cases, then holdout
+    # controls, and each group's columns are columns of its unpermuted draw
     world = request.getfixturevalue(world_fixture)
     cfg = world.config
     n_cases = int(np.floor(cfg.prevalence * cfg.population))
-    # replay the generator: after each group's genotype draw come its
-    # liability noise and two shuffles, whose sizes alone set what they use
-    rng = np.random.default_rng(cfg.rng_seed)
-    freqs = rng.uniform(cfg.freq_low, cfg.freq_high, size=(2, cfg.variants))
-    rng.normal(size=cfg.causal_count)
-    for g, split in enumerate(world.splits):
+    for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
+        split = world.splits[g]
         p, holdout, sick = split.max_pairs, split.holdout, world.disease[g]
-        assert sick.sum() == n_cases
+        assert sick.sum() == n_cases and sick.size == holdout.stop
         assert p == int(np.floor(cfg.case_train_fraction * n_cases)) and holdout.start == 2 * p
         assert sick[:p].all() and not sick[p:2 * p].any()
         n_test_cases = n_cases - p
         assert sick[holdout][:n_test_cases].all() and not sick[holdout][n_test_cases:].any()
-        assert not sick[holdout.stop:].any()
-        assert np.array_equal(split.pool, world.genotypes[g][:, :2 * p].T)
-        unpermuted = _sample_genotypes(rng, freqs[g], cfg.population, cfg.ld_rho)
-        rng.standard_normal(cfg.population)
-        rng.permutation(n_cases)
-        rng.permutation(cfg.population - n_cases)
-        assert not np.array_equal(unpermuted, world.genotypes[g])
-        assert (sorted(c.tobytes() for c in unpermuted.T)
-                == sorted(c.tobytes() for c in world.genotypes[g].T))
+        kept = _unpacked(world, g)
+        assert np.array_equal(split.pool, kept[:, :2 * p].T)
+        assert not np.array_equal(unpermuted[:, :holdout.stop], kept)
+        drawn = Counter(c.tobytes() for c in unpermuted.T)
+        drawn.subtract(c.tobytes() for c in kept.T)
+        assert min(drawn.values()) >= 0 and drawn.total() == cfg.population - holdout.stop
+
+
+@pytest.mark.parametrize("ld_rho", [0.0, 0.3])
+def test_world_keeps_only_the_split_columns_bit_packed(ld_rho):
+    # a world keeps each group's holdout.stop split columns, one bit per
+    # genotype with zero pad bits, and drops the other individuals; at full
+    # heritability the cases are the top genetic scores of the whole draw,
+    # so every individual dropped must be one of the draw's controls
+    cfg = GenomicWorldConfig(rng_seed=1, heritability=1.0, ld_rho=ld_rho,
+                             case_train_fraction=0.49, **SMALL_WORLD)
+    world = generate_world(cfg)
+    n_cases = int(np.floor(cfg.prevalence * cfg.population))
+    # 200 cases, 98 training controls and 1938 holdout controls: mid-byte
+    stop = world.splits[0].holdout.stop
+    assert all(s.holdout.stop == stop for s in world.splits) and stop == 2236
+    assert sum(g.nbytes for g in world.genotypes) == 2 * cfg.variants * -(-stop // 8)
+    for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
+        packed = world.genotypes[g]
+        assert packed.shape == (cfg.variants, -(-stop // 8)) and packed.dtype == np.uint8
+        assert not np.unpackbits(packed, axis=1)[:, stop:].any()
+        x = unpermuted[world.causal_idx].T.astype(float) @ world.effect_sizes
+        cases = np.argsort(-x, kind="stable")[:n_cases]
+        dropped = Counter(c.tobytes() for c in unpermuted.T)
+        dropped.subtract(c.tobytes() for c in _unpacked(world, g).T)
+        assert min(dropped.values()) >= 0 and dropped.total() == cfg.population - stop
+        assert not any(dropped[c.tobytes()] for c in unpermuted[:, cases].T)
 
 
 def _screen_everywhere(geno, n_cases, maf_floor, p_threshold):
@@ -349,8 +413,8 @@ def test_screen_skips_only_p_values_that_cannot_pass(data):
 class TestRiskModelTraining:
     def test_empty_model_predicts_prevalence_and_zero_value(self, world):
         model = _empty_model(world.config.prevalence)
-        probs = model.predict_proba(world.genotypes[0][:, :10])
-        assert np.allclose(probs, 0.05)
+        probs = model.predict_proba(_unpacked(world, 0)[model.variant_idx, :10])
+        assert probs.shape == (10,) and np.allclose(probs, 0.05)
         assert evaluate_group_value(world, model, 0) == 0.0
 
     def test_no_survivor_threshold_returns_empty_model(self, world):
@@ -443,7 +507,7 @@ def _population_major_reference(world, sample):
     population-major ``(population, variants)`` matrices with a p-value for
     every variant: ``(variant_idx, log_odds, slope, intercept, values)``."""
     cfg, q = world.config, world.config.prevalence
-    geno = [np.ascontiguousarray(g.T) for g in world.genotypes]
+    geno = [np.ascontiguousarray(_unpacked(world, g).T) for g in range(world.num_groups)]
     n_pairs = sample.num_pairs
     n_cal = int(round(cfg.calibration_fraction * n_pairs))
     n_fit = n_pairs - n_cal
@@ -502,16 +566,16 @@ def test_training_and_value_match_population_major_reference(request, world_fixt
 
 class TestEvaluation:
     def test_value_equals_full_holdout_prediction(self, world):
-        # evaluate_group_value gathers only the model's columns; the value
-        # must be bit-for-bit the one predicted from the full holdout rows
+        # evaluate_group_value unpacks only the model's variant rows; the value
+        # must be bit-for-bit the one predicted from the full unpacked holdout
         models = [_empty_model(world.config.prevalence)]
         for g, n, seed in ((0, 60, 1), (1, 60, 2), (1, 100, 3), (0, 1, 4)):
             models.append(train_risk_model(world, draw_case_control_sample(world, g, n, seed)))
         assert not all(m.is_empty for m in models[1:])
         for model in models:
             for g in range(world.num_groups):
-                holdout = world.genotypes[g][:, world.splits[g].holdout]
-                probs = model.predict_proba(holdout)
+                holdout = _unpacked(world, g)[:, world.splits[g].holdout]
+                probs = model.predict_proba(holdout[model.variant_idx])
                 if not model.is_empty:
                     rows = holdout.T
                     scores = rows[:, model.variant_idx].astype(float) @ model.log_odds
@@ -547,11 +611,11 @@ class TestEvaluation:
 
     def test_calibration_targets_prevalence(self, desk_world):
         means = []
+        holdout = _unpacked(desk_world, 1)[:, desk_world.splits[1].holdout]
         for seed in range(20):
             sample = draw_case_control_sample(desk_world, 1, 400, seed)
             model = train_risk_model(desk_world, sample)
-            holdout = desk_world.genotypes[1][:, desk_world.splits[1].holdout]
-            means.append(model.predict_proba(holdout).mean())
+            means.append(model.predict_proba(holdout[model.variant_idx]).mean())
         assert abs(np.mean(means) - desk_world.config.prevalence) <= 0.01
 
 
