@@ -32,9 +32,9 @@ rng = np.random.default_rng(0)
 for n in (100, 200, 300, 400, 500):
     history.append(0, n, 0.01 * n + rng.normal(0, 0.02))
 cost1 = CostModel(costs=[1.0], budget=10_000)
-estimate = estimate_marginal(history, 0, step_cost=100.0, cost=cost1, rng_seed=rng)
-print(f"slope {estimate.slope_hat:.5f} +- {estimate.slope_se:.5f}, "
-      f"thompson draw {estimate.draw:.5f}, priority {estimate.priority:.3f}")
+priority = estimate_marginal(history, 0, step_cost=100.0, cost=cost1, rng=rng)
+slope, se = history.fit(0)
+print(f"slope {slope:.5f} +- {se:.5f}, priority {priority:.3f}")
 
 # Now the full loop, against a noisy environment whose true curve we
 # happen to know, so we can score the final allocation honestly.

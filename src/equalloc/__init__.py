@@ -19,7 +19,6 @@ from .core import (
 from .curves import AnalyticCurve, eval_perf
 from .estimator import (
     EstimatorSettings,
-    MarginalEstimate,
     PerformanceHistory,
     draw_truncated_normal,
     estimate_marginal,
@@ -46,7 +45,6 @@ __all__ = [
     "EstimatorSettings",
     "GreedyConfig",
     "GreedyTrace",
-    "MarginalEstimate",
     "PerformanceHistory",
     "PerformanceVector",
     "SolveResult",

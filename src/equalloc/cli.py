@@ -24,7 +24,7 @@ from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig, generate_world
 from .errors import CapacityError, ConfigError, EqualLocError
 from .estimator import EstimatorSettings
-from .greedy import GreedyConfig, check_start, check_step, run_greedy
+from .greedy import GreedyConfig, check_linear, check_start, check_step, run_greedy
 from .harness.config import (
     apply_seed_offset,
     check_groups,
@@ -97,6 +97,8 @@ def _cmd_solve(args) -> int:
     with reading("solve config"):
         curve, cost, utility = _instance(doc)
         solver = {"grid": solve_grid, "concave": solve_concave}[doc.get("method", "grid")]
+        if solver is solve_concave and not utility.is_concave_monotone:
+            raise ConfigError("method 'concave' takes no parity_penalty; use method 'grid'")
         options = ({"resolution": read_number(doc, "resolution", None, above=0)}
                    if solver is solve_grid else
                    {"tol": read_number(doc, "tol", 1e-8, above=0),
@@ -151,6 +153,8 @@ def _cmd_greedy(args) -> int:
                            seed=args.seed, estimator=est)
         check_start(start, cost)
         check_step(step, cost)
+        if mode == "estimator":
+            check_linear(utility)
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)
     elapsed = time.perf_counter() - t0

@@ -505,14 +505,6 @@ def run_allocation_curve(world: GenomicWorld, allocation_grid, seeds, session_of
     :func:`aggregate_curve` for the (group, n, mean, sd) view.
     """
     grid = [int(n) for n in allocation_grid]
-    if any(n < 0 for n in grid):
-        raise DomainError("allocation grid entries must be non-negative")
-    for g in range(world.num_groups):
-        if max(grid, default=0) > world.splits[g].max_pairs:
-            raise DomainError(
-                f"grid point {max(grid)} exceeds group {g}'s available "
-                f"{world.splits[g].max_pairs} training pairs"
-            )
     if session_of is None:
         session_of = functools.partial(GenomicSamplingSession, world)
     rows = []

@@ -22,7 +22,7 @@ class CapacityError(EqualLocError):
     """An exact method was asked to enumerate more than it safely can."""
 
 
-class UnsupportedUtilityError(EqualLocError):
+class UnsupportedUtilityError(DomainError):
     """The requested solver cannot handle this utility specification."""
 
 
@@ -31,11 +31,10 @@ class DegenerateDesignError(EqualLocError):
 
 
 class InsufficientHistoryError(EqualLocError):
-    """Not enough performance measurements to estimate a marginal gain.
-
-    Callers should treat this as a forced-exploration signal and sample
-    the offending group next.
-    """
+    """Too few performance records to estimate a marginal gain: raised by
+    ``estimate_marginal`` below its history's ``min_points`` and by
+    ``fit_local_slope`` (as group -1) below two points.  The greedy loop
+    counts records first and force-explores such a group instead."""
 
     def __init__(self, group: int, have: int, need: int):
         self.group = group

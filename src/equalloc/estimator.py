@@ -11,14 +11,14 @@ Both steps are scalar arithmetic on Python floats: the fit sums at most
 ``window`` points in order, and the draw is the closed-form inverse CDF
 of the truncated normal applied to one ``random()`` from the caller's
 generator, the same double as the ``uniform()`` scipy's ``truncnorm.rvs``
-would take.  A history keeps each group's fit until the group grows.
+would take.  A history holds the run's settings and keeps each group's
+fit until the group grows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
@@ -27,21 +27,16 @@ from .errors import DegenerateDesignError, DomainError, InsufficientHistoryError
 
 __all__ = [
     "PerformanceHistory",
-    "MarginalEstimate",
     "EstimatorSettings",
     "fit_local_slope",
     "draw_truncated_normal",
     "estimate_marginal",
 ]
 
-DEFAULT_WINDOW = 5
-DEFAULT_SE_FLOOR = 1e-6
-DEFAULT_MIN_POINTS = 2
-
 
 @dataclass(frozen=True)
 class EstimatorSettings:
-    """Tunables for the local-slope estimator.
+    """Tunables for the local-slope estimator; a run's history holds them.
 
     ``window`` is the number of trailing measurements regressed over;
     ``se_floor`` keeps a minimum of exploration noise when the regression
@@ -49,9 +44,9 @@ class EstimatorSettings:
     is the record count below which a group must be force-explored.
     """
 
-    window: int = DEFAULT_WINDOW
-    se_floor: float = DEFAULT_SE_FLOOR
-    min_points: int = DEFAULT_MIN_POINTS
+    window: int = 5
+    se_floor: float = 1e-6
+    min_points: int = 2
 
     def __post_init__(self):
         if self.window < 2:
@@ -63,21 +58,21 @@ class EstimatorSettings:
 
 
 class PerformanceHistory:
-    """Per-group log of (sample count, measured performance) pairs.
+    """Per-group log of (sample count, measured performance) pairs, read
+    with one run's :class:`EstimatorSettings`.
 
     Counts must be strictly increasing within a group; a run owns its
     history and appends one record per measurement.  A group's slope fit
     (see :meth:`fit`) is kept until the group's next ``append``.
     """
 
-    def __init__(self, num_groups: int):
+    def __init__(self, num_groups: int, settings: EstimatorSettings = EstimatorSettings()):
         if num_groups < 1:
             raise DomainError("need at least one group")
-        self._records: list[list[tuple[float, float]]] = [
-            [] for _ in range(num_groups)
-        ]
-        # per group: (window, se_floor, slope, se) of the last fit, or None
-        self._fits: list[tuple | None] = [None] * num_groups
+        self.settings = settings
+        self._records: list[list[tuple[float, float]]] = [[] for _ in range(num_groups)]
+        # per group: (slope, se) of the last fit, or None
+        self._fits: list[tuple[float, float] | None] = [None] * num_groups
 
     def append(self, group: int, n: float, perf: float) -> None:
         records = self._records[group]
@@ -89,38 +84,19 @@ class PerformanceHistory:
         records.append((float(n), float(perf)))
         self._fits[group] = None
 
-    def fit(self, group: int, window: int, se_floor: float = 0.0) -> tuple[float, float]:
-        """:func:`fit_local_slope` of the group's records, kept until the
-        group's next ``append``."""
-        kept = self._fits[group]
-        if kept is None or kept[:2] != (window, se_floor):
-            kept = self._fits[group] = (
-                window, se_floor, *fit_local_slope(self._records[group], window, se_floor))
-        return kept[2:]
+    def fit(self, group: int) -> tuple[float, float]:
+        """:func:`fit_local_slope` of the group's records at the settings'
+        window and floor, kept until the group's next ``append``."""
+        if self._fits[group] is None:
+            s = self.settings
+            self._fits[group] = fit_local_slope(self._records[group], s.window, s.se_floor)
+        return self._fits[group]
 
     def count(self, group: int) -> int:
         return len(self._records[group])
 
 
-class MarginalEstimate(NamedTuple):
-    """One group's estimated gain for the next batch.
-
-    ``priority`` is the truncated-normal slope draw times the number of
-    samples the batch buys (step_cost / cost_k), i.e. the expected
-    performance gain bought by the next batch of spend.
-    """
-
-    slope_hat: float
-    slope_se: float
-    draw: float
-    priority: float
-
-
-def fit_local_slope(
-    records,
-    window: int,
-    se_floor: float = 0.0,
-) -> tuple[float, float]:
+def fit_local_slope(records, window: int, se_floor: float = 0.0) -> tuple[float, float]:
     """OLS slope of performance on sample count over the trailing window.
 
     Uses the last ``min(window, available)`` points.  The slope standard
@@ -204,29 +180,18 @@ def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     return max(float(mean + sd * x), 0.0)
 
 
-def estimate_marginal(
-    history: PerformanceHistory,
-    group: int,
-    step_cost: float,
-    cost,
-    window: int = DEFAULT_WINDOW,
-    se_floor: float = DEFAULT_SE_FLOOR,
-    rng_seed=0,
-    min_points: int = DEFAULT_MIN_POINTS,
-) -> MarginalEstimate:
-    """Estimated utility-relevant gain of buying the group one more batch.
-
-    Composes the group's local slope fit (kept by the history until the
-    group grows) with a truncated-normal draw; the returned priority is
-    ``draw * step_cost / cost_k``.  Raises
-    :class:`InsufficientHistoryError` when the group has fewer than
-    ``min_points`` records; the caller must then sample that group next.
+def estimate_marginal(history: PerformanceHistory, group: int, step_cost: float, cost,
+                      rng) -> float:
+    """Priority of buying the group one more batch: ``draw * step_cost / cost_k``,
+    the gain of the batch's samples at a slope drawn from ``rng`` (the run's
+    generator) around the group's local fit, which the history keeps until
+    the group grows.  Raises :class:`InsufficientHistoryError` when the group
+    has fewer than the history's ``min_points`` records.
     """
     if step_cost <= 0:
         raise DomainError("step_cost must be positive")
-    have = history.count(group)
-    if have < min_points:
-        raise InsufficientHistoryError(group=group, have=have, need=min_points)
-    slope, se = history.fit(group, window, se_floor)
-    draw = draw_truncated_normal(slope, se, rng_seed)
-    return MarginalEstimate(slope, se, draw, draw * step_cost / float(cost.costs[group]))
+    have, need = history.count(group), history.settings.min_points
+    if have < need:
+        raise InsufficientHistoryError(group=group, have=have, need=need)
+    slope, se = history.fit(group)
+    return draw_truncated_normal(slope, se, rng) * step_cost / float(cost.costs[group])

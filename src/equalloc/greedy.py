@@ -28,6 +28,7 @@ __all__ = [
     "run_greedy",
     "check_start",
     "check_step",
+    "check_linear",
     "batch_enum_optimum",
     "equal_allocation",
     "representative_allocation",
@@ -189,6 +190,12 @@ def check_step(step_cost: float, cost: CostModel) -> None:
         raise DomainError(f"step_cost {step_cost:g} exceeds the budget of {cost.budget:g}")
 
 
+def check_linear(utility: UtilitySpec) -> None:
+    """Raise UnsupportedUtilityError unless ``utility`` is linear, as the estimator needs."""
+    if utility.transform != "identity" or utility.parity_penalty > 0:
+        raise UnsupportedUtilityError("estimator-driven greedy supports only linear utilities")
+
+
 def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, sizes: np.ndarray,
                   choose, record=None) -> tuple[np.ndarray, float]:
     """The budget-stepping loop shared by every sequential policy.
@@ -264,18 +271,16 @@ def _run_estimated(env, utility, cost, config, start):
     group with the largest Thompson-style priority.  The trace's records
     replay each step's group, priorities and observed performances, and only
     then score the true marginals on the environment's ``curve``, if any."""
-    if utility.transform != "identity" or utility.parity_penalty > 0:
-        raise UnsupportedUtilityError("estimator-driven greedy supports only linear utilities")
+    check_linear(utility)
     rng = np.random.default_rng(config.seed)
     k = cost.num_groups
-    est = config.estimator
     s = config.step_cost
     sizes = s / cost.costs
     true_curve = getattr(env, "curve", None)
     if env.num_groups != k:
         raise DomainError(f"environment has {env.num_groups} groups, costs have {k}")
 
-    history = PerformanceHistory(k)
+    history = PerformanceHistory(k, config.estimator)
     perf = _measure(env, start.counts)
     for g in range(k):
         history.append(g, start.counts[g], perf[g])
@@ -286,18 +291,15 @@ def _run_estimated(env, utility, cost, config, start):
     def choose(counts, step):
         nonlocal priorities
         priorities = np.full(k, np.nan)
-        under = [g for g in range(k) if history.count(g) < est.min_points]
+        under = [g for g in range(k) if history.count(g) < history.settings.min_points]
         if under:
             # Forced exploration: bootstrap the least-measured group.
             return min(under, key=lambda g: (history.count(g), g))
         for g in range(k):
             try:
-                me = estimate_marginal(history, g, s, cost, window=est.window,
-                                       se_floor=est.se_floor, rng_seed=rng,
-                                       min_points=est.min_points)
+                priorities[g] = estimate_marginal(history, g, s, cost, rng) * utility.weights[g]
             except EqualLocError as exc:
                 raise GreedyStepError(step, exc) from exc
-            priorities[g] = me.priority * utility.weights[g]
         return int(priorities.argmax())
 
     def record(counts, group, step):

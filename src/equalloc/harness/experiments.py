@@ -25,7 +25,7 @@ from ..errors import ConfigError
 from ..estimator import EstimatorSettings
 from ..greedy import (GreedyConfig, check_start, check_step, equal_allocation,
                       parity_allocation, representative_allocation, run_greedy)
-from ..solvers import audit_gap, solve_concave, solve_grid
+from ..solvers import audit_gap, check_audit, solve_concave, solve_grid
 from .config import (
     check_groups,
     check_kind,
@@ -338,6 +338,7 @@ def run_audit(config: dict) -> Table:
         auditor = read_block(UtilitySpec, config["auditor_utility"], "auditor_utility")
         observed = read_block(Allocation, config["observed"], "observed")
         check_groups(curve, costs=cost, auditor_utility=auditor, observed=observed)
+        check_audit(curve, auditor)
         resolution = read_number(config, "grid_resolution", None, above=0)
         tol = read_number(config, "solver_tol", 1e-8, above=0)
 

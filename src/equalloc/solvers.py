@@ -35,7 +35,8 @@ from .core import (
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import CapacityError, DomainError, UnsupportedUtilityError
 
-__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "lattice_points"]
+__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "check_audit",
+           "lattice_points"]
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
@@ -319,6 +320,15 @@ def solve_concave(
     )
 
 
+def check_audit(curve: AnalyticCurve, auditor_utility: UtilitySpec) -> None:
+    """Raise UnsupportedUtilityError when :func:`audit_gap` cannot find the
+    auditor's optimum: above K = 4 it leaves the grid oracle for the
+    concave solver, which takes no parity penalty."""
+    if curve.num_groups > _GRID_MAX_GROUPS and not auditor_utility.is_concave_monotone:
+        raise UnsupportedUtilityError(f"a parity-penalized audit needs K <= {_GRID_MAX_GROUPS}"
+                                      f" groups for the grid oracle, got K = {curve.num_groups}")
+
+
 def audit_gap(
     curve: AnalyticCurve,
     auditor_utility: UtilitySpec,
@@ -337,6 +347,7 @@ def audit_gap(
     solver stops before converging.  The observed allocation must fit the
     budget; it is itself a candidate, so the gap is never negative.
     """
+    check_audit(curve, auditor_utility)
     if not check_feasible(observed_alloc, cost):
         raise DomainError("observed allocation exceeds the budget")
     observed_u = utility_eval(auditor_utility, eval_perf(curve, observed_alloc))

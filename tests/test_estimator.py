@@ -7,6 +7,7 @@ from scipy import stats
 from equalloc import (
     AnalyticCurve,
     CostModel,
+    EstimatorSettings,
     GreedyConfig,
     PerformanceHistory,
     UtilitySpec,
@@ -177,8 +178,8 @@ class TestTruncatedNormalQuantile:
                 assert abs(x - exact) <= 1e-9 * max(1.0, abs(x)), (a, q, x, exact)
 
 
-def _history_from(points_by_group):
-    hist = PerformanceHistory(len(points_by_group))
+def _history_from(points_by_group, settings=EstimatorSettings()):
+    hist = PerformanceHistory(len(points_by_group), settings)
     for g, pts in enumerate(points_by_group):
         for n, perf in pts:
             hist.append(g, n, perf)
@@ -193,48 +194,52 @@ def _fit_or_error(fit, *args):
         return type(exc), str(exc)
 
 
+# every valid window, and floors that do and do not bind
+_SETTINGS = st.builds(EstimatorSettings, window=st.integers(2, 8),
+                      se_floor=st.sampled_from([0.0, 1e-6, 1e-2, 5.0]))
 _HISTORY_OPS = st.lists(st.one_of(
     st.tuples(st.just("append"), st.integers(0, 1),
               st.floats(1e-3, 50.0), st.floats(-10.0, 10.0)),
-    st.tuples(st.just("fit"), st.integers(0, 1), st.integers(0, 8),
-              st.sampled_from([0.0, 1e-6, 1e-2, 5.0]))), min_size=1, max_size=80)
+    st.tuples(st.just("fit"), st.integers(0, 1), st.none(), st.none())),
+    min_size=1, max_size=80)
 
 
 class TestHistoryFit:
-    @given(_HISTORY_OPS)
+    @given(_SETTINGS, _HISTORY_OPS)
     @settings(max_examples=300, deadline=None)
-    def test_kept_fit_is_a_fresh_fit(self, ops):
-        # any interleaving of appends and fits, windows 0-8 (below two points
-        # the fit raises) and floors that do and do not bind
-        hist, shadow = PerformanceHistory(2), [[], []]
+    def test_kept_fit_is_a_fresh_fit(self, est, ops):
+        # any interleaving of appends and fits (below two points the fit
+        # raises), on one history per drawn setting
+        hist, shadow = PerformanceHistory(2, est), [[], []]
         for op, g, a, b in ops:
             if op == "append":
                 n = (shadow[g][-1][0] if shadow[g] else 0.0) + a
                 hist.append(g, n, b)
                 shadow[g].append((n, b))
             else:
-                want = _fit_or_error(fit_local_slope, list(shadow[g]), a, b)
-                assert _fit_or_error(hist.fit, g, a, b) == want
+                want = _fit_or_error(fit_local_slope, list(shadow[g]), est.window,
+                                     est.se_floor)
+                assert _fit_or_error(hist.fit, g) == want
 
 
 class TestEstimateMarginal:
     def test_exact_linear_history_gives_deterministic_priority(self):
-        hist = _history_from([[(100, 1.0), (200, 2.0), (300, 3.0)]])
+        hist = _history_from([[(100, 1.0), (200, 2.0), (300, 3.0)]],
+                             EstimatorSettings(window=5, se_floor=0.0))
         cost = CostModel(costs=[1.0], budget=1000)
-        est = estimate_marginal(
-            hist, 0, step_cost=100.0, cost=cost, window=5, se_floor=0.0, rng_seed=0
-        )
-        assert est.slope_hat == pytest.approx(0.01)
-        assert est.draw == pytest.approx(0.01)
-        assert est.priority == pytest.approx(1.0)
+        priority = estimate_marginal(hist, 0, step_cost=100.0, cost=cost,
+                                     rng=np.random.default_rng(0))
+        assert hist.fit(0)[0] == pytest.approx(0.01)
+        assert priority * 1.0 / 100.0 == pytest.approx(0.01)  # the draw
+        assert priority == pytest.approx(1.0)
 
     def test_cost_divides_priority(self):
         pts = [(100, 1.0), (200, 2.0)]
-        hist = _history_from([pts, pts])
+        hist = _history_from([pts, pts], EstimatorSettings(se_floor=0.0))
         cost = CostModel(costs=[1.0, 2.0], budget=1000)
-        e_cheap = estimate_marginal(hist, 0, 100.0, cost, se_floor=0.0, rng_seed=0)
-        e_dear = estimate_marginal(hist, 1, 100.0, cost, se_floor=0.0, rng_seed=0)
-        assert e_dear.priority == pytest.approx(e_cheap.priority / 2.0)
+        p_cheap = estimate_marginal(hist, 0, 100.0, cost, np.random.default_rng(0))
+        p_dear = estimate_marginal(hist, 1, 100.0, cost, np.random.default_rng(0))
+        assert p_dear == pytest.approx(p_cheap / 2.0)
 
     def test_steeper_group_wins_nearly_always(self):
         wins = 0
@@ -246,39 +251,48 @@ class TestEstimateMarginal:
             slow = [(x, 0.001 * x + rng.normal(0, 0.05)) for x in n]
             hist = _history_from([fast, slow])
             cost = CostModel(costs=[1.0, 1.0], budget=1000)
-            p_fast = estimate_marginal(hist, 0, 100.0, cost, rng_seed=rng).priority
-            p_slow = estimate_marginal(hist, 1, 100.0, cost, rng_seed=rng).priority
+            p_fast = estimate_marginal(hist, 0, 100.0, cost, rng)
+            p_slow = estimate_marginal(hist, 1, 100.0, cost, rng)
             wins += p_fast > p_slow
         assert wins / trials >= 0.99
 
     def test_window_limits_what_matters(self):
         recent = [(300, 1.0), (400, 3.0), (500, 5.0), (600, 6.5), (700, 9.0)]
-        hist_a = _history_from([recent])
-        hist_b = _history_from([[(50, 20.0), (80, -3.0)] + recent])
+        est = EstimatorSettings(window=5)
+        hist_a = _history_from([recent], est)
+        hist_b = _history_from([[(50, 20.0), (80, -3.0)] + recent], est)
         cost = CostModel(costs=[1.0], budget=1000)
-        ea = estimate_marginal(hist_a, 0, 10.0, cost, window=5, rng_seed=42)
-        eb = estimate_marginal(hist_b, 0, 10.0, cost, window=5, rng_seed=42)
-        assert ea == eb
+        pa = estimate_marginal(hist_a, 0, 10.0, cost, np.random.default_rng(42))
+        pb = estimate_marginal(hist_b, 0, 10.0, cost, np.random.default_rng(42))
+        assert (hist_a.fit(0), pa) == (hist_b.fit(0), pb)
 
     def test_insufficient_history_signals_forced_exploration(self):
-        hist = _history_from([[(100, 1.0)], [(100, 1.0), (200, 2.0)]])
+        hist = _history_from([[(100, 1.0)], [(100, 1.0), (200, 2.0)]],
+                             EstimatorSettings(min_points=2))
         cost = CostModel(costs=[1.0, 1.0], budget=1000)
+        rng = np.random.default_rng(0)
         with pytest.raises(InsufficientHistoryError) as err:
-            estimate_marginal(hist, 0, 100.0, cost, min_points=2)
+            estimate_marginal(hist, 0, 100.0, cost, rng)
         assert err.value.group == 0
-        estimate_marginal(hist, 1, 100.0, cost, min_points=2)  # fine
+        estimate_marginal(hist, 1, 100.0, cost, rng)  # fine
 
     def test_negative_slope_piles_mass_near_zero(self):
         pts = [(100, 5.0), (200, 4.0), (300, 3.0)]
-        hist = _history_from([pts])
+        hist = _history_from([pts], EstimatorSettings(se_floor=0.05))
         cost = CostModel(costs=[1.0], budget=1000)
         rng = np.random.default_rng(5)
-        draws = [
-            estimate_marginal(hist, 0, 100.0, cost, se_floor=0.05, rng_seed=rng).draw
-            for _ in range(200)
-        ]
+        # the draw is the priority times cost_k / step_cost
+        draws = [estimate_marginal(hist, 0, 100.0, cost, rng) * 1.0 / 100.0
+                 for _ in range(200)]
         assert all(d >= 0 for d in draws)
         assert np.mean(draws) < 0.05  # deeply negative mean leaves little mass
+
+    def test_repeated_calls_draw_anew_from_the_run_generator(self):
+        hist = _history_from([[(100, 1.0), (200, 2.5), (300, 3.0)]])
+        cost = CostModel(costs=[1.0], budget=1000)
+        rng = np.random.default_rng(7)
+        priorities = {estimate_marginal(hist, 0, 100.0, cost, rng) for _ in range(20)}
+        assert len(priorities) == 20
 
     def test_history_rejects_nonincreasing_counts(self):
         hist = PerformanceHistory(1)

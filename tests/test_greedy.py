@@ -27,8 +27,9 @@ from equalloc import (
 from equalloc.core import utility_kernel
 from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
+from equalloc.errors import CapacityError, DegenerateDesignError, DomainError
 from equalloc.estimator import _truncated_normal_ppf, fit_local_slope
-from equalloc.errors import CapacityError, DomainError
+from equalloc.greedy import GreedyStepError
 
 
 @contextlib.contextmanager
@@ -638,6 +639,17 @@ class TestEstimatorDrivenGreedy:
 
         with pytest.raises(UnsupportedUtilityError):
             run_greedy(env, util, four_group_cost, cfg)
+
+    def test_an_estimator_failure_names_its_step(self):
+        # batches of 1e-163 samples square to a count variance that underflows
+        # to 0, so the first estimated step (3, after two forced ones) fails
+        env = AnalyticEnvironment(AnalyticCurve(gamma=np.eye(2)), noise_sd=0.0)
+        cost = CostModel(costs=[1e163, 1e163], budget=100.0)
+        cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator")
+        with pytest.raises(GreedyStepError, match="zero variance in window") as err:
+            run_greedy(env, UtilitySpec(weights=[1.0, 1.0]), cost, cfg)
+        assert type(err.value) is GreedyStepError and err.value.step == 3
+        assert isinstance(err.value.__cause__, DegenerateDesignError)
 
     def test_estimated_runs_reproducible(self, four_group_curve, four_group_cost, u_equal):
         def one():

@@ -601,6 +601,12 @@ class TestCli:
         ("convergence", "--seed-offset", "-1"),
         ("greedy", "--seed", "-1"),
         ("greedy", "--step", "7"),
+        # the estimator ranks groups by linear priorities only
+        ("greedy", "utility", {"weights": [1.0, 1.0], "transform": "log"}),
+        ("greedy", "utility", {"weights": [1.0, 1.0], "parity_penalty": 0.5}),
+        # the concave solver takes no parity penalty
+        ("solve", ("method", "utility"),
+         ("concave", {"weights": [1.0, 1.0], "parity_penalty": 0.5})),
     ])
     def test_malformed_value_exits_2_without_traceback(
         self, tmp_path, capsys, monkeypatch, command, key, value
@@ -614,9 +620,11 @@ class TestCli:
             "environment": {"type": "analytic", "noise_sd": 0.01},
         }
         path = tmp_path / "config.json"
-        # a key starting with "--" is a command-line option, not a config key
-        option = [key, value] if key.startswith("--") else []
-        settings = {} if option else {key: value}
+        # a key starting with "--" is a command-line option, not a config key;
+        # a tuple of keys takes a tuple of values
+        keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+        option = [key, value] if keys[0].startswith("--") else []
+        settings = {} if option else dict(zip(keys, values))
         if command == "greedy" and key == "start":
             start = tmp_path / "start.json"
             start.write_text(json.dumps(value))
@@ -702,12 +710,18 @@ class TestCli:
         ("table1", "step_cost", 2000),
         ("frontier", "policy_step", 700),
         ("prs-sim", "step_cost", 700),
+        # above K = 4 the audit's optimum comes from the concave solver,
+        # which takes no parity penalty
+        ("audit", ("curve.gamma", "costs", "auditor_utility.weights",
+                   "auditor_utility.parity_penalty", "observed.counts"),
+         (np.eye(5).tolist(), [1.0] * 5, [1.0] * 5, 0.5, [100.0] * 5)),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value
     ):
-        # key "a.b" is entry b of block a; value None drops the entry; no
-        # genomic world is built before the config is known to be good
+        # key "a.b" is entry b of block a; value None drops the entry; a tuple
+        # of keys takes a tuple of values; no genomic world is built before
+        # the config is known to be good
         monkeypatch.setattr(experiments, "generate_world", _no_world)
         doc = {
             "table1": default_table1_config,
@@ -716,12 +730,14 @@ class TestCli:
             "prs-sim": default_prs_sim_config,
             "audit": default_audit_config,
         }[command]()
-        *blocks, entry = key.split(".")
-        parent = functools.reduce(dict.__getitem__, blocks, doc)
-        if value is None:
-            del parent[entry]
-        else:
-            parent[entry] = value
+        keys, values = (key, value) if isinstance(key, tuple) else ((key,), (value,))
+        for key, value in zip(keys, values):
+            *blocks, entry = key.split(".")
+            parent = functools.reduce(dict.__getitem__, blocks, doc)
+            if value is None:
+                del parent[entry]
+            else:
+                parent[entry] = value
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
