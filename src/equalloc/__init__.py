@@ -28,13 +28,12 @@ from .greedy import (
     GreedyConfig,
     GreedyTrace,
     StepRecord,
-    batch_enum_optimum,
     equal_allocation,
     parity_allocation,
     representative_allocation,
     run_greedy,
 )
-from .solvers import SolveResult, audit_gap, solve_concave, solve_grid
+from .solvers import SolveResult, audit_gap, batch_enum_optimum, solve_concave, solve_grid
 
 __version__ = "0.1.0"
 

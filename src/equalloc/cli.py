@@ -18,16 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Allocation, UtilitySpec, utility_eval
+from .core import Allocation, UtilitySpec, check_groups, utility_eval
 from .curves import AnalyticCurve, eval_perf
 from .envs.analytic import AnalyticEnvironment
-from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig, generate_world
+from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig
 from .errors import CapacityError, ConfigError, EqualLocError
 from .estimator import EstimatorSettings
 from .greedy import GreedyConfig, check_linear, check_start, check_step, run_greedy
 from .harness.config import (
     apply_seed_offset,
-    check_groups,
     config_digest,
     default_audit_config,
     default_convergence_config,
@@ -47,6 +46,7 @@ from .harness.experiments import (
     run_convergence,
     run_frontier,
     run_table1,
+    world_holding,
 )
 from .harness.io import Table, write_manifest, write_table
 from .solvers import solve_concave, solve_grid
@@ -123,9 +123,11 @@ def _instance(doc):
 
 
 def _genomic_session(world: dict | None = None, rng_seed: int = 0):
-    """A session on the world a genomic environment block describes."""
+    """The world a genomic environment block describes, read but not built:
+    a function of the most pairs a run can reach in one group that builds a
+    session on that world, whose training pools must hold them."""
     config = read_block(GenomicWorldConfig, {} if world is None else world, "world")
-    return GenomicSamplingSession(generate_world(config), rng_seed=rng_seed)
+    return lambda reach: GenomicSamplingSession(world_holding(config, reach), rng_seed)
 
 
 def _greedy_source(doc, curve, marginals):
@@ -155,6 +157,8 @@ def _cmd_greedy(args) -> int:
         check_step(step, cost)
         if mode == "estimator":
             check_linear(utility)
+    if callable(source):  # a genomic world, built only once the config is known good
+        source = source(max(start.counts + (cost.budget - cost.spend(start)) / cost.costs))
     t0 = time.perf_counter()
     alloc, trace = run_greedy(source, utility, cost, cfg)
     elapsed = time.perf_counter() - t0

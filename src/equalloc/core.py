@@ -19,6 +19,7 @@ __all__ = [
     "UtilitySpec",
     "FEASIBILITY_RTOL",
     "check_feasible",
+    "check_groups",
     "utility_eval",
     "utility_kernel",
     "realize_allocation",
@@ -44,6 +45,13 @@ def _as_readonly(values, name: str) -> np.ndarray:
 def _check_k(expected: int, actual: int, what: str) -> None:
     if expected != actual:
         raise DimensionMismatchError(expected, actual, what)
+
+
+def check_groups(curve, /, **parts) -> None:
+    """Raise :class:`DimensionMismatchError` unless each part (a cost
+    model, utility or allocation) has the curve's number of groups."""
+    for what, part in parts.items():
+        _check_k(curve.num_groups, part.num_groups, what)
 
 
 @dataclass(frozen=True)

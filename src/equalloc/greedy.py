@@ -1,4 +1,4 @@
-"""Sequential greedy allocation, baseline allocations, and the batch oracle.
+"""Sequential greedy allocation and baseline allocations.
 
 At each step the greedy loop spends a fixed amount ``s`` on the group
 whose next batch is expected to raise utility the most, judged either by
@@ -14,12 +14,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import (Allocation, CostModel, UtilitySpec, check_feasible, utility_eval,
-                   utility_kernel)
-from .curves import AnalyticCurve, batch_utilities, eval_perf
+from .core import Allocation, CostModel, UtilitySpec, check_feasible, utility_kernel
+from .curves import AnalyticCurve, batch_utilities
 from .errors import CapacityError, DomainError, EqualLocError, UnsupportedUtilityError
 from .estimator import EstimatorSettings, PerformanceHistory, estimate_marginal
-from .solvers import SolveResult, lattice_points
 
 __all__ = [
     "GreedyConfig",
@@ -29,14 +27,11 @@ __all__ = [
     "check_start",
     "check_step",
     "check_linear",
-    "batch_enum_optimum",
     "equal_allocation",
     "representative_allocation",
     "parity_allocation",
 ]
 
-_MAX_ENUM_BATCHES = 24
-_MAX_ENUM_GROUPS = 5
 # The most steps one budget loop may take, as solvers.MAX_GRID_POINTS caps the grid.
 MAX_STEPS = 10_000_000
 
@@ -326,51 +321,6 @@ def _run_estimated(env, utility, cost, config, start):
     counts, residual = _spend_budget(cost, start, s, sizes, choose, record)
     final = float(utility_kernel(utility, kept[-1][2])) if kept else None
     return Allocation(counts), GreedyTrace(len(kept), residual, final, build)
-
-
-def batch_enum_optimum(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    cost: CostModel,
-    step_cost: float,
-    start_alloc: Allocation | None = None,
-) -> SolveResult:
-    """Brute-force best allocation over whole numbers of greedy batches.
-
-    Enumerates every way of distributing up to ``d = budget / step_cost``
-    batches among the groups (each batch buys ``step_cost / cost_k``
-    samples) and returns the utility maximizer.  This is the comparison
-    class the greedy loop provably matches on separable concave curves.
-    """
-    k = curve.num_groups
-    start = start_alloc if start_alloc is not None else Allocation.zeros(k)
-    remaining = cost.budget - cost.spend(start)
-    d_float = remaining / step_cost
-    d = round(d_float)
-    if d < 1 or abs(d_float - d) > 1e-9 * max(1.0, d):
-        raise DomainError(
-            f"budget must be a positive whole number of batches, got {d_float}"
-        )
-    if d > _MAX_ENUM_BATCHES or k > _MAX_ENUM_GROUPS:
-        raise CapacityError(
-            f"batch enumeration capped at d <= {_MAX_ENUM_BATCHES}, "
-            f"K <= {_MAX_ENUM_GROUPS}; got d={d}, K={k}"
-        )
-
-    step_sizes = step_cost / cost.costs
-    batches = np.array(list(lattice_points(k, d)), dtype=float)
-    counts = start.counts[None, :] + batches * step_sizes[None, :]
-    u = batch_utilities(curve, utility, counts.T)
-    idx = int(np.argmax(u))  # first maximizer = lexicographically smallest
-    alloc = Allocation(counts[idx])
-    return SolveResult(
-        alloc=alloc,
-        utility=utility_eval(utility, eval_perf(curve, alloc)),
-        method="batch_enum",
-        iterations=batches.shape[0],
-        converged=True,
-        certificate=0.0,
-    )
 
 
 def equal_allocation(cost: CostModel) -> Allocation:

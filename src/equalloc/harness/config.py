@@ -23,7 +23,7 @@ from pathlib import Path
 
 from ..core import CostModel
 from ..envs.genomic import GenomicWorldConfig
-from ..errors import ConfigError, DimensionMismatchError, DomainError
+from ..errors import ConfigError, DomainError
 
 __all__ = [
     "reading",
@@ -105,14 +105,6 @@ def read_block(cls, block, name: str, **fixed):
 def parse_cost(doc: dict) -> CostModel:
     with reading("cost block"):
         return CostModel(doc["costs"], doc["budget"])
-
-
-def check_groups(curve, /, **parts) -> None:
-    """Raise :class:`DimensionMismatchError` unless each part (a cost
-    model, utility or allocation) has the curve's number of groups."""
-    for what, part in parts.items():
-        if part.num_groups != curve.num_groups:
-            raise DimensionMismatchError(curve.num_groups, part.num_groups, what)
 
 
 def whole_number(value) -> float:

@@ -13,7 +13,8 @@ import functools
 
 import numpy as np
 
-from ..core import Allocation, CostModel, PerformanceVector, UtilitySpec, utility_eval
+from ..core import (Allocation, CostModel, PerformanceVector, UtilitySpec, check_groups,
+                    utility_eval)
 from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import (
     GenomicSamplingSession,
@@ -27,7 +28,6 @@ from ..greedy import (GreedyConfig, check_start, check_step, equal_allocation,
                       parity_allocation, representative_allocation, run_greedy)
 from ..solvers import audit_gap, check_audit, solve_concave, solve_grid
 from .config import (
-    check_groups,
     check_kind,
     config_digest,
     default_convergence_config,
@@ -204,7 +204,7 @@ def _estimator_policy(config, defaults, budget, start, step):
                               marginal_source="estimator", estimator=est)
 
 
-def _world_holding(world_config, reach):
+def world_holding(world_config, reach):
     """The world of ``world_config``, whose pools must hold ``reach`` pairs each."""
     world = generate_world(world_config)
     for g, split in enumerate(world.splits):
@@ -250,7 +250,7 @@ def run_frontier(config: dict) -> Table:
         equal = (budget // 2, budget - budget // 2)
         representative = representative_allocation(cost, shares, float(grid_step)).counts
 
-    world = _world_holding(world_config, max(budget - min_pg, *representative))
+    world = world_holding(world_config, max(budget - min_pg, *representative))
     session_of = _session_per_seed(world)
     header = ["kind", "label", "seed", "n_0", "n_1", "M_0", "M_1"]
     rows = []
@@ -290,7 +290,7 @@ def run_adaptive_prs(config: dict):
     defaults = default_prs_sim_config()
     with reading("adaptive_prs config"):
         world_config = read_block(GenomicWorldConfig, config["world"], "world")
-        budget = read_number(config, "budget_pairs", defaults["budget_pairs"])
+        budget = read_number(config, "budget_pairs", defaults["budget_pairs"], int)
         start = Allocation(read_list(config, "start_pairs", defaults["start_pairs"],
                                      whole_number, length=2))
         step = read_number(config, "step_cost", defaults["step_cost"], whole_number,
@@ -302,7 +302,7 @@ def run_adaptive_prs(config: dict):
                                               defaults["weight_settings"], _pair)]
         grid = read_list(config, "learning_curve_grid", None, int, above=-1)
 
-    world = _world_holding(world_config, max([budget - start.counts.min(), *(grid or [])]))
+    world = world_holding(world_config, max([budget - start.counts.min(), *(grid or [])]))
     digest = config_digest(config)
     header = ["weights", "seed", "n_0", "n_1", "M_0", "M_1", "utility"]
     rows = []

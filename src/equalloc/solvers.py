@@ -1,19 +1,22 @@
 """Exact and near-exact solvers for the budget-constrained allocation problem.
 
-Two deliberately independent routes:
+Three routes, two exhaustive and one ascent:
 
 * :func:`solve_grid` exhaustively scans a regular spend grid and is the
   trusted oracle at K <= 4 (including parity-penalized, non-concave
   utilities), up to ``MAX_GRID_POINTS`` grid points, one triangle or
   segment of points per utility-kernel call.
+* :func:`batch_enum_optimum` exhaustively enumerates whole numbers of
+  greedy batches, the comparison class the sequential greedy matches on
+  separable concave curves.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
   with away steps) over the budget simplex and scales to larger K, but
   requires a concave nondecreasing utility.
 
-Each returns a :class:`SolveResult` whose ``certificate`` bounds its
-distance from the optimum.  :func:`audit_gap`, the one audit entry point,
-compares an observed allocation against the best an auditor's own
-utility could have achieved with the same budget.
+Each returns a :class:`SolveResult`, built and scored in one place, whose
+``certificate`` bounds its distance from the optimum.  :func:`audit_gap`,
+the one audit entry point, compares an observed allocation against the
+best an auditor's own utility could have achieved with the same budget.
 """
 
 from __future__ import annotations
@@ -25,21 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import (
-    Allocation,
-    CostModel,
-    UtilitySpec,
-    check_feasible,
-    utility_eval,
-)
+from .core import (Allocation, CostModel, UtilitySpec, check_feasible, check_groups,
+                   utility_eval)
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import CapacityError, DomainError, UnsupportedUtilityError
 
-__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "check_audit",
-           "lattice_points"]
+__all__ = ["SolveResult", "solve_grid", "batch_enum_optimum", "solve_concave", "audit_gap",
+           "check_audit"]
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
+_MAX_ENUM_BATCHES = 24
+_MAX_ENUM_GROUPS = 5
 # Most points in one segment batch: the order of the largest triangle batch
 # (501,501 points on the K = 4 face at d = 1,000), so memory stays flat where
 # the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
@@ -72,6 +72,13 @@ class SolveResult:
             "converged": self.converged,
             "certificate": self.certificate,
         }
+
+
+def _answer(curve, utility, counts, method, iterations, converged=True, certificate=0.0):
+    """The :class:`SolveResult` at ``counts``, scored on ``curve``."""
+    alloc = Allocation(counts)
+    return SolveResult(alloc, utility_eval(utility, eval_perf(curve, alloc)), method,
+                       iterations, converged, certificate)
 
 
 def _triangle(total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -141,8 +148,7 @@ def solve_grid(
             f"grid scan supports at most {_GRID_MAX_GROUPS} groups, got {k}; "
             "use solve_concave for larger instances"
         )
-    if cost.num_groups != k or utility.num_groups != k:
-        raise DomainError("curve, cost, and utility group counts must match")
+    check_groups(curve, costs=cost, utility=utility)
 
     d = int(math.floor(cost.spend_limit / resolution))
     face_only = utility.is_concave_monotone
@@ -180,16 +186,45 @@ def solve_grid(
 
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")
+    return _answer(curve, utility, best_m, "grid", evaluated)
 
-    alloc = Allocation(best_m)
-    return SolveResult(
-        alloc=alloc,
-        utility=utility_eval(utility, eval_perf(curve, alloc)),
-        method="grid",
-        iterations=evaluated,
-        converged=True,
-        certificate=0.0,
-    )
+
+def batch_enum_optimum(
+    curve: AnalyticCurve,
+    utility: UtilitySpec,
+    cost: CostModel,
+    step_cost: float,
+    start_alloc: Allocation | None = None,
+) -> SolveResult:
+    """Brute-force best allocation over whole numbers of greedy batches.
+
+    Enumerates every way of distributing up to ``d = budget / step_cost``
+    batches among the groups (each batch buys ``step_cost / cost_k``
+    samples) and returns the utility maximizer.  This is the comparison
+    class the greedy loop provably matches on separable concave curves.
+    """
+    k = curve.num_groups
+    start = start_alloc if start_alloc is not None else Allocation.zeros(k)
+    check_groups(curve, costs=cost, utility=utility, start_alloc=start)
+    remaining = cost.budget - cost.spend(start)
+    d_float = remaining / step_cost
+    d = round(d_float)
+    if d < 1 or abs(d_float - d) > 1e-9 * max(1.0, d):
+        raise DomainError(
+            f"budget must be a positive whole number of batches, got {d_float}"
+        )
+    if d > _MAX_ENUM_BATCHES or k > _MAX_ENUM_GROUPS:
+        raise CapacityError(
+            f"batch enumeration capped at d <= {_MAX_ENUM_BATCHES}, "
+            f"K <= {_MAX_ENUM_GROUPS}; got d={d}, K={k}"
+        )
+
+    step_sizes = step_cost / cost.costs
+    batches = np.array(list(lattice_points(k, d)), dtype=float)
+    counts = start.counts[None, :] + batches * step_sizes[None, :]
+    u = batch_utilities(curve, utility, counts.T)
+    idx = int(np.argmax(u))  # first maximizer = lexicographically smallest
+    return _answer(curve, utility, counts[idx], "batch_enum", batches.shape[0])
 
 
 def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> np.ndarray:
@@ -235,21 +270,10 @@ def solve_concave(
             "parity-penalized utilities are not concave; use solve_grid"
         )
     k = curve.num_groups
-    if cost.num_groups != k or utility.num_groups != k:
-        raise DomainError("curve, cost, and utility group counts must match")
+    check_groups(curve, costs=cost, utility=utility)
 
-    if cost.budget == 0:
-        alloc = Allocation.zeros(k)
-        return SolveResult(
-            alloc=alloc,
-            utility=utility_eval(utility, eval_perf(curve, alloc)),
-            method="concave_ascent",
-            iterations=0,
-            converged=True,
-            certificate=0.0,
-        )
-
-    # Feasible set = convex hull of the origin and the K all-in vertices.
+    # Feasible set = convex hull of the origin and the K all-in vertices;
+    # at a zero budget all are the origin, and the first step's gap is zero.
     vertices = np.vstack([np.zeros(k), np.diag(cost.budget / cost.costs)])
     alpha = np.full(k + 1, 1.0 / (k + 1))
     x = alpha @ vertices
@@ -308,16 +332,10 @@ def solve_concave(
             break
         u_prev = max(u_prev, u_new)
 
-    alloc = Allocation(np.maximum(x, 0.0))
-    g = _gradient(curve, utility, alloc.counts)
-    return SolveResult(
-        alloc=alloc,
-        utility=utility_eval(utility, eval_perf(curve, alloc)),
-        method="concave_ascent",
-        iterations=iterations,
-        converged=converged,
-        certificate=float(np.max(vertices @ g) - g @ alloc.counts),
-    )
+    counts = np.maximum(x, 0.0)
+    g = _gradient(curve, utility, counts)
+    return _answer(curve, utility, counts, "concave_ascent", iterations, converged,
+                   float(np.max(vertices @ g) - g @ counts))
 
 
 def check_audit(curve: AnalyticCurve, auditor_utility: UtilitySpec) -> None:

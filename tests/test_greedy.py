@@ -27,7 +27,8 @@ from equalloc import (
 from equalloc.core import utility_kernel
 from equalloc.curves import batch_utilities
 from equalloc.envs import AnalyticEnvironment
-from equalloc.errors import CapacityError, DegenerateDesignError, DomainError
+from equalloc.errors import (CapacityError, DegenerateDesignError, DimensionMismatchError,
+                             DomainError)
 from equalloc.estimator import _truncated_normal_ppf, fit_local_slope
 from equalloc.greedy import GreedyStepError
 
@@ -493,6 +494,12 @@ class TestBatchEnumeration:
             batch_enum_optimum(curve, util, cost, step_cost=1.0)  # d = 100
         with pytest.raises(DomainError):
             batch_enum_optimum(curve, util, cost, step_cost=7.0)  # not whole
+
+    def test_group_count_mismatch_raises(self):
+        curve = AnalyticCurve(gamma=np.eye(3), form="sqrt")
+        cost = CostModel(costs=[1.0] * 3, budget=3.0)
+        with pytest.raises(DimensionMismatchError):
+            batch_enum_optimum(curve, UtilitySpec(weights=[1.0, 1.0]), cost, step_cost=1.0)
 
     def test_greedy_equals_enum_on_random_separable_instances(self):
         rng = np.random.default_rng(99)

@@ -607,11 +607,15 @@ class TestCli:
         # the concave solver takes no parity penalty
         ("solve", ("method", "utility"),
          ("concave", {"weights": [1.0, 1.0], "parity_penalty": 0.5})),
+        # a genomic environment's step and utility are checked before its world is built
+        ("greedy", ("environment", "step_cost"), ({"type": "genomic"}, 7.0)),
+        ("greedy", ("environment", "utility"),
+         ({"type": "genomic"}, {"weights": [1.0, 1.0], "transform": "log"})),
     ])
     def test_malformed_value_exits_2_without_traceback(
         self, tmp_path, capsys, monkeypatch, command, key, value
     ):
-        monkeypatch.setattr(cli, "generate_world", _no_world)
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
         instance = {
             "curve": {"gamma": [[1.0, 0.0], [0.0, 0.5]], "form": "sqrt"},
             "costs": [1.0, 1.0],
@@ -652,6 +656,7 @@ class TestCli:
         ("frontier", "weight_ratio_bounds", [0, 1]),
         ("frontier", "extra_weights", [[1.0]]),
         ("frontier", "budget_pairs", 600.5),
+        ("prs-sim", "budget_pairs", 590.5),
         ("prs-sim", "start_pairs", ["a", 1]),
         ("prs-sim", "weight_settings", [1.0, 1.0]),
         ("prs-sim", "weight_settings", [[1.0]]),
@@ -751,17 +756,27 @@ class TestCli:
         ("prs-sim", {"budget_pairs": 80, "learning_curve_grid": [20, 40]}),
         # the runs reach 40 pairs, the learning curve 60
         ("prs-sim", {"budget_pairs": 60, "learning_curve_grid": [20, 60]}),
+        # from (0, 0) greedy can give one group all 60 pairs
+        ("greedy", {"budget": 60.0}),
     ])
     def test_pairs_beyond_the_training_pool_exit_2(self, tmp_path, capsys, command,
                                                    changes):
         # population 2000 at prevalence 0.05 holds 50 training pairs per group
         world = {"variants": 200, "causal_count": 20, "population": 2000, "rng_seed": 1}
-        doc = dict(SMALL_FRONTIER) if command == "frontier" else _small_prs_config(
-            start_pairs=[20, 20], weight_settings=[[1.0, 1.0]], curve_seeds=[0])
-        doc.update(changes, world=world)
         path = tmp_path / "config.json"
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
+        if command == "greedy":
+            doc = {"curve": {"gamma": [[1.0, 0.0], [0.0, 1.0]]}, "costs": [1.0, 1.0],
+                   "utility": {"weights": [1.0, 1.0]}, "step_cost": 10.0,
+                   "environment": {"type": "genomic", "world": world}}
+            argv += ["--marginals", "estimated"]
+        else:
+            doc = dict(SMALL_FRONTIER) if command == "frontier" else _small_prs_config(
+                start_pairs=[20, 20], weight_settings=[[1.0, 1.0]], curve_seeds=[0])
+            doc["world"] = world
+        doc.update(changes)
         path.write_text(json.dumps(doc))
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "training pairs" in err
 
@@ -771,7 +786,6 @@ class TestCli:
         # 2 x 2000 variants x 10^8 people is 4 x 10^11 genotype cells; it used
         # to end in a MemoryError traceback and exit 1
         monkeypatch.setattr(experiments, "generate_world", _no_world)
-        monkeypatch.setattr(cli, "generate_world", _no_world)
         world = {"population": 10**8}
         path = tmp_path / "config.json"
         if command == "greedy":

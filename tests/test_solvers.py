@@ -284,6 +284,20 @@ class TestSolveConcave:
         assert res.utility == pytest.approx(0.0)
         assert res.converged
 
+    @pytest.mark.parametrize("form", ["sqrt", "log1p", "power"])
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_zero_budget_is_certified_by_the_first_step(self, form, offset):
+        # every vertex of a zero-budget feasible set is the origin, so the
+        # ascent's first step finds a zero duality gap there
+        curve = AnalyticCurve(gamma=[[1.0, 0.2], [0.2, 0.6]], form=form, offset=offset)
+        cost = CostModel(costs=[1.0, 2.0], budget=0.0)
+        res = solve_concave(curve, UtilitySpec(weights=[1.0, 2.0]), cost)
+        assert np.array_equal(res.alloc.counts, [0.0, 0.0])
+        assert res.iterations == 1 and res.converged and res.certificate == 0.0
+        if offset == 0.0:  # every performance is zero: the log utility is undefined
+            with pytest.raises(DomainError, match="strictly positive"):
+                solve_concave(curve, UtilitySpec(weights=[1.0, 2.0], transform="log"), cost)
+
     def test_parity_penalty_unsupported(self, four_group_curve, four_group_cost):
         util = UtilitySpec(weights=[1, 1, 1, 1], parity_penalty=1.0)
         with pytest.raises(UnsupportedUtilityError):
