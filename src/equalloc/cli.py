@@ -39,6 +39,7 @@ from .harness.config import (
     read_number,
     reading,
     seed_lists,
+    whole_number,
 )
 from .harness.experiments import (
     run_adaptive_prs,
@@ -157,6 +158,10 @@ def _cmd_greedy(args) -> int:
         check_step(step, cost)
         if mode == "estimator":
             check_linear(utility)
+        if callable(source):  # a genomic world buys and starts from whole pairs only
+            with reading("genomic pairs per step or at the start"):
+                for pairs in (step / cost.costs).tolist() + start.counts.tolist():
+                    whole_number(pairs)
     if callable(source):  # a genomic world, built only once the config is known good
         source = source(max(start.counts + (cost.budget - cost.spend(start)) / cost.costs))
     t0 = time.perf_counter()

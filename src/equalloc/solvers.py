@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (Allocation, CostModel, UtilitySpec, check_feasible, check_groups,
                    utility_eval)
@@ -236,8 +235,7 @@ def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) ->
         elif curve.form == "log1p":
             fprime = 1.0 / (1.0 + z)
         else:
-            p = curve.power_exponent
-            fprime = p * np.power(z, p - 1.0)
+            fprime = curve.power_exponent * np.power(z, curve.power_exponent - 1.0)
         if utility.transform == "log":
             tprime = 1.0 / curve.transform(z)
         else:
@@ -249,6 +247,31 @@ def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) ->
     return g
 
 
+def _line_search(slope, t_max: float) -> float:
+    """Where a concave function peaks on [0, t_max], from its derivative
+    ``slope``: t_max if the slope is still non-negative there, else its root
+    by regula falsi with Anderson-Bjorck (1973) scaling of a stale end, which
+    also brings an end at the gradient's 1e12 cap on a face in quickly."""
+    s_hi = slope(t_max)
+    if s_hi >= 0:
+        return t_max
+    lo, hi, s_lo, side = 0.0, t_max, slope(0.0), 0
+    for _ in range(100):  # a bound only: brackets close within about 35 steps
+        t = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        s = slope(t)
+        if s > 0:
+            if side > 0:
+                s_hi *= 1 - s / s_lo if s < s_lo else 0.5
+            lo, s_lo, side = t, s, 1
+        elif s < 0:
+            if side < 0:
+                s_lo *= 1 - s / s_hi if s > s_hi else 0.5
+            hi, s_hi, side = t, s, -1
+        if s == 0 or hi - lo <= 1e-12 * t_max:
+            break
+    return t
+
+
 def solve_concave(
     curve: AnalyticCurve,
     utility: UtilitySpec,
@@ -258,12 +281,13 @@ def solve_concave(
 ) -> SolveResult:
     """First-order ascent on the budget simplex for concave instances.
 
-    Conditional-gradient style: each iteration moves mass toward the
-    vertex that the local gradient favors most (or away from the least
-    favored active vertex), with an exact line search.  Stops once the
-    utility improvement drops below ``tol``.  The result's ``certificate``
-    is the duality gap ``max_v g . (v - x)`` at the returned allocation,
-    which bounds its distance from the optimum.
+    Frank-Wolfe with away steps: each iteration moves mass toward the vertex
+    the local gradient favors most, or away from the least favored active
+    one, with an exact line search.  It stops once the duality gap
+    ``max_v g . (v - x)``, which bounds ``U* - U(x)`` and is the result's
+    ``certificate``, is at most ``tol * max(1, |U(x)|)``, and returns
+    ``converged=False`` if ``max_iter`` iterations come first.  An ``x``
+    where the log utility is undefined raises :class:`DomainError`.
     """
     if not utility.is_concave_monotone:
         raise UnsupportedUtilityError(
@@ -273,69 +297,40 @@ def solve_concave(
     check_groups(curve, costs=cost, utility=utility)
 
     # Feasible set = convex hull of the origin and the K all-in vertices;
-    # at a zero budget all are the origin, and the first step's gap is zero.
+    # at a zero budget all are the origin, and the first gap is zero.
     vertices = np.vstack([np.zeros(k), np.diag(cost.budget / cost.costs)])
     alpha = np.full(k + 1, 1.0 / (k + 1))
     x = alpha @ vertices
-    u_prev = float(batch_utilities(curve, utility, x[:, None])[0])
 
-    converged = False
-    iterations = 0
+    converged, iterations = False, 0
     for iterations in range(1, max_iter + 1):
         g = _gradient(curve, utility, x)
         scores = vertices @ g
         i_fw = int(np.argmax(scores))
-        active = np.flatnonzero(alpha > 0)
-        i_aw = int(active[np.argmin(scores[active])])
-
-        d_fw = vertices[i_fw] - x
-        if g @ d_fw <= 0:
-            converged = True  # zero duality gap: x already maximizes
+        u = utility_eval(utility, eval_perf(curve, Allocation(x)))  # DomainError if undefined
+        if scores[i_fw] - g @ x <= tol * max(1.0, abs(u)):
+            converged = True
             break
+        i_aw = int(np.argmin(np.where(alpha > 0, scores, np.inf)))
+        d_fw = vertices[i_fw] - x
         d_aw = x - vertices[i_aw]
-        if g @ d_fw >= g @ d_aw:
-            direction, t_max, away = d_fw, 1.0, False
+        if g @ d_fw >= g @ d_aw:  # a step of t moves weight t onto vertex i, or off it
+            direction, t_max, i, sign = d_fw, 1.0, i_fw, 1.0
         else:
             a = alpha[i_aw]
-            direction, t_max, away = d_aw, (a / (1.0 - a) if a < 1.0 else 1.0), True
-
-        res = minimize_scalar(
-            lambda t: -batch_utilities(curve, utility, (x + t * direction)[:, None])[0],
-            bounds=(0.0, t_max),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t = float(res.x)
-        # Bounded search never tries the endpoint; take it when it is better.
-        end = x + t_max * direction
-        if batch_utilities(curve, utility, end[:, None])[0] >= -res.fun:
-            t = t_max
-        dropped = away and t >= t_max
-        if away:
-            alpha *= 1.0 + t
-            alpha[i_aw] -= t
-            if dropped:
-                alpha[i_aw] = 0.0
-        else:
-            alpha *= 1.0 - t
-            alpha[i_fw] += t
+            direction, t_max, i, sign = d_aw, (a / (1.0 - a) if a < 1.0 else 1.0), i_aw, -1.0
+        # Rounding leaves face points slightly negative; clip each trial point.
+        t = sign * _line_search(lambda step: _gradient(
+            curve, utility, np.maximum(x + step * direction, 0.0)) @ direction, t_max)
+        alpha *= 1.0 - t
+        alpha[i] = 0.0 if t <= -t_max else alpha[i] + t  # a full away step drops vertex i
         alpha = np.maximum(alpha, 0.0)
         alpha /= alpha.sum()
         x = alpha @ vertices
 
-        u_new = float(batch_utilities(curve, utility, x[:, None])[0])
-        # Drop steps remove a vertex without real progress; they do not
-        # count toward the improvement-based stopping rule.
-        if not dropped and u_new - u_prev < tol:
-            u_prev = max(u_prev, u_new)
-            converged = True
-            break
-        u_prev = max(u_prev, u_new)
-
-    counts = np.maximum(x, 0.0)
-    g = _gradient(curve, utility, counts)
-    return _answer(curve, utility, counts, "concave_ascent", iterations, converged,
-                   float(np.max(vertices @ g) - g @ counts))
+    g = _gradient(curve, utility, x)
+    return _answer(curve, utility, x, "concave_ascent", iterations, converged,
+                   float(np.max(vertices @ g) - g @ x))
 
 
 def check_audit(curve: AnalyticCurve, auditor_utility: UtilitySpec) -> None:

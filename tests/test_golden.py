@@ -22,7 +22,7 @@ from equalloc.harness import default_table1_config
 DIGESTS = {
     ("2.4.6", "1.17.1", "3.11.7"): {
         "table1": "7568619f7a10dc6ce88a291a0fad7a31ee40c81c84e6e6f70820d9f7aacbfda3",
-        "convergence": "ad2ff6571bafcb65b1a2a17d340d43259d4ef05ce3d89bdff896857414241df4",
+        "convergence": "c95a746139a14656e6858742a4c362202fa46af8e6f5148c44d351667c257c89",
         "frontier": "970dfba316b7d8d1c25d205bfef5fb1b7b0c516c9a2065041456adc677629265",
         "prs-sim": "8dc5298eaefcd380db648793a5d28f232b21ff551e553343384f41d5756b0c78",
         "audit": "00587af95cbdbd4725f96bc38d7c5e34280408d725f3a03b7c8dc7b84f91fbb9",

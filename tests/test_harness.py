@@ -94,7 +94,10 @@ class TestConvergence:
         # solver's vertex with step-accumulated counts, so it can beat the
         # optimum by rounding: hold it to 1e-12 relative past the certificate.
         assert all(g <= o + c + 1e-12 * abs(o) for o, g, c in zip(opt, greedy, cert))
+        # converged means the certificate is within the solver's own stopping rule
         assert all(conv)
+        tol = default_convergence_config()["solver_tol"]
+        assert all(c <= tol * max(1.0, abs(o)) for o, c in zip(opt, cert))
         assert gap == [o - g for o, g in zip(opt, greedy)]
         assert rel == [d / abs(o) for d, o in zip(gap, opt)]
         assert min(gap) < 0  # the gap is signed, not an absolute value
@@ -801,6 +804,27 @@ class TestCli:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("capacity error:") and "genotype cells" in err
+
+    @pytest.mark.parametrize("changes,start", [
+        ({"costs": [3.0, 1.0]}, None),  # a step of 10 buys 3.33 pairs of group 0
+        ({}, {"counts": [2.5, 3]}),
+    ])
+    def test_genomic_greedy_takes_whole_pairs_only(self, tmp_path, capsys, monkeypatch,
+                                                    changes, start):
+        # these used to build the world, then exit 4 with a numerical failure
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
+        doc = {"curve": {"gamma": [[1.0, 0.0], [0.0, 1.0]]}, "costs": [1.0, 1.0],
+               "budget": 60.0, "step_cost": 10.0, "utility": {"weights": [1.0, 1.0]},
+               "environment": {"type": "genomic"}, **changes}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = ["greedy", "--instance", str(path), "--marginals", "estimated"]
+        if start is not None:
+            (tmp_path / "start.json").write_text(json.dumps(start))
+            argv += ["--start", str(tmp_path / "start.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not a whole number" in err
 
     def test_omitted_seeds_follow_offset_into_manifest(self, tmp_path):
         cfg = _small_prs_config(weight_settings=[[1.0, 1.0]])

@@ -1,8 +1,9 @@
-"""Importing the package does not load ``scipy.stats``.
+"""Importing the package does not load ``scipy.stats`` or ``scipy.optimize``.
 
 Loading ``scipy.stats`` costs about 0.6 s of a process's start, and the
 package needs none of it: the special functions it uses come from
-``scipy.special`` directly.
+``scipy.special`` directly.  The solvers need no ``scipy.optimize``
+either; only the genomic environment's Platt fit loads it.
 """
 
 import os
@@ -15,10 +16,20 @@ import equalloc
 PACKAGE_ROOT = str(Path(equalloc.__file__).resolve().parents[1])
 
 
-def test_package_import_does_not_load_scipy_stats():
-    code = ("import sys, equalloc, equalloc.envs, equalloc.harness, equalloc.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+def _loaded(imports: str, prefix: str) -> str:
+    """The modules under ``prefix`` a fresh interpreter holds after ``imports``."""
+    code = (f"import sys, {imports}; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_package_import_does_not_load_scipy_stats():
+    assert _loaded("equalloc, equalloc.envs, equalloc.harness, equalloc.cli",
+                   "scipy.stats") == "[]"
+
+
+def test_package_import_does_not_load_scipy_optimize():
+    assert _loaded("equalloc", "scipy.optimize") == "[]"

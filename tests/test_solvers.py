@@ -363,6 +363,54 @@ class TestSolveConcave:
         assert grid.certificate == enum.certificate == empty.certificate == 0.0
 
 
+def _sparse_instance(seed: int):
+    """A random instance with sparse cross-group weights on a positive
+    diagonal: a log utility in about two of three, ``normalize`` in one of
+    four, and an offset of zero (performances that vanish on the faces) in
+    one of two."""
+    rng = np.random.default_rng([21, seed])
+    k = int(rng.integers(1, 9))
+    sparse = rng.uniform(0.0, 1.0, (k, k)) * (rng.random((k, k)) < 0.3)
+    curve = AnalyticCurve(gamma=sparse + np.diag(rng.uniform(0.1, 1.0, k)),
+                          form=("sqrt", "log1p", "power")[int(rng.integers(3))],
+                          offset=(0.0, 0.5)[int(rng.integers(2))])
+    cost = CostModel(costs=rng.uniform(0.05, 1.0, k), budget=10.0)
+    util = UtilitySpec(weights=rng.uniform(0.05, 1.0, k),
+                       transform="log" if rng.random() < 2 / 3 else "identity",
+                       normalize=bool(rng.random() < 0.25))
+    return curve, util, cost
+
+
+class TestSolveConcaveProperties:
+    TOL = 1e-8
+
+    def _check(self, curve, util, cost, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no NaN inside the solve
+            res = solve_concave(curve, util, cost, tol=self.TOL)  # and no DomainError
+        if res.converged:
+            assert res.certificate <= self.TOL * max(1.0, abs(res.utility)), res
+        # random feasible points, on the full-spend face and inside the simplex
+        rng = np.random.default_rng(seed)
+        k = curve.num_groups
+        vertices = np.diag(cost.budget / cost.costs)
+        inside = rng.dirichlet(np.ones(k + 1), 100)[:, 1:] @ vertices
+        face = rng.dirichlet(np.ones(k), 100) @ vertices
+        u = batch_utilities(curve, util, np.vstack([inside, face]).T)
+        assert (u <= res.utility + res.certificate + 1e-12 * abs(res.utility)).all(), res
+
+    def test_sparse_gamma_log_sweep(self):
+        for seed in range(200):
+            self._check(*_sparse_instance(seed), seed)
+
+    def test_log_utility_on_a_diagonal_curve(self):
+        # the line search used to step past a face, where sqrt of a negative
+        # count raised a RuntimeWarning
+        curve = AnalyticCurve(gamma=[[1.0, 0.0], [0.0, 0.6]], form="sqrt")
+        cost = CostModel(costs=[0.5, 0.1], budget=10.0)
+        self._check(curve, UtilitySpec(weights=[0.1, 0.5], transform="log"), cost, 0)
+
+
 class TestAuditGap:
     def test_optimal_allocation_has_negligible_gap(
         self, four_group_curve, four_group_cost, u_equal
