@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import chdtrc, chdtri, ndtri
 
 from ..errors import CapacityError, DomainError
@@ -388,27 +387,31 @@ def _clump(geno: np.ndarray, candidates: np.ndarray, pvals: np.ndarray,
 
 
 def _fit_platt(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
-    """Platt's sigmoid fit with the classic smoothed targets."""
-    n_pos = float(labels.sum())
-    n_neg = float(labels.size - n_pos)
-    hi = (n_pos + 1.0) / (n_pos + 2.0)
-    lo = 1.0 / (n_neg + 2.0)
-    targets = np.where(labels > 0, hi, lo)
+    """Platt's sigmoid fit with the classic smoothed targets: Newton's method
+    with Armijo backtracking on the exact Hessian (Lin, Lin & Weng 2007)."""
+    n_pos, n_neg = float(labels.sum()), float(labels.size - labels.sum())
+    targets = np.where(labels > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    design = np.stack([scores, np.ones_like(scores)], axis=1)
 
-    def nll_and_grad(params):
-        w, b = params
-        logit = w * scores + b
-        prob = 1.0 / (1.0 + np.exp(-logit))
-        eps = 1e-12
-        nll = -np.sum(
-            targets * np.log(prob + eps) + (1 - targets) * np.log(1 - prob + eps)
-        )
-        resid = prob - targets
-        return nll, np.array([np.sum(resid * scores), np.sum(resid)])
+    def loss(params):  # the smoothed-target cross-entropy, overflow-free
+        return float(np.sum(np.logaddexp(0.0, design @ params) - targets * (design @ params)))
 
-    start = np.array([1.0, np.log((n_pos + 1.0) / (n_neg + 1.0))])
-    res = minimize(nll_and_grad, start, jac=True, method="L-BFGS-B")
-    return float(res.x[0]), float(res.x[1])
+    # Start at slope 0: a unit slope on large scores would saturate the sigmoid.
+    params = np.array([0.0, np.log((n_pos + 1.0) / (n_neg + 1.0))])
+    current = loss(params)
+    for _ in range(100):
+        prob = np.exp(-np.logaddexp(0.0, -(design @ params)))
+        grad = design.T @ (prob - targets)
+        if np.max(np.abs(grad)) < 1e-5:
+            break
+        # The ridge keeps constant scores, whose slope is not identified, solvable.
+        hess = (design.T * (prob * (1.0 - prob))) @ design + 1e-12 * np.eye(2)
+        step, t = np.linalg.solve(hess, grad), 1.0
+        while (trial := loss(params - t * step)) >= current - 1e-4 * t * (grad @ step):
+            if (t := t / 2) < 1e-10:
+                return float(params[0]), float(params[1])  # no step lowers the loss
+        params, current = params - t * step, trial
+    return float(params[0]), float(params[1])
 
 
 def _empty_model(prevalence: float) -> RiskModel:

@@ -193,7 +193,6 @@ def batch_enum_optimum(
     utility: UtilitySpec,
     cost: CostModel,
     step_cost: float,
-    start_alloc: Allocation | None = None,
 ) -> SolveResult:
     """Brute-force best allocation over whole numbers of greedy batches.
 
@@ -203,10 +202,8 @@ def batch_enum_optimum(
     class the greedy loop provably matches on separable concave curves.
     """
     k = curve.num_groups
-    start = start_alloc if start_alloc is not None else Allocation.zeros(k)
-    check_groups(curve, costs=cost, utility=utility, start_alloc=start)
-    remaining = cost.budget - cost.spend(start)
-    d_float = remaining / step_cost
+    check_groups(curve, costs=cost, utility=utility)
+    d_float = cost.budget / step_cost
     d = round(d_float)
     if d < 1 or abs(d_float - d) > 1e-9 * max(1.0, d):
         raise DomainError(
@@ -220,7 +217,7 @@ def batch_enum_optimum(
 
     step_sizes = step_cost / cost.costs
     batches = np.array(list(lattice_points(k, d)), dtype=float)
-    counts = start.counts[None, :] + batches * step_sizes[None, :]
+    counts = batches * step_sizes[None, :]
     u = batch_utilities(curve, utility, counts.T)
     idx = int(np.argmax(u))  # first maximizer = lexicographically smallest
     return _answer(curve, utility, counts[idx], "batch_enum", batches.shape[0])

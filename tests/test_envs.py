@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import equalloc.envs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.special import chdtrc
 from scipy.stats import norm
 
@@ -500,6 +502,61 @@ class TestRiskModelTraining:
         assert np.array_equal(m1.variant_idx, m2.variant_idx)
         assert m1.slope == m2.slope and m1.intercept == m2.intercept
         assert evaluate_group_value(world, m1, 0) == evaluate_group_value(world, m2, 0)
+
+
+def _platt_loss_and_grad(params, scores, labels):
+    """Platt's smoothed-target cross-entropy and its gradient in (slope, intercept)."""
+    n_pos, n_neg = labels.sum(), labels.size - labels.sum()
+    targets = np.where(labels > 0, (n_pos + 1) / (n_pos + 2), 1 / (n_neg + 2))
+    z = params[0] * scores + params[1]
+    resid = np.exp(-np.logaddexp(0.0, -z)) - targets
+    return (float(np.sum(np.logaddexp(0.0, z) - targets * z)),
+            np.array([resid @ scores, resid.sum()]))
+
+
+class TestPlattFit:
+    def test_newton_fit_is_no_worse_than_lbfgsb(self):
+        # scipy's L-BFGS-B on the same objective is the oracle: the Newton fit
+        # reaches its loss (to 1e-9 relative) and a stationary point.  Score
+        # spreads cover those of the genomic experiments' calibration sets
+        # (standard deviations 1.3 to 3.7 over 60 to 300 rows).
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            n = int(rng.integers(2, 600))
+            labels = (rng.random(n) < rng.uniform(0.1, 0.9)).astype(float)
+            scores = rng.normal(rng.normal(0, 3), rng.uniform(0.01, 6), n)
+            scores += rng.uniform(0, 2) * labels  # some signal, sometimes separable
+            slope, intercept = _fit_platt(scores, labels)
+            loss, grad = _platt_loss_and_grad((slope, intercept), scores, labels)
+            oracle = minimize(_platt_loss_and_grad, np.zeros(2), args=(scores, labels),
+                              jac=True, method="L-BFGS-B")
+            assert loss <= oracle.fun + 1e-9 * abs(oracle.fun), trial
+            assert np.max(np.abs(grad)) < 1e-5, trial
+
+    def test_saturating_scores_do_not_overflow(self):
+        # a unit-slope start saturates the sigmoid at scores of +-800; the
+        # optimum puts each side's probability at its smoothed target 11/12,
+        # so the slope is log(11) / 800 = 0.0029974
+        scores = np.r_[np.full(10, 800.0), np.full(10, -800.0)]
+        labels = np.r_[np.ones(10), np.zeros(10)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            slope, intercept = _fit_platt(scores, labels)
+        assert abs(slope - 0.0029974) < 1e-6
+        assert abs(intercept) < 1e-9
+
+    @pytest.mark.parametrize("value", [0.0, 3.0, -2.5])
+    def test_constant_scores_return_a_finite_fit(self, value):
+        # the slope is not identified; the fitted logit is the best constant,
+        # the log-odds of the mean smoothed target
+        labels = np.r_[np.ones(5), np.zeros(15)]
+        slope, intercept = _fit_platt(np.full(20, value), labels)
+        assert np.isfinite(slope) and np.isfinite(intercept)
+        mean_target = (5 * 6 / 7 + 15 / 17) / 20
+        assert slope * value + intercept == pytest.approx(
+            np.log(mean_target / (1 - mean_target)), abs=1e-5)
+        if value == 0.0:
+            assert slope == 0.0
 
 
 def _population_major_reference(world, sample):

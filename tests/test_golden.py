@@ -23,7 +23,7 @@ DIGESTS = {
     ("2.4.6", "1.17.1", "3.11.7"): {
         "table1": "7568619f7a10dc6ce88a291a0fad7a31ee40c81c84e6e6f70820d9f7aacbfda3",
         "convergence": "c95a746139a14656e6858742a4c362202fa46af8e6f5148c44d351667c257c89",
-        "frontier": "970dfba316b7d8d1c25d205bfef5fb1b7b0c516c9a2065041456adc677629265",
+        "frontier": "4bea5e5fcdea63b5d39be9287f90337623be2cd7364609ef57854c74b2814738",
         "prs-sim": "8dc5298eaefcd380db648793a5d28f232b21ff551e553343384f41d5756b0c78",
         "audit": "00587af95cbdbd4725f96bc38d7c5e34280408d725f3a03b7c8dc7b84f91fbb9",
         # greedy --trace-out on the Table 1 instance under U_equal, by --marginals

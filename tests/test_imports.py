@@ -1,9 +1,11 @@
-"""Importing the package does not load ``scipy.stats`` or ``scipy.optimize``.
+"""Importing the package loads neither ``scipy.stats`` nor ``scipy.optimize``.
 
 Loading ``scipy.stats`` costs about 0.6 s of a process's start, and the
 package needs none of it: the special functions it uses come from
-``scipy.special`` directly.  The solvers need no ``scipy.optimize``
-either; only the genomic environment's Platt fit loads it.
+``scipy.special`` directly.  Nothing needs ``scipy.optimize`` either: the
+solvers and the genomic environment's Platt fit are numpy loops, so a
+CLI or harness process also skips the ``linalg``, ``sparse``, ``spatial``
+and ``fft`` subpackages that ``scipy.optimize`` pulls in.
 """
 
 import os
@@ -16,8 +18,9 @@ import equalloc
 PACKAGE_ROOT = str(Path(equalloc.__file__).resolve().parents[1])
 
 
-def _loaded(imports: str, prefix: str) -> str:
-    """The modules under ``prefix`` a fresh interpreter holds after ``imports``."""
+def _loaded(imports: str, prefix: str | tuple[str, ...]) -> str:
+    """The modules under ``prefix`` (one or a tuple) a fresh interpreter holds
+    after ``imports``."""
     code = (f"import sys, {imports}; "
             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
@@ -32,4 +35,5 @@ def test_package_import_does_not_load_scipy_stats():
 
 
 def test_package_import_does_not_load_scipy_optimize():
-    assert _loaded("equalloc", "scipy.optimize") == "[]"
+    assert _loaded("equalloc, equalloc.envs, equalloc.harness, equalloc.cli",
+                   ("scipy.optimize", "scipy.linalg", "scipy.sparse")) == "[]"
