@@ -13,10 +13,11 @@ population prevalence.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import chdtrc, chdtri, ndtri
 
 from ..errors import CapacityError, DomainError
 
@@ -219,7 +220,7 @@ def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) ->
             # a last, shorter block fills the rows' last ceil(len(block) / 8) bytes
             out[:, lo // 8:(lo + _BLOCK) // 8] = np.packbits(block < freqs, axis=0).T
         return out
-    thresholds = ndtri(freqs)
+    thresholds = list(map(NormalDist().inv_cdf, freqs.tolist()))
     carry = np.sqrt(1.0 - ld_rho**2)
     z = rng.standard_normal(population)
     e = np.empty(population)
@@ -322,7 +323,7 @@ def _chi2_screen(geno: np.ndarray, n_cases: int, maf_floor: float, p_threshold: 
     """Per-variant 2x2 chi-squared scan; returns (selected mask, pvals, log ORs).
 
     Only an eligible variant whose statistic is at least 0.999 times the
-    threshold's (a margin far wider than ``chdtri``'s rounding) gets a
+    threshold's (a margin far wider than the quantile's rounding) gets a
     p-value; every other p-value is NaN.  ``p_threshold`` lies in (0, 1).
     """
     total = geno.shape[0]
@@ -345,9 +346,13 @@ def _chi2_screen(geno: np.ndarray, n_cases: int, maf_floor: float, p_threshold: 
         stat = np.where(
             denom > 0, total * (a * d - b * c) ** 2 / np.where(denom > 0, denom, 1.0), 0.0
         )
-    near = eligible & (stat >= 0.999 * chdtri(1, p_threshold))
+    # chi-squared on one degree of freedom is Z**2: its quantile is
+    # inv_cdf(p / 2)**2 and its upper tail erfc(sqrt(stat / 2)); a p / 2
+    # that rounds to 0 takes the smallest double, a lower, still safe bound
+    half = max(p_threshold / 2, math.ulp(0.0))
+    near = eligible & (stat >= 0.999 * NormalDist().inv_cdf(half) ** 2)
     pvals = np.full(stat.shape, np.nan)
-    pvals[near] = chdtrc(1, stat[near])
+    pvals[near] = [math.erfc(math.sqrt(x / 2)) for x in stat[near].tolist()]
     selected = near & (pvals < p_threshold)
 
     # Haldane-Anscombe correction wherever the 2x2 table has a zero cell.

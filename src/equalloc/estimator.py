@@ -8,20 +8,23 @@ sampled occasionally, while the truncation encodes the prior that more
 data never hurts.
 
 Both steps are scalar arithmetic on Python floats: the fit sums at most
-``window`` points in order, and the draw is the closed-form inverse CDF
-of the truncated normal applied to one ``random()`` from the caller's
-generator, the same double as the ``uniform()`` scipy's ``truncnorm.rvs``
-would take.  A history holds the run's settings and keeps each group's
-fit until the group grows.
+``window`` points in order, and the draw is the inverse CDF of the
+truncated normal applied to one ``random()`` from the caller's generator,
+the same double as the ``uniform()`` scipy's ``truncnorm.rvs`` would take.
+The normal CDF and quantile are Python's ``math.erfc`` and
+``statistics.NormalDist``; where the tail underflows, Newton's method on
+the Mills ratio finds the quantile.  A history holds the run's settings
+and keeps each group's fit until the group grows.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
 from .errors import DegenerateDesignError, DomainError, InsufficientHistoryError
 
@@ -141,23 +144,54 @@ def fit_local_slope(records, window: int, se_floor: float = 0.0) -> tuple[float,
     return slope, max(se, se_floor)
 
 
+_inv_cdf = NormalDist().inv_cdf  # Wichura's AS241, to double precision
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(x: float) -> float:
+    """Phi(x), to full relative precision in the lower tail."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
+
+def _mills(t: float) -> float:
+    """phi(t) / Phi(-t) by its continued fraction t + 1/(t + 2/(t + ...)),
+    exact to double precision for t >= 20 at eight terms."""
+    f = t
+    for k in range(8, 0, -1):
+        f = t + k / f
+    return f
+
+
 def _truncated_normal_ppf(q: float, a: float) -> float:
     """Quantile ``q`` of the standard normal truncated to [a, inf).
 
-    Solves ``Phi(x) = Phi(a) + q * Phi(-a)``, each branch in the form that
-    keeps full precision: the upper-tail log form for ``a >= 0``, the
-    complement ``Phi(-x) = (1 - q) * Phi(-a)`` when x lands at or above 0,
-    and log space below 0, where ``Phi(a)`` may underflow.
+    Solves ``Phi(-x) = (1 - q) * Phi(-a)`` from the smaller tail of x:
+    ``Phi(x) = Phi(a) + q * Phi(-a)`` when x lands below 0, and the upper
+    tail while it is a normal double.  Past that (a > 36), the offset
+    ``d = x - a`` solves the Mills-ratio form
+    ``d * (d / 2 + a) + log(mills(x) / mills(a)) = -log(1 - q)``, which
+    never squares a.  Its left side is convex in d, so Newton's method
+    falls to the root from ``-log(1 - q) / a``, at most 1.5% above it;
+    each step squares the relative error and scales it by under 0.014,
+    so three steps reach double precision.  ``q = 0`` is the bound itself;
+    a subnormal q, which ``random()`` never returns, keeps only the bits of
+    a subnormal ``Phi(a) + q * Phi(-a)`` once a < -37.5.
     """
-    if a >= 0:
-        x = -float(ndtri_exp(math.log1p(-q) + float(log_ndtr(-a))))
+    if q == 0.0:
+        return a
+    tail = _ndtr(-a)
+    upper = (1.0 - q) * tail
+    if upper > 0.5:
+        x = _inv_cdf(_ndtr(a) + q * tail)
+    elif upper >= sys.float_info.min:
+        x = -_inv_cdf(upper)
     else:
-        upper = (1.0 - q) * float(ndtr(-a))
-        if upper <= 0.5:
-            x = -float(ndtri(upper))
-        else:
-            log_q = math.log(q) if q > 0.0 else -math.inf
-            x = float(ndtri_exp(np.logaddexp(log_ndtr(a), log_q + log_ndtr(-a))))
+        e, mills_a = -math.log1p(-q), _mills(a)
+        d = e / a
+        for _ in range(3):
+            mills_x = _mills(a + d)
+            d -= (d * (0.5 * d + a) + math.log(mills_x / mills_a) - e) / mills_x
+        x = a + d
     return max(x, a)
 
 
@@ -167,16 +201,18 @@ def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     The draw is the inverse CDF of one ``random()`` from the generator,
     the same double ``uniform()`` returns, so it consumes the same random
     stream as scipy's ``truncnorm.rvs`` and agrees with its draws to
-    about 1e-11 relative.  ``sd == 0`` degenerates to ``max(mean, 0)``
-    and draws nothing.  ``rng_seed`` may be an integer seed or a
-    ``numpy.random.Generator``.
+    about 1e-11 relative up to ``-mean / sd = 37``.  ``sd == 0`` gives
+    ``max(mean, 0)`` and draws nothing.  ``rng_seed`` may be an integer
+    seed or a ``numpy.random.Generator``.
     """
     if sd < 0:
         raise DomainError("sd must be non-negative")
     if sd == 0:
         return max(float(mean), 0.0)
     q = np.random.default_rng(rng_seed).random()
-    x = _truncated_normal_ppf(q, (0.0 - mean) / sd)
+    # A bound past the largest double clamps to it: mean + sd * a is then
+    # at most 0, and the true draw is below 37 sd / a < 2e-307.
+    x = _truncated_normal_ppf(q, min((0.0 - mean) / sd, sys.float_info.max))
     return max(float(mean + sd * x), 0.0)
 
 

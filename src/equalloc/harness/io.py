@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .. import __version__
 
@@ -67,7 +66,6 @@ def write_manifest(out_dir, config: dict, digest: str, seeds, timings: dict) -> 
         "versions": {
             "equalloc": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

@@ -1,9 +1,11 @@
+import math
 import os
 import subprocess
 import sys
 import warnings
 from collections import Counter
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import equalloc.envs
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.special import chdtrc
+from scipy.special import chdtrc, chdtri, ndtri
 from scipy.stats import norm
 
 from equalloc import (Allocation, AnalyticCurve, CostModel, GreedyConfig, UtilitySpec,
@@ -370,7 +372,7 @@ def _screen_everywhere(geno, n_cases, maf_floor, p_threshold):
         stat = np.where(
             denom > 0, total * (a * d - b * c) ** 2 / np.where(denom > 0, denom, 1.0), 0.0
         )
-    pvals = chdtrc(1, stat)
+    pvals = np.array([math.erfc(math.sqrt(x / 2)) for x in stat.tolist()])
     zero_cell = (a == 0) | (b == 0) | (c == 0) | (d == 0)
     a2, b2, c2, d2 = (x + np.where(zero_cell, 0.5, 0.0) for x in (a, b, c, d))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -399,7 +401,7 @@ def test_screen_skips_only_p_values_that_cannot_pass(data):
             target = np.nextafter(target, np.inf if steps > 0 else 0.0)
     else:
         target *= data.draw(st.floats(0.999, 1.001))
-    p_threshold = float(chdtrc(1, target))
+    p_threshold = math.erfc(math.sqrt(target / 2))
     assume(0.0 < p_threshold < 1.0)
     selected, pvals, log_or = _chi2_screen(geno, n_cases, maf_floor, p_threshold)
     want, want_pvals, want_log_or, _ = _screen_everywhere(geno, n_cases, maf_floor, p_threshold)
@@ -410,6 +412,38 @@ def test_screen_skips_only_p_values_that_cannot_pass(data):
     if candidates.size:
         assert np.array_equal(_clump(geno, candidates, pvals, 50, 0.2),
                               _clump(geno, candidates, want_pvals, 50, 0.2))
+
+
+def test_chi2_p_values_and_threshold_match_scipy():
+    # chi-squared on one degree of freedom is Z**2: the screen's stdlib
+    # tail and quantile against scipy's chdtrc and chdtri.  Statistics stop
+    # at 700 (p-values of 1e-153): the tail's relative error grows with the
+    # statistic, in both, and chdtrc's is 1.1e-13 at 1400
+    stats = np.concatenate([np.logspace(-6, np.log10(700.0), 2000), [0.0, 1e-300]])
+    for x in stats.tolist():
+        want = chdtrc(1, x)
+        assert abs(math.erfc(math.sqrt(x / 2)) - want) <= 1e-13 * want, x
+    for p in np.logspace(-300, np.log10(0.999), 500).tolist():
+        want = chdtri(1, p)
+        assert NormalDist().inv_cdf(p / 2) ** 2 == pytest.approx(want, rel=1e-13), p
+
+
+def test_screen_takes_the_smallest_p_threshold():
+    # p / 2 rounds to 0 at the smallest double, where inv_cdf is undefined
+    geno = np.zeros((6, 2), dtype=np.uint8)
+    geno[:3, 0] = 1
+    for p_threshold in (5e-324, 1e-323):
+        selected, pvals, _ = _chi2_screen(geno, 3, 0.0, p_threshold)
+        assert not selected.any() and np.isnan(pvals[1])
+
+
+def test_genotype_thresholds_match_scipy():
+    # inv_cdf and ndtri differ by up to 6 ulps (1.03e-15 relative) where the
+    # quantile is near 0; each is within 5 ulps of the 50-digit value there
+    freqs = np.random.default_rng(0).uniform(1e-6, 1 - 1e-6, 20_000).tolist()
+    freqs += np.logspace(-300, -1, 300).tolist() + [0.05, 0.5, np.nextafter(0.5, 0)]
+    for f in freqs:
+        assert NormalDist().inv_cdf(f) == pytest.approx(ndtri(f), rel=2e-15, abs=0), f
 
 
 class TestRiskModelTraining:

@@ -1,8 +1,11 @@
+import math
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from equalloc import (
     AnalyticCurve,
@@ -17,7 +20,7 @@ from equalloc import (
     run_greedy,
 )
 from equalloc.envs import AnalyticEnvironment
-from equalloc.estimator import _truncated_normal_ppf
+from equalloc.estimator import _mills, _ndtr, _truncated_normal_ppf
 from equalloc.errors import (
     DegenerateDesignError,
     DomainError,
@@ -136,14 +139,46 @@ class TestTruncatedNormal:
         assert untouched.bit_generator.state == np.random.default_rng(9).bit_generator.state
 
     def test_draws_match_scipy_on_the_same_stream(self):
+        # scipy's truncnorm is the reference while a = -mean/sd <= 37.  Past
+        # that, scipy's own draw is off by up to 2.8e-5 relative here, so the
+        # reference is the 60-digit quantile, within the rounding of
+        # mean + sd * x: a few ulps of x ~ a, scaled by sd
+        mp = pytest.importorskip("mpmath").mp
         rng = np.random.default_rng(6)
+        far = 0
         for _ in range(300):
             mean = rng.normal(0, 3) * 10 ** rng.uniform(-3, 1)
             sd = rng.uniform(0.01, 2) * 10 ** rng.uniform(-3, 0)
             seed = int(rng.integers(2**31))
-            want = stats.truncnorm.rvs(-mean / sd, np.inf, loc=mean, scale=sd,
-                                       random_state=np.random.default_rng(seed))
-            assert draw_truncated_normal(mean, sd, seed) == pytest.approx(want, rel=1e-9)
+            got = draw_truncated_normal(mean, sd, seed)
+            a = (0.0 - mean) / sd
+            if a <= 37:
+                want = stats.truncnorm.rvs(-mean / sd, np.inf, loc=mean, scale=sd,
+                                           random_state=np.random.default_rng(seed))
+                assert got == pytest.approx(want, rel=1e-9)
+                continue
+            far += 1
+            q = np.random.default_rng(seed).random()
+            with mp.workdps(60):
+                bound = -mp.mpf(mean) / sd
+                target = mp.log1p(-mp.mpf(q)) + mp.log(mp.ncdf(-bound))
+                x = mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
+                                bound - math.log1p(-q) / bound)
+                truth = float(mean + sd * x)
+            assert abs(got - truth) <= 1e-9 * abs(truth) + 4 * sd * math.ulp(a), (mean, sd)
+        assert far == 46
+
+    @given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300, exclude_min=True),
+           st.integers(0, 2**32 - 1))
+    @example(-3.0, 1e-200, 0)
+    @example(-1.0, 1e-320, 0)
+    @settings(max_examples=500, deadline=None)
+    def test_draw_is_finite_and_nonnegative(self, mean, sd, seed):
+        # a bound a = -mean/sd past 1.3e154 would overflow a * a, and past
+        # the largest double a itself overflows; |mean| and sd up to 1e300
+        # keep every draw, at most mean + 8.3 sd, below the largest double
+        draw = draw_truncated_normal(mean, sd, seed)
+        assert math.isfinite(draw) and draw >= 0.0
 
 
 A_EDGES = [-1000, -40, -8, -1, -1e-9, 0, 1e-9, 1, 8, 37, 40, 1000]
@@ -176,6 +211,62 @@ class TestTruncatedNormalQuantile:
                     exact = float(mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
                                               mp.mpf(x)))
                 assert abs(x - exact) <= 1e-9 * max(1.0, abs(x)), (a, q, x, exact)
+
+
+class TestSpecialFunctions:
+    """The stdlib normal CDF and the Mills ratio behind the quantile, against
+    mpmath at 60 digits and against scipy."""
+
+    def test_ndtr(self):
+        mp = pytest.importorskip("mpmath").mp
+        xs = [-1e4, -1e3, -100.0, -38.5, -1e-300, 0.0, 1e-300]
+        xs += list(-np.logspace(-3, 4, 300)) + list(np.linspace(-40, 40, 401))
+        for x in map(float, xs):
+            with mp.workdps(60):
+                exact = float(mp.ncdf(x))
+            # Phi(x) moves by about x**2 relative per relative ulp of x, which
+            # x / sqrt(2) rounds.  Results below the normal range are compared
+            # at its bottom, and with scipy, which flushes them to 0, at 1e-300
+            tol = 1e-15 * (1.0 + x * x)
+            got = _ndtr(x)
+            assert abs(got - exact) <= tol * max(exact, sys.float_info.min), (x, got, exact)
+            assert abs(got - special.ndtr(x)) <= 2 * tol * max(exact, 1e-300), (x, got)
+
+    def test_mills_ratio(self):
+        # phi(t) / Phi(-t) is sqrt(2 / pi) / erfcx(t / sqrt(2)); the
+        # quantile's tail asks for it at t > 36 only
+        mp = pytest.importorskip("mpmath").mp
+        ts = [20.0, 36.0, 37.5, 1e6, 1e154, 1e300, sys.float_info.max]
+        ts += list(np.logspace(np.log10(20.0), 5, 300))
+        for t in map(float, ts):
+            got = _mills(t)
+            if t < 1e6:
+                with mp.workdps(60):
+                    exact = float(mp.npdf(t) / mp.ncdf(-t))
+                assert got == pytest.approx(exact, rel=4e-16, abs=0), t
+            if t <= 1e300:  # erfcx(t / sqrt(2)) leaves the normal range beyond
+                want = math.sqrt(2 / math.pi) / special.erfcx(t * math.sqrt(0.5))
+                assert got == pytest.approx(want, rel=4e-15, abs=0), t
+
+    def test_tail_quantile_against_mpmath(self):
+        # where (1 - q) Phi(-a) leaves the normal range (a > 36.3 here) the
+        # quantile is a + d, with d from Newton's method, and lands within
+        # an ulp; below, the upper tail's erfc can cost one more.  a reaches
+        # the largest double, where a * a overflows
+        mp = pytest.importorskip("mpmath").mp
+        for a in [36.4, 37.0, 37.6, 38.5, 40.0, 100.0, 1e3, 1e5, 1e8, 1e154, 1e300,
+                  sys.float_info.max]:
+            for q in [2**-53, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 2**-40, 1 - 2**-53]:
+                x = _truncated_normal_ppf(q, a)
+                e = -math.log1p(-q)
+                if a > 1e8:  # the offset is below ulp(a) / 2, so x is a
+                    assert x == a and e / a < math.ulp(a) / 2, (a, q, x)
+                    continue
+                with mp.workdps(60):
+                    target = mp.log1p(-mp.mpf(q)) + mp.log(mp.ncdf(-mp.mpf(a)))
+                    exact = float(mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
+                                              a + e / a))
+                assert abs(x - exact) <= 2 * math.ulp(exact), (a, q, x, exact)
 
 
 def _history_from(points_by_group, settings=EstimatorSettings()):
