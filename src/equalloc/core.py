@@ -192,12 +192,12 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
             t = np.where(valid, np.log(perf), 0.0)  # finite: no inf - inf
     else:
         t = perf
-    u = spec.weights @ t
+    u = spec.weights @ t  # like dev below, an array made here: perf is never written
     if spec.parity_penalty > 0:
-        dev = np.abs(t - t.mean(axis=0, keepdims=True)).sum(axis=0)
-        u = u - spec.parity_penalty * dev
+        dev = t - t.mean(axis=0, keepdims=True)
+        u -= spec.parity_penalty * np.abs(dev, out=dev).sum(axis=0)
     if spec.normalize:
-        u = u / spec.weight_total
+        u /= spec.weight_total
     return np.where(valid.all(axis=0), u, -np.inf) if log else u
 
 

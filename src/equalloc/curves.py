@@ -58,17 +58,19 @@ class AnalyticCurve:
     def num_groups(self) -> int:
         return self.gamma.shape[0]
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        """Apply the concave form f elementwise."""
+    def transform(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply the concave form f elementwise, into ``out`` if given."""
         if self.form == "sqrt":
-            return np.sqrt(x)
+            return np.sqrt(x, out=out)
         if self.form == "log1p":
-            return np.log1p(x)
-        return np.power(x, self.power_exponent)
+            return np.log1p(x, out=out)
+        return np.power(x, self.power_exponent, out=out)
 
     def perf_values(self, counts: np.ndarray) -> np.ndarray:
-        """Raw performance array for a counts vector (no type wrapping)."""
-        return self.transform(self.offset + self.gamma @ counts)
+        """Raw performance array for a counts vector or K x P matrix."""
+        z = self.gamma @ counts
+        z += self.offset
+        return self.transform(z, out=z)
 
 
 def eval_perf(curve: AnalyticCurve, alloc: Allocation) -> PerformanceVector:

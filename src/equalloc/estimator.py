@@ -153,46 +153,49 @@ def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
-def _mills(t: float) -> float:
-    """phi(t) / Phi(-t) by its continued fraction t + 1/(t + 2/(t + ...)),
-    exact to double precision for t >= 20 at eight terms."""
-    f = t
+def _mills(t: float, d: float = 0.0) -> tuple[float, float, float]:
+    """The Mills ratio m = phi / Phi(-.) at t and at t + d, and the divided
+    difference ``(m(t + d) - m(t)) / d``.  Each ratio is its continued
+    fraction t + 1/(t + 2/(t + ...)), exact to double precision for t >= 20
+    at eight terms; the divided difference follows the fractions'
+    recurrence, so it does not cancel however small d is."""
+    f, g, slope = t, t + d, 1.0
     for k in range(8, 0, -1):
-        f = t + k / f
-    return f
+        slope = 1.0 - k * slope / (f * g)
+        f, g = t + k / f, t + d + k / g
+    return f, g, slope
 
 
-def _truncated_normal_ppf(q: float, a: float) -> float:
-    """Quantile ``q`` of the standard normal truncated to [a, inf).
+def _truncated_normal_ppf(q: float, a: float) -> tuple[float, float | None]:
+    """Quantile ``q`` of the standard normal truncated to [a, inf), and its
+    offset ``x - a`` where that is known exactly, else None.
 
     Solves ``Phi(-x) = (1 - q) * Phi(-a)`` from the smaller tail of x:
     ``Phi(x) = Phi(a) + q * Phi(-a)`` when x lands below 0, and the upper
-    tail while it is a normal double.  Past that (a > 36), the offset
-    ``d = x - a`` solves the Mills-ratio form
-    ``d * (d / 2 + a) + log(mills(x) / mills(a)) = -log(1 - q)``, which
-    never squares a.  Its left side is convex in d, so Newton's method
-    falls to the root from ``-log(1 - q) / a``, at most 1.5% above it;
-    each step squares the relative error and scales it by under 0.014,
-    so three steps reach double precision.  ``q = 0`` is the bound itself;
-    a subnormal q, which ``random()`` never returns, keeps only the bits of
-    a subnormal ``Phi(a) + q * Phi(-a)`` once a < -37.5.
+    tail up to a = 36, where that tail is still a normal double for every
+    q.  Past that, the offset ``d = x - a`` solves the Mills-ratio form
+    ``d * (d / 2 + a) + log1p(d * slope / mills(a)) = -log(1 - q)``, with
+    ``slope`` the Mills ratio's divided difference over [a, x], which
+    never squares a nor cancels.  Its left side is convex in d, so
+    Newton's method falls to the root from ``-log(1 - q) / a``, at most
+    1.5% above it; each step squares the relative error and scales it by
+    under 0.014, so three steps reach double precision.  ``q = 0`` is the bound itself,
+    at offset 0; a subnormal q, which ``random()`` never returns, keeps
+    only the bits of a subnormal ``Phi(a) + q * Phi(-a)`` once a < -37.5.
     """
     if q == 0.0:
-        return a
-    tail = _ndtr(-a)
-    upper = (1.0 - q) * tail
-    if upper > 0.5:
-        x = _inv_cdf(_ndtr(a) + q * tail)
-    elif upper >= sys.float_info.min:
-        x = -_inv_cdf(upper)
-    else:
-        e, mills_a = -math.log1p(-q), _mills(a)
+        return a, 0.0
+    if a > 36.0:
+        e = -math.log1p(-q)
         d = e / a
         for _ in range(3):
-            mills_x = _mills(a + d)
-            d -= (d * (0.5 * d + a) + math.log(mills_x / mills_a) - e) / mills_x
-        x = a + d
-    return max(x, a)
+            mills_a, mills_x, slope = _mills(a, d)
+            d -= (d * (0.5 * d + a) + math.log1p(d * slope / mills_a) - e) / mills_x
+        return a + d, d
+    tail = _ndtr(-a)
+    upper = (1.0 - q) * tail
+    x = _inv_cdf(_ndtr(a) + q * tail) if upper > 0.5 else -_inv_cdf(upper)
+    return max(x, a), None
 
 
 def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
@@ -201,19 +204,21 @@ def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     The draw is the inverse CDF of one ``random()`` from the generator,
     the same double ``uniform()`` returns, so it consumes the same random
     stream as scipy's ``truncnorm.rvs`` and agrees with its draws to
-    about 1e-11 relative up to ``-mean / sd = 37``.  ``sd == 0`` gives
-    ``max(mean, 0)`` and draws nothing.  ``rng_seed`` may be an integer
-    seed or a ``numpy.random.Generator``.
+    about 1e-11 relative up to ``-mean / sd = 36``.  Past that the draw is
+    ``sd`` times the quantile's exact offset from the bound, since
+    ``mean + sd * x`` would cancel to the few low bits that hold it.
+    ``sd == 0`` gives ``max(mean, 0)`` and draws nothing.  ``rng_seed``
+    may be an integer seed or a ``numpy.random.Generator``.
     """
     if sd < 0:
         raise DomainError("sd must be non-negative")
     if sd == 0:
         return max(float(mean), 0.0)
     q = np.random.default_rng(rng_seed).random()
-    # A bound past the largest double clamps to it: mean + sd * a is then
-    # at most 0, and the true draw is below 37 sd / a < 2e-307.
-    x = _truncated_normal_ppf(q, min((0.0 - mean) / sd, sys.float_info.max))
-    return max(float(mean + sd * x), 0.0)
+    # A bound past the largest double clamps to it, where the offset is
+    # below 37 / a < 2e-307.
+    x, offset = _truncated_normal_ppf(q, min((0.0 - mean) / sd, sys.float_info.max))
+    return max(float(mean + sd * x if offset is None else sd * offset), 0.0)
 
 
 def estimate_marginal(history: PerformanceHistory, group: int, step_cost: float, cost,

@@ -80,27 +80,39 @@ def _answer(curve, utility, counts, method, iterations, converged=True, certific
                        iterations, converged, certificate)
 
 
-def _triangle(total: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (i, j) with i + j <= total, in lexicographic order."""
-    i_block = np.arange(total + 1)
-    lens = total + 1 - i_block
-    i = np.repeat(i_block, lens)
-    offsets = np.repeat(np.cumsum(lens) - lens, lens)
-    j = np.arange(i.size) - offsets
-    return i, j
-
-
-def _tails(n_tail: int, left: int):
-    """Yield the batches of the last ``n_tail`` free coordinates whose sum is
-    at most ``left``, in lexicographic order: one triangle, a segment in
-    pieces of at most ``_MAX_SEGMENT`` points, or one empty tuple."""
-    if n_tail == 2:
-        yield _triangle(left)
-    elif n_tail == 1:
-        for lo in range(0, left + 1, _MAX_SEGMENT):
-            yield (np.arange(lo, min(lo + _MAX_SEGMENT, left + 1)),)
-    else:
-        yield ()
+def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
+    """Yield the grid's counts as K x P batches in lexicographic order, one per
+    prefix of fixed leading free coordinates (see :func:`solve_grid`)."""
+    if n_free >= 3:
+        # The triangle of (i, j) with i + j <= d, row by row; row i starts
+        # after the i * (2d + 3 - i) / 2 points with a smaller i.
+        p = n_free - 2
+        i = np.repeat(np.arange(d + 1), np.arange(d + 1, 0, -1))
+        j = np.arange(i.size) - i * (2 * d + 3 - i) // 2
+        buf = np.empty((len(step_sizes), i.size))
+        buf[p + 1] = j * step_sizes[p + 1]
+        if face_only:
+            buf[p + 2] = (d - i - j) * step_sizes[p + 2]
+        del j
+        for prefix in lattice_points(p, d):
+            used = sum(prefix)
+            start = used * (2 * d + 3 - used) // 2
+            counts = buf[:, start:]
+            for r, m in enumerate(prefix):
+                counts[r] = m * step_sizes[r]
+            np.multiply(i[start:] - used, step_sizes[p], out=counts[p])
+            yield counts
+        return
+    # Segments of the last free coordinate; K = 1 on the face is one point.
+    for prefix in lattice_points(max(n_free - 1, 0), d):
+        left = d - sum(prefix)
+        for lo in range(0 if n_free else left, left + 1, _MAX_SEGMENT):
+            tail = np.arange(lo, min(lo + _MAX_SEGMENT, left + 1))
+            rows = prefix + ((tail, left - tail) if face_only and n_free else (tail,))
+            counts = np.empty((len(step_sizes), tail.size))
+            for r, m in enumerate(rows):
+                counts[r] = m * step_sizes[r]
+            yield counts
 
 
 def lattice_points(num_coords: int, total: int):
@@ -133,8 +145,12 @@ def solve_grid(
     of fixed leading coordinates (on the face the spend total fixes the
     last coordinate).  With three or more free coordinates a batch is the
     triangle of the last two, at most C(d + 2, 2) points for a grid d spend
-    steps wide; the point cap keeps d, and so a batch, small there.  With
-    two or fewer a batch is a segment of the last one, at most d + 1 points
+    steps wide; the point cap keeps d, and so a batch, small there.  That
+    triangle is the suffix of the whole one from the row of the prefix's
+    sum on, with its first coordinate shifted down by that sum, so each
+    batch is a view into one buffer built per solve, and only the prefix
+    rows and the shifted row are written per batch.  With two or fewer free
+    coordinates a batch is a segment of the last one, at most d + 1 points
     and cut into pieces of at most ``_MAX_SEGMENT`` points.
     """
     if resolution is None:
@@ -161,27 +177,17 @@ def solve_grid(
 
     step_sizes = resolution / cost.costs  # samples bought per batch, per group
 
-    n_tail = 2 if n_free >= 3 else min(n_free, 1)  # free coordinates per batch
-    best_u = -np.inf
-    best_m: np.ndarray | None = None
-    evaluated = 0
-    for prefix in lattice_points(n_free - n_tail, d):
-        left = d - sum(prefix)
-        for tail in _tails(n_tail, left):
-            if face_only:
-                tail += (np.atleast_1d(left - sum(tail)),)
-            counts = np.empty((k, tail[-1].size))
-            for j, mj in enumerate(prefix + tail):
-                counts[j] = mj * step_sizes[j]
-            u = batch_utilities(curve, utility, counts)
-            evaluated += counts.shape[1]
-            idx = int(np.argmax(u))
-            # argmax picks the first (lexicographically smallest) maximizer
-            # in the chunk; chunks arrive in lexicographic order, so strict
-            # ">" preserves the global tie-break.
-            if u[idx] > best_u:
-                best_u = float(u[idx])
-                best_m = counts[:, idx].copy()
+    best_u, best_m, evaluated = -np.inf, None, 0
+    for counts in _grid_batches(n_free, d, step_sizes, face_only):
+        u = batch_utilities(curve, utility, counts)
+        evaluated += counts.shape[1]
+        idx = int(np.argmax(u))
+        # argmax picks the first (lexicographically smallest) maximizer
+        # in the chunk; chunks arrive in lexicographic order, so strict
+        # ">" preserves the global tie-break.
+        if u[idx] > best_u:
+            best_u = float(u[idx])
+            best_m = counts[:, idx].copy()
 
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")

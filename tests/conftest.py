@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from equalloc import AnalyticCurve, CostModel, UtilitySpec
+# One BLAS thread, as the README advises for the library's many small
+# products; it must be set before numpy loads OpenBLAS.  A value already in
+# the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from equalloc import AnalyticCurve, CostModel, UtilitySpec  # noqa: E402
 
 FOUR_GROUP_GAMMA = np.array(
     [

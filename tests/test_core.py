@@ -159,6 +159,35 @@ class TestUtilityEval:
         want = utility_kernel(raw, perf) / np.array(weights).sum()
         assert np.array_equal(utility_kernel(spec, perf), want)
 
+    @pytest.mark.parametrize("transform", ["identity", "log"])
+    @pytest.mark.parametrize("penalty", [0.0, 0.3])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_kernel_leaves_its_input_untouched(self, transform, penalty, normalize):
+        # The kernel changes in place only the arrays it makes; utility_eval
+        # hands it a PerformanceVector's read-only values.  The reference is
+        # the formula written out of place, with the same products.
+        log = transform == "log"
+
+        def reference(spec, perf):
+            valid = perf > 0
+            t = np.where(valid, np.log(np.where(valid, perf, 1.0)), 0.0) if log else perf
+            u = spec.weights @ t
+            if penalty:
+                u = u - penalty * np.abs(t - t.mean(axis=0, keepdims=True)).sum(axis=0)
+            if normalize:
+                u = u / spec.weight_total
+            return np.where(valid.all(axis=0), u, -np.inf) if log else u
+
+        rng = np.random.default_rng(12)
+        spec = UtilitySpec(rng.uniform(0.1, 1.0, 4), penalty, transform, normalize)
+        matrix = rng.uniform(-0.5, 10.0, (4, 301))
+        for perf in (matrix, matrix[:, 7].copy(), matrix[:, 0] + 1.0):
+            before = perf.copy()
+            perf.flags.writeable = False
+            got = utility_kernel(spec, perf)
+            assert np.array_equal(perf, before)
+            assert np.array_equal(got, reference(spec, perf))
+
 
 class TestRealizeAllocation:
     def test_integer_counts_unchanged(self):

@@ -45,6 +45,21 @@ class TestEvalPerf:
         curve = AnalyticCurve(gamma=np.eye(1), form="power", power_exponent=0.25)
         assert eval_perf(curve, Allocation([16.0])).values[0] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("form", ["sqrt", "log1p", "power"])
+    def test_transform_returns_a_new_array(self, form):
+        # solvers._gradient applies the form to its own z and reads z after;
+        # perf_values applies it in place, to the product it just made
+        curve = AnalyticCurve(gamma=[[1.0, 0.2], [0.5, 1.0]], form=form,
+                              power_exponent=0.3, offset=0.5)
+        z = np.array([0.0, 2.5])
+        out = curve.transform(z)
+        assert not np.shares_memory(out, z) and np.array_equal(z, [0.0, 2.5])
+        counts = np.random.default_rng(3).uniform(0.0, 10.0, (2, 40))
+        counts.flags.writeable = False
+        for c in (counts, counts[:, 5]):
+            assert np.array_equal(curve.perf_values(c),
+                                  curve.transform(curve.offset + curve.gamma @ c))
+
     def test_gamma_validation(self):
         with pytest.raises(DomainError):
             AnalyticCurve(gamma=[[1.0, 0.0], [0.0, 0.0]])  # empty second row

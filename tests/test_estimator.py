@@ -141,8 +141,7 @@ class TestTruncatedNormal:
     def test_draws_match_scipy_on_the_same_stream(self):
         # scipy's truncnorm is the reference while a = -mean/sd <= 37.  Past
         # that, scipy's own draw is off by up to 2.8e-5 relative here, so the
-        # reference is the 60-digit quantile, within the rounding of
-        # mean + sd * x: a few ulps of x ~ a, scaled by sd
+        # reference is the 60-digit quantile, which the draw meets to a few ulps
         mp = pytest.importorskip("mpmath").mp
         rng = np.random.default_rng(6)
         far = 0
@@ -165,8 +164,29 @@ class TestTruncatedNormal:
                 x = mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
                                 bound - math.log1p(-q) / bound)
                 truth = float(mean + sd * x)
-            assert abs(got - truth) <= 1e-9 * abs(truth) + 4 * sd * math.ulp(a), (mean, sd)
+            assert got == pytest.approx(truth, rel=2e-15, abs=0), (mean, sd)
         assert far == 46
+
+    def test_far_tail_draw_against_mpmath(self):
+        # Past a = -mean/sd = 36 the draw is sd times the quantile's offset
+        # from the bound, where mean + sd * x would cancel to the few low bits
+        # that hold it (1.7e-5 relative at worst before), so it stays within a
+        # few ulps of the 60-digit draw however far out the bound lies
+        mp = pytest.importorskip("mpmath").mp
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            a = 37.0 * (1e6 / 37.0) ** rng.uniform()  # log-uniform on [37, 1e6]
+            sd = 10 ** rng.uniform(-3, 1)
+            mean, seed = -a * sd, int(rng.integers(2**31))
+            got = draw_truncated_normal(mean, sd, seed)
+            q = np.random.default_rng(seed).random()
+            with mp.workdps(60):
+                bound = -mp.mpf(mean) / sd
+                target = mp.log1p(-mp.mpf(q)) + mp.log(mp.ncdf(-bound))
+                x = mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
+                                bound - math.log1p(-q) / bound)
+                truth = float(sd * (x - bound))
+            assert got == pytest.approx(truth, rel=2e-15, abs=0), (mean, sd, q)
 
     @given(st.floats(-1e300, 1e300), st.floats(0.0, 1e300, exclude_min=True),
            st.integers(0, 2**32 - 1))
@@ -195,7 +215,7 @@ class TestTruncatedNormalQuantile:
         for a in a_values:
             want = stats.truncnorm.ppf(q_values, a, np.inf)
             for q, w in zip(q_values, want):
-                x = _truncated_normal_ppf(float(q), float(a))
+                x, _ = _truncated_normal_ppf(float(q), float(a))
                 assert abs(x - w) <= 1e-9 * max(1.0, abs(x)), (a, q, x, w)
 
     def test_extreme_quantiles_against_mpmath(self):
@@ -203,7 +223,7 @@ class TestTruncatedNormalQuantile:
         mp = mpmath.mp
         for a in A_EDGES:
             for q in (0.0, 5e-324, 1 - 1e-12, 1 - 2**-53):
-                x = _truncated_normal_ppf(q, float(a))
+                x, _ = _truncated_normal_ppf(q, float(a))
                 assert np.isfinite(x) and x >= a, (a, q, x)
                 with mp.workdps(60):
                     # Phi(-x) = (1 - q) Phi(-a), solved in high precision
@@ -239,7 +259,7 @@ class TestSpecialFunctions:
         ts = [20.0, 36.0, 37.5, 1e6, 1e154, 1e300, sys.float_info.max]
         ts += list(np.logspace(np.log10(20.0), 5, 300))
         for t in map(float, ts):
-            got = _mills(t)
+            got = _mills(t)[0]
             if t < 1e6:
                 with mp.workdps(60):
                     exact = float(mp.npdf(t) / mp.ncdf(-t))
@@ -249,24 +269,25 @@ class TestSpecialFunctions:
                 assert got == pytest.approx(want, rel=4e-15, abs=0), t
 
     def test_tail_quantile_against_mpmath(self):
-        # where (1 - q) Phi(-a) leaves the normal range (a > 36.3 here) the
-        # quantile is a + d, with d from Newton's method, and lands within
-        # an ulp; below, the upper tail's erfc can cost one more.  a reaches
-        # the largest double, where a * a overflows
+        # past a = 36, where (1 - q) Phi(-a) may leave the normal range, the
+        # quantile is a + d, with the offset d from Newton's method correct to
+        # a few of its own ulps for every q, and lands within an ulp.  a
+        # reaches the largest double, where a * a overflows
         mp = pytest.importorskip("mpmath").mp
         for a in [36.4, 37.0, 37.6, 38.5, 40.0, 100.0, 1e3, 1e5, 1e8, 1e154, 1e300,
                   sys.float_info.max]:
             for q in [2**-53, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-6, 1 - 2**-40, 1 - 2**-53]:
-                x = _truncated_normal_ppf(q, a)
+                x, d = _truncated_normal_ppf(q, a)
                 e = -math.log1p(-q)
                 if a > 1e8:  # the offset is below ulp(a) / 2, so x is a
                     assert x == a and e / a < math.ulp(a) / 2, (a, q, x)
                     continue
                 with mp.workdps(60):
                     target = mp.log1p(-mp.mpf(q)) + mp.log(mp.ncdf(-mp.mpf(a)))
-                    exact = float(mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target,
-                                              a + e / a))
+                    root = mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target, a + e / a)
+                    exact, offset = float(root), float(root - a)
                 assert abs(x - exact) <= 2 * math.ulp(exact), (a, q, x, exact)
+                assert d == pytest.approx(offset, rel=1e-15, abs=0), (a, q, d, offset)
 
 
 def _history_from(points_by_group, settings=EstimatorSettings()):

@@ -173,11 +173,12 @@ def _step_instances():
 
 def _reference_draw(mean, sd, rng):
     """The truncated-normal draw from ``uniform()``, as it was written before
-    the draw took ``random()``; ``sd == 0`` draws nothing."""
+    the draw took ``random()``; ``sd == 0`` draws nothing, and past a bound
+    of 36 sd the draw is sd times the quantile's exact offset."""
     if sd == 0:
         return max(float(mean), 0.0)
-    x = _truncated_normal_ppf(rng.uniform(), (0.0 - mean) / sd)
-    return max(float(mean + sd * x), 0.0)
+    x, offset = _truncated_normal_ppf(rng.uniform(), (0.0 - mean) / sd)
+    return max(float(mean + sd * x if offset is None else sd * offset), 0.0)
 
 
 def _eager_trace(source, util, cost, config):

@@ -146,12 +146,14 @@ class TestGridProperties:
         rng = np.random.default_rng([7, k])
         for trial in range(24):
             form = ("sqrt", "log1p", "power")[trial % 3]
-            curve = AnalyticCurve(gamma=rng.uniform(0.05, 1.0, (k, k)), form=form)
+            curve = AnalyticCurve(gamma=rng.uniform(0.05, 1.0, (k, k)), form=form,
+                                  offset=(0.0, 0.5, 2.0)[trial // 8])
             cost = CostModel(costs=rng.uniform(0.2, 2.0, k), budget=rng.uniform(1, 20))
             util = UtilitySpec(
                 weights=rng.uniform(0.1, 1.0, k),
                 parity_penalty=(0.0, 0.0, 0.3, 2.0)[trial % 4],  # half the full grid
                 transform=("identity", "log")[trial % 2],
+                normalize=trial // 4 % 2 == 1,
             )
             resolution = cost.budget / int(rng.integers(3, 11))
             res = solve_grid(curve, util, cost, resolution)
