@@ -24,7 +24,7 @@ from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig
 from .errors import CapacityError, ConfigError, EqualLocError
 from .estimator import EstimatorSettings
-from .greedy import GreedyConfig, check_linear, check_start, check_step, run_greedy
+from .greedy import GreedyConfig, check_linear, check_run, run_greedy
 from .harness.config import (
     apply_seed_offset,
     config_digest,
@@ -154,8 +154,7 @@ def _cmd_greedy(args) -> int:
         est = read_block(EstimatorSettings, doc.get("estimator", {}), "estimator")
         cfg = GreedyConfig(step_cost=step, start_alloc=start, marginal_source=mode,
                            seed=args.seed, estimator=est)
-        check_start(start, cost)
-        check_step(step, cost)
+        check_run(cost, step, start)
         if mode == "estimator":
             check_linear(utility)
         if callable(source):  # a genomic world buys and starts from whole pairs only
@@ -169,12 +168,9 @@ def _cmd_greedy(args) -> int:
     elapsed = time.perf_counter() - t0
 
     if args.trace_out:
-        digest = config_digest(doc)
-        table = Table("greedy_trace", trace.csv_header(cost.num_groups),
-                      list(trace.csv_rows()), digest=digest)
         path = Path(args.trace_out)
-        table.name = path.stem
-        write_table(table, path.parent if str(path.parent) else ".")
+        write_table(Table(path.stem, trace.csv_header(cost.num_groups),
+                          list(trace.csv_rows()), digest=config_digest(doc)), path.parent)
 
     summary = {
         "counts": [float(x) for x in alloc.counts],

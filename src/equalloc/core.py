@@ -47,11 +47,12 @@ def _check_k(expected: int, actual: int, what: str) -> None:
         raise DimensionMismatchError(expected, actual, what)
 
 
-def check_groups(curve, /, **parts) -> None:
-    """Raise :class:`DimensionMismatchError` unless each part (a cost
-    model, utility or allocation) has the curve's number of groups."""
+def check_groups(reference, /, **parts) -> None:
+    """Raise :class:`DimensionMismatchError` unless each part (a cost model,
+    utility, allocation, curve or environment) has the number of groups of
+    ``reference`` (a curve or a cost model)."""
     for what, part in parts.items():
-        _check_k(curve.num_groups, part.num_groups, what)
+        _check_k(reference.num_groups, part.num_groups, what)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Allocation, PerformanceVector, UtilitySpec, utility_kernel
+from .core import Allocation, PerformanceVector, UtilitySpec, check_groups, utility_kernel
 from .errors import DomainError
 
 __all__ = ["AnalyticCurve", "eval_perf", "batch_utilities"]
@@ -75,10 +75,7 @@ class AnalyticCurve:
 
 def eval_perf(curve: AnalyticCurve, alloc: Allocation) -> PerformanceVector:
     """Expected group performances for an allocation."""
-    if alloc.num_groups != curve.num_groups:
-        raise DomainError(
-            f"allocation has {alloc.num_groups} groups, curve has {curve.num_groups}"
-        )
+    check_groups(curve, allocation=alloc)
     return PerformanceVector(curve.perf_values(alloc.counts))
 
 

@@ -104,6 +104,12 @@ class GenomicWorldConfig:
         if self.rng_seed < 0:
             raise DomainError(f"rng_seed must be non-negative, got {self.rng_seed}")
 
+    @property
+    def train_pairs(self) -> int:
+        """Training cases, and as many controls, in each group's obtainable pool."""
+        cases = math.floor(self.prevalence * self.population)
+        return math.floor(self.case_train_fraction * cases)
+
 
 @dataclass(frozen=True)
 class GroupSplit:
@@ -261,7 +267,7 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     disease = []
     splits = []
     n_cases = int(np.floor(q * p))
-    n_train_cases = int(np.floor(config.case_train_fraction * n_cases))
+    n_train_cases = config.train_pairs
     for g in range(2):
         geno = _sample_genotypes(rng, freqs[g], p, config.ld_rho)
         x = _selected_scores(np.unpackbits(geno[causal_idx], axis=1, count=p), effect_sizes)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Allocation, CostModel, UtilitySpec, check_feasible, utility_kernel
+from .core import Allocation, CostModel, UtilitySpec, check_groups, utility_kernel
 from .curves import AnalyticCurve, batch_utilities
 from .errors import CapacityError, DomainError, EqualLocError, UnsupportedUtilityError
 from .estimator import EstimatorSettings, PerformanceHistory, estimate_marginal
@@ -24,8 +24,7 @@ __all__ = [
     "StepRecord",
     "GreedyTrace",
     "run_greedy",
-    "check_start",
-    "check_step",
+    "check_run",
     "check_linear",
     "equal_allocation",
     "representative_allocation",
@@ -157,32 +156,32 @@ def run_greedy(
     :class:`GreedyTrace`).  Any residual budget smaller than one step is
     left unspent and reported on the trace.
     """
-    k = cost.num_groups
-    start = config.start_alloc if config.start_alloc is not None else Allocation.zeros(k)
-    if utility.num_groups != k:
-        raise DomainError("cost and utility sizes must match")
-    check_start(start, cost)
-    check_step(config.step_cost, cost)
-
-    if config.marginal_source == "true_curve":
-        if not isinstance(source, AnalyticCurve):
-            raise DomainError("true_curve marginals need an AnalyticCurve source")
-        return _run_true_curve(source, utility, cost, config, start)
-    return _run_estimated(source, utility, cost, config, start)
+    true_curve = config.marginal_source == "true_curve"
+    if true_curve and not isinstance(source, AnalyticCurve):
+        raise DomainError("true_curve marginals need an AnalyticCurve source")
+    start = check_run(cost, config.step_cost, config.start_alloc, utility=utility,
+                      source=source)
+    run = _run_true_curve if true_curve else _run_estimated
+    return run(source, utility, cost, config, start)
 
 
-def check_start(start: Allocation, cost: CostModel) -> None:
-    """Raise DomainError when ``start`` has another group count than ``cost``
-    or breaks its budget."""
-    if start.num_groups != cost.num_groups or not check_feasible(start, cost):
-        raise DomainError(f"start {start.counts.tolist()} does not fit "
-                          f"{cost.num_groups} groups and a budget of {cost.budget:g}")
-
-
-def check_step(step_cost: float, cost: CostModel) -> None:
-    """Raise DomainError when one step of ``step_cost`` breaks the budget."""
-    if step_cost > cost.spend_limit:
-        raise DomainError(f"step_cost {step_cost:g} exceeds the budget of {cost.budget:g}")
+def check_run(cost: CostModel, step_cost: float, start: Allocation | None = None,
+              **parts) -> Allocation:
+    """``start`` (zeros when None), once a run of ``step_cost`` a step from it
+    on ``cost`` is known valid: ``start`` and each part (a utility, curve or
+    environment) have ``cost``'s group count (else DimensionMismatchError), the
+    start and one positive step fit the budget (else DomainError), and the run
+    takes at most ``MAX_STEPS`` steps (else CapacityError)."""
+    start = Allocation.zeros(cost.num_groups) if start is None else start
+    check_groups(cost, start=start, **parts)
+    spent = cost.spend(start)
+    if spent > cost.spend_limit:
+        raise DomainError(f"start {start.counts.tolist()} breaks the budget of {cost.budget:g}")
+    if not 0 < step_cost <= cost.spend_limit:
+        raise DomainError(f"step_cost {step_cost:g} is outside (0, budget {cost.budget:g}]")
+    if (cost.spend_limit - spent) / step_cost > MAX_STEPS:
+        raise CapacityError(f"step_cost {step_cost:g} takes over {MAX_STEPS} steps")
+    return start
 
 
 def check_linear(utility: UtilitySpec) -> None:
@@ -199,16 +198,12 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, sizes: n
     returns, which buys ``sizes[group]`` (``step_cost / costs[group]``), then
     calls ``record(counts, group, step)`` if given; the loop stops as soon
     as another step would break the budget.  Returns the final counts and
-    the budget left unspent.  A step of zero or less is a DomainError, and
-    more than ``MAX_STEPS`` steps a CapacityError.
+    the budget left unspent.  Its callers check the run first with
+    :func:`check_run`, so the loop itself refuses nothing.
     """
     counts = start.counts.copy()
     spent = cost.spend(start)
     limit = cost.spend_limit
-    if not step_cost > 0:
-        raise DomainError(f"step_cost must be positive, got {step_cost}")
-    if (limit - spent) / step_cost > MAX_STEPS:
-        raise CapacityError(f"step_cost {step_cost:g} takes over {MAX_STEPS} steps")
     step = 0
     while spent + step_cost <= limit:
         step += 1
@@ -272,8 +267,6 @@ def _run_estimated(env, utility, cost, config, start):
     s = config.step_cost
     sizes = s / cost.costs
     true_curve = getattr(env, "curve", None)
-    if env.num_groups != k:
-        raise DomainError(f"environment has {env.num_groups} groups, costs have {k}")
 
     history = PerformanceHistory(k, config.estimator)
     perf = _measure(env, start.counts)
@@ -359,10 +352,9 @@ def parity_allocation(source, cost: CostModel, step_cost: float,
                       start_alloc: Allocation | None = None) -> Allocation:
     """Buy from the group that currently measures worst, read from
     ``source``: an analytic curve or an environment, each of which has
-    ``num_groups`` and ``perf_values(counts)`` (see :func:`run_greedy`)."""
-    start = start_alloc if start_alloc is not None else Allocation.zeros(cost.num_groups)
-    if source.num_groups != cost.num_groups:
-        raise DomainError(f"source has {source.num_groups} groups, costs have {cost.num_groups}")
+    ``num_groups`` and ``perf_values(counts)`` (see :func:`run_greedy`).
+    The run is checked by :func:`check_run`, as :func:`run_greedy`'s is."""
+    start = check_run(cost, step_cost, start_alloc, source=source)
     counts, _ = _spend_budget(cost, start, step_cost, step_cost / cost.costs,
                               lambda counts, step: int(_measure(source, counts).argmin()))
     return Allocation(counts)

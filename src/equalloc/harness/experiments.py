@@ -24,8 +24,8 @@ from ..envs.genomic import (
 )
 from ..errors import ConfigError
 from ..estimator import EstimatorSettings
-from ..greedy import (GreedyConfig, check_start, check_step, equal_allocation,
-                      parity_allocation, representative_allocation, run_greedy)
+from ..greedy import (GreedyConfig, check_run, equal_allocation, parity_allocation,
+                      representative_allocation, run_greedy)
 from ..solvers import audit_gap, check_audit, solve_concave, solve_grid
 from .config import (
     check_kind,
@@ -78,7 +78,7 @@ def run_table1(config: dict) -> Table:
              representative_allocation(cost, read_list(config, "pop_shares", None))),
         ]
         greedy = GreedyConfig(step_cost=step)
-        check_step(step, cost)
+        check_run(cost, step)
 
     policies += [
         ("Performance Parity", parity_allocation(curve, cost, step)),
@@ -194,10 +194,9 @@ def _pair(entry):
 
 
 def _estimator_policy(config, defaults, budget, start, step):
-    """Cost model and base greedy config of the estimator policy from ``start``."""
+    """Cost model and base greedy config of the estimator policy, its run checked."""
     cost = CostModel([1.0, 1.0], budget)
-    check_start(start, cost)
-    check_step(step, cost)
+    check_run(cost, step, start)
     est = read_block(EstimatorSettings, config.get("estimator", defaults["estimator"]),
                      "estimator")
     return cost, GreedyConfig(step_cost=step, start_alloc=start,
@@ -205,13 +204,11 @@ def _estimator_policy(config, defaults, budget, start, step):
 
 
 def world_holding(world_config, reach):
-    """The world of ``world_config``, whose pools must hold ``reach`` pairs each."""
-    world = generate_world(world_config)
-    for g, split in enumerate(world.splits):
-        if reach > split.max_pairs:
-            raise ConfigError(f"runs reach {reach:g} pairs, more than the "
-                              f"{split.max_pairs} training pairs of group {g}")
-    return world
+    """The world of ``world_config``, once its pools are known to hold ``reach`` pairs."""
+    if reach > world_config.train_pairs:
+        raise ConfigError(f"runs reach {reach:g} pairs, more than the "
+                          f"{world_config.train_pairs} training pairs of each group")
+    return generate_world(world_config)
 
 
 def _session_per_seed(world):

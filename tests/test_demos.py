@@ -1,13 +1,16 @@
-"""The demos import only names the package still provides, and the quick
-ones run to completion.
+"""The demos import only names the package still provides, the quick
+ones run to completion, and every module's ``__all__`` names only what
+the module holds.
 
 A deleted or renamed public name, or a changed signature, would
-otherwise break a demo without any test failing.
+otherwise break a demo or ``from module import *`` without any test
+failing.
 """
 
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +48,11 @@ def test_quick_demo_runs(path, tmp_path):
     result = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_every_exported_name_exists():
+    modules = [equalloc] + [importlib.import_module(info.name) for info in
+                            pkgutil.walk_packages(equalloc.__path__, "equalloc.")]
+    missing = [f"{m.__name__}.{name}" for m in modules
+               for name in getattr(m, "__all__", []) if not hasattr(m, name)]
+    assert len(modules) > 10 and not missing, missing

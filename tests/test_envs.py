@@ -321,6 +321,7 @@ def test_columns_are_in_split_order(request, world_fixture):
         p, holdout, sick = split.max_pairs, split.holdout, world.disease[g]
         assert sick.sum() == n_cases and sick.size == holdout.stop
         assert p == int(np.floor(cfg.case_train_fraction * n_cases)) and holdout.start == 2 * p
+        assert p == cfg.train_pairs
         assert sick[:p].all() and not sick[p:2 * p].any()
         n_test_cases = n_cases - p
         assert sick[holdout][:n_test_cases].all() and not sick[holdout][n_test_cases:].any()

@@ -21,6 +21,7 @@ from equalloc import (
     parity_allocation,
     representative_allocation,
     run_greedy,
+    solve_concave,
     solve_grid,
     utility_eval,
 )
@@ -573,8 +574,8 @@ class TestBaselinePolicies:
     def test_budget_loop_rejects_a_step_that_spends_nothing(
         self, four_group_curve, four_group_cost, u_equal, step
     ):
-        # parity reaches the budget loop without a GreedyConfig, so the loop
-        # itself is where a non-positive step is refused
+        # both runs are checked by check_run before the loop, which would
+        # never end on a step that spends nothing
         with _deadline(10), pytest.raises(DomainError):
             parity_allocation(four_group_curve, four_group_cost, step_cost=step)
         with _deadline(10), pytest.raises(DomainError):
@@ -592,6 +593,16 @@ class TestBaselinePolicies:
         start = Allocation([1e12 - 5.0, 0.0, 0.0, 0.0])
         alloc = parity_allocation(four_group_curve, cost, 1.0, start)
         assert 0 < alloc.counts.sum() - start.counts.sum() < 2000
+
+    def test_parity_refuses_a_start_over_the_budget(self):
+        cost = CostModel(costs=[1.0, 1.0], budget=4.0)
+        with pytest.raises(DomainError, match="breaks the budget"):
+            parity_allocation(AnalyticCurve(gamma=np.eye(2)), cost, 1.0, Allocation([5, 5]))
+
+    def test_parity_refuses_a_step_over_the_budget(self):
+        cost = CostModel(costs=[1.0, 1.0], budget=4.0)
+        with pytest.raises(DomainError, match="step_cost 10"):
+            parity_allocation(AnalyticCurve(gamma=np.eye(2)), cost, step_cost=10.0)
 
     def test_degenerate_shares_rejected(self, four_group_curve, four_group_cost):
         with pytest.raises(DomainError):
@@ -702,6 +713,30 @@ class TestEstimatorDrivenGreedy:
         for source in (curve, AnalyticEnvironment(curve, 0.01)):
             with pytest.raises(DomainError, match="has 3 groups"):
                 parity_allocation(source, four_group_cost, step_cost=1.0)
+
+
+_CURVE_3 = AnalyticCurve(gamma=np.eye(3))
+_COST_2 = CostModel(costs=[1.0, 1.0], budget=4.0)
+_UTILITY_2 = UtilitySpec(weights=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: run_greedy(_CURVE_3, _UTILITY_2, _COST_2, GreedyConfig(1.0)),
+                 id="run_greedy-true_curve"),
+    pytest.param(lambda: run_greedy(AnalyticEnvironment(_CURVE_3, 0.01), _UTILITY_2, _COST_2,
+                                    GreedyConfig(1.0, marginal_source="estimator")),
+                 id="run_greedy-estimator"),
+    pytest.param(lambda: parity_allocation(_CURVE_3, _COST_2, 1.0), id="parity_allocation"),
+    pytest.param(lambda: eval_perf(_CURVE_3, Allocation([1.0, 1.0])), id="eval_perf"),
+    pytest.param(lambda: solve_grid(_CURVE_3, _UTILITY_2, _COST_2, 1.0), id="solve_grid"),
+    pytest.param(lambda: solve_concave(_CURVE_3, _UTILITY_2, _COST_2), id="solve_concave"),
+    pytest.param(lambda: batch_enum_optimum(_CURVE_3, _UTILITY_2, _COST_2, 1.0),
+                 id="batch_enum_optimum"),
+])
+def test_a_group_count_mismatch_is_a_dimension_mismatch(call):
+    # a K = 3 curve against K = 2 costs, utility and allocation
+    with pytest.raises(DimensionMismatchError):
+        call()
 
 
 def _random_problem(rng, k):

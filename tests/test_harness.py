@@ -762,9 +762,11 @@ class TestCli:
         # from (0, 0) greedy can give one group all 60 pairs
         ("greedy", {"budget": 60.0}),
     ])
-    def test_pairs_beyond_the_training_pool_exit_2(self, tmp_path, capsys, command,
-                                                   changes):
-        # population 2000 at prevalence 0.05 holds 50 training pairs per group
+    def test_pairs_beyond_the_training_pool_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                   command, changes):
+        # population 2000 at prevalence 0.05 holds 50 training pairs per group,
+        # which the config says without building the world
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
         world = {"variants": 200, "causal_count": 20, "population": 2000, "rng_seed": 1}
         path = tmp_path / "config.json"
         argv = [command, "--config", str(path), "--out", str(tmp_path / "out")]
