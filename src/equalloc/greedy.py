@@ -331,7 +331,10 @@ def representative_allocation(cost: CostModel, pop_shares,
         raise DomainError(f"pop_shares must have {cost.num_groups} entries")
     if (shares < 0).any() or shares.sum() <= 0:
         raise DomainError("pop_shares must be non-negative with a positive sum")
-    counts = shares * cost.budget / float(cost.costs @ shares)
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = shares * cost.budget / float(cost.costs @ shares)
+    if not np.isfinite(counts).all():  # an overflow would never leave the shaving loop
+        raise DomainError(f"pop_shares give non-finite counts {counts.tolist()}")
     if step_cost is None:
         return Allocation(counts)
     step_sizes = step_cost / cost.costs

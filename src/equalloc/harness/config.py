@@ -19,6 +19,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 from pathlib import Path
 
 from ..core import CostModel
@@ -87,16 +88,16 @@ def read_block(cls, block, name: str, **fixed):
     keyword arguments of ``cls``.
 
     A block that is not a mapping, a key that is not one of ``cls``'s
-    parameters, a missing required one, a value of another type for a
-    parameter annotated ``int`` or ``bool``, or a value ``cls`` rejects
-    raises :class:`ConfigError`, so no key is ever ignored.
+    parameters, a missing required one, a value :func:`_cast` refuses for a
+    parameter annotated ``int``, ``bool`` or ``float``, or a value ``cls``
+    rejects raises :class:`ConfigError`, so no key is ever ignored.
     """
     with reading(f"{name} block"):
         signature = inspect.signature(cls)
         signature.bind(**fixed, **block)  # a non-mapping, an unknown key, a missing one
         for key, value in block.items():
             annotation = signature.parameters[key].annotation
-            for cast in (int, bool):
+            for cast in (int, bool, float):
                 if annotation in (cast, cast.__name__):
                     _cast(value, cast, key)
         return cls(**fixed, **block)
@@ -108,8 +109,8 @@ def parse_cost(doc: dict) -> CostModel:
 
 
 def whole_number(value) -> float:
-    """``float(value)``, which must be whole: a count of genomic pairs."""
-    if not float(value).is_integer():
+    """``float(value)``, which must be whole and not a bool: a count of pairs."""
+    if type(value) is bool or not float(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return float(value)
 
@@ -117,10 +118,12 @@ def whole_number(value) -> float:
 def _cast(value, cast, key: str, above=None):
     """``cast(value)``, which must exceed ``above`` when given; an ``int``
     or ``bool`` setting must already be one (neither ``5.0`` nor ``True``
-    is an integer)."""
-    if cast in (int, bool) and type(value) is not cast:
+    is an integer), and a ``float`` one must be a finite non-``bool``."""
+    if cast in (int, bool) and type(value) is not cast or cast is float and type(value) is bool:
         raise TypeError(f"{key!r} must be of type {cast.__name__}, got {value!r}")
     value = cast(value)
+    if cast is float and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value!r}")
     if above is not None and not value > above:
         raise ValueError(f"must be greater than {above}, got {value!r}")
     return value

@@ -4,8 +4,8 @@ Three routes, two exhaustive and one ascent:
 
 * :func:`solve_grid` exhaustively scans a regular spend grid and is the
   trusted oracle at K <= 4 (including parity-penalized, non-concave
-  utilities), up to ``MAX_GRID_POINTS`` grid points, one triangle or
-  segment of points per utility-kernel call.
+  utilities), up to ``MAX_GRID_POINTS`` grid points, one piece of a
+  simplex or a segment of points per utility-kernel call.
 * :func:`batch_enum_optimum` exhaustively enumerates whole numbers of
   greedy batches, the comparison class the sequential greedy matches on
   separable concave curves.
@@ -39,10 +39,11 @@ MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
 _MAX_ENUM_BATCHES = 24
 _MAX_ENUM_GROUPS = 5
-# Most points in one segment batch: the order of the largest triangle batch
-# (501,501 points on the K = 4 face at d = 1,000), so memory stays flat where
-# the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
+# Most points in one segment batch or one tetrahedron: the order of the largest
+# triangle (501,501 points on the K = 4 face at d = 1,000), so memory stays flat
+# where the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
 _MAX_SEGMENT = 500_000
+_MAX_BATCH = 8192  # points per block of a simplex, so per kernel call: 256 kB at K = 4
 
 
 @dataclass(frozen=True)
@@ -82,26 +83,37 @@ def _answer(curve, utility, counts, method, iterations, converged=True, certific
 
 def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
     """Yield the grid's counts as K x P batches in lexicographic order, one per
-    prefix of fixed leading free coordinates (see :func:`solve_grid`)."""
+    prefix of fixed leading free coordinates, in pieces (see :func:`solve_grid`)."""
     if n_free >= 3:
-        # The triangle of (i, j) with i + j <= d, row by row; row i starts
-        # after the i * (2d + 3 - i) / 2 points with a smaller i.
-        p = n_free - 2
-        i = np.repeat(np.arange(d + 1), np.arange(d + 1, 0, -1))
-        j = np.arange(i.size) - i * (2 * d + 3 - i) // 2
-        buf = np.empty((len(step_sizes), i.size))
-        buf[p + 1] = j * step_sizes[p + 1]
-        if face_only:
-            buf[p + 2] = (d - i - j) * step_sizes[p + 2]
-        del j
+        # The simplex of the last m free coordinates, in blocks of _MAX_BATCH
+        # points from its end.  Its layer x starts at point n - C(d - x + m, m)
+        # and is the simplex of the other m - 1 (the segment 0..d beside the
+        # face's d - j, or the triangle i + j <= d) from its row x on, with
+        # that row shifted by -x.
+        m = 3 if n_free == 4 and math.comb(d + 3, 3) <= _MAX_SEGMENT else 2
+        p, i, n = n_free - m, np.arange(d + 1), math.comb(d + m, m)
+        low = np.stack([i, d - i]) if face_only else i[None]
+        if m == 3:  # never on the face
+            low = np.stack(np.nonzero(np.add.outer(i, i) <= d))  # in row-major order
+        start = n - np.array([math.comb(d - x + m, m) for x in range(d + 1)])
+        offset = start - np.searchsorted(low[0], np.arange(d + 1))
+        blocks = []
+        for lo in range(n % -_MAX_BATCH, n, _MAX_BATCH):  # the first may start below 0
+            at = np.arange(max(lo, 0), lo + _MAX_BATCH)
+            x = np.searchsorted(start, at, side="right").astype(np.int32) - 1
+            block, k = np.empty((len(step_sizes), at.size)), at - offset[x]
+            np.multiply(low[0, k] - x, step_sizes[p + 1], out=block[p + 1])
+            np.multiply(low[1:, k], step_sizes[p + 2:, None], out=block[p + 2:])
+            blocks.append((x, block))
         for prefix in lattice_points(p, d):
-            used = sum(prefix)
-            start = used * (2 * d + 3 - used) // 2
-            counts = buf[:, start:]
-            for r, m in enumerate(prefix):
-                counts[r] = m * step_sizes[r]
-            np.multiply(i[start:] - used, step_sizes[p], out=counts[p])
-            yield counts
+            used, left = sum(prefix), math.comb(d - sum(prefix) + m, m)
+            for x, block in blocks[-left // _MAX_BATCH:]:  # its last ceil(left / _MAX_BATCH)
+                take = (left - 1) % _MAX_BATCH + 1  # the batch's suffix of the block
+                counts, left = block[:, -take:], left - take
+                for r, c in enumerate(prefix):
+                    counts[r] = c * step_sizes[r]
+                np.multiply(x[-take:] - used, step_sizes[p], out=counts[p])
+                yield counts
         return
     # Segments of the last free coordinate; K = 1 on the face is one point.
     for prefix in lattice_points(max(n_free - 1, 0), d):
@@ -144,19 +156,21 @@ def solve_grid(
     The scan walks the grid in lexicographic order, one batch per prefix
     of fixed leading coordinates (on the face the spend total fixes the
     last coordinate).  With three or more free coordinates a batch is the
-    triangle of the last two, at most C(d + 2, 2) points for a grid d spend
-    steps wide; the point cap keeps d, and so a batch, small there.  That
-    triangle is the suffix of the whole one from the row of the prefix's
-    sum on, with its first coordinate shifted down by that sum, so each
-    batch is a view into one buffer built per solve, and only the prefix
-    rows and the shifted row are written per batch.  With two or fewer free
-    coordinates a batch is a segment of the last one, at most d + 1 points
-    and cut into pieces of at most ``_MAX_SEGMENT`` points.
+    simplex of the last m, for a grid d spend steps wide: the tetrahedron
+    when all four of a K = 4 grid are free and its C(d + 3, 3) points fit
+    in ``_MAX_SEGMENT`` (d <= 142), else the triangle of C(d + 2, 2), which
+    the point cap keeps small.  It is the suffix, from the layer of the
+    prefix's sum on and with that sum taken off its first coordinate, of
+    one simplex built per solve in blocks of ``_MAX_BATCH`` points aligned
+    to its end: a kernel call takes the batch's part of one block, whose
+    prefix rows and shifted row alone are written.  With two or fewer free
+    coordinates a batch is a segment of the last one, at most d + 1 points,
+    in pieces of at most ``_MAX_SEGMENT``.
     """
     if resolution is None:
         resolution = cost.budget / 200 if cost.budget > 0 else 1.0
-    if resolution <= 0:
-        raise DomainError("resolution must be positive")
+    if not 0 < resolution < math.inf:  # also refuses nan
+        raise DomainError("resolution must be a positive finite number")
     k = curve.num_groups
     if k > _GRID_MAX_GROUPS:
         raise CapacityError(

@@ -608,6 +608,12 @@ class TestBaselinePolicies:
         with pytest.raises(DomainError):
             representative_allocation(four_group_cost, [0, 0, 0, 0])
 
+    def test_shares_whose_counts_overflow_are_rejected(self):
+        # shares * budget overflows to inf, and rounding inf to whole batches
+        # would never leave the shaving loop
+        with _deadline(10), pytest.raises(DomainError, match="non-finite counts"):
+            representative_allocation(CostModel([1, 1], 600), [1e308, 0.175], step_cost=10)
+
 
 class TestEstimatorDrivenGreedy:
     def test_linear_environment_reduces_to_rate_ranking(self):

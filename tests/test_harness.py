@@ -614,6 +614,12 @@ class TestCli:
         ("greedy", ("environment", "step_cost"), ({"type": "genomic"}, 7.0)),
         ("greedy", ("environment", "utility"),
          ({"type": "genomic"}, {"weights": [1.0, 1.0], "transform": "log"})),
+        # a float setting is finite and not a bool (JSON's Infinity and NaN
+        # parse; true would read as 1.0)
+        *[(command, key, value)
+          for command, key in [("table1", "grid_resolution"), ("convergence", "budget"),
+                               ("table1", "step_cost")]
+          for value in (float("inf"), float("nan"), True)],
     ])
     def test_malformed_value_exits_2_without_traceback(
         self, tmp_path, capsys, monkeypatch, command, key, value
@@ -711,6 +717,12 @@ class TestCli:
         ("frontier", "extra_weights", [[0.0, 0.0]]),
         ("prs-sim", "step_cost", 0),
         ("prs-sim", "step_cost", 33.3),
+        ("prs-sim", "step_cost", True),
+        ("frontier", "policy_step", True),
+        ("frontier", "world.benefit", True),
+        ("prs-sim", "world.cost", float("inf")),
+        ("frontier", "estimator.se_floor", True),
+        ("table1", "curve.offset", float("nan")),
         ("prs-sim", "start_pairs", [400, 400]),
         ("prs-sim", "start_pairs", [100.5, 100]),
         ("prs-sim", "weight_settings", [[0, 0]]),

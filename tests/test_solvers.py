@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -59,6 +60,13 @@ class TestSolveGrid:
         with pytest.raises(CapacityError):
             solve_grid(curve, UtilitySpec(weights=np.ones(5)), cost, resolution=1.0)
 
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf")])
+    def test_non_finite_resolution_rejected(
+        self, four_group_curve, four_group_cost, u_equal, resolution
+    ):
+        with pytest.raises(DomainError, match="positive finite number"):
+            solve_grid(four_group_curve, u_equal, four_group_cost, resolution)
+
     def test_point_cap_rejected(self, four_group_curve, four_group_cost, u_equal):
         with pytest.raises(CapacityError):
             solve_grid(
@@ -116,6 +124,23 @@ class TestSolveGrid:
         best, n_points = _enumerate_grid(curve, util, cost, 1.0)
         assert np.array_equal(res.alloc.counts, best)
         assert res.iterations == n_points
+
+
+def _kernel_batch_sizes(monkeypatch, k, penalty, d):
+    """The points in each ``batch_utilities`` call of a K-group grid solve
+    d spend steps wide, and the solve's result."""
+    sizes = []
+
+    def recording(curve, utility, counts):
+        sizes.append(counts.shape[1])
+        return batch_utilities(curve, utility, counts)
+
+    monkeypatch.setattr(solvers, "batch_utilities", recording)
+    curve = AnalyticCurve(gamma=np.eye(k) + 0.1, form="sqrt")
+    cost = CostModel(costs=np.ones(k), budget=float(d))
+    res = solve_grid(curve, UtilitySpec(weights=np.ones(k), parity_penalty=penalty),
+                     cost, resolution=1.0)
+    return sizes, res
 
 
 def _enumerate_grid(curve, util, cost, resolution):
@@ -197,7 +222,9 @@ class TestGridProperties:
         (3, 0.0, 600, 601, 601),                  # face: a segment per prefix
         (3, 0.5, 60, 61, math.comb(62, 2)),       # full grid: a triangle per prefix
         (4, 0.0, 60, 61, math.comb(62, 2)),       # face: a triangle per prefix
-        (4, 0.5, 20, math.comb(22, 2), math.comb(22, 2)),
+        (4, 0.5, 20, 21, math.comb(23, 3)),       # full grid: a tetrahedron per prefix
+        (4, 0.5, 40, sum(-(-math.comb(43 - a, 3) // solvers._MAX_BATCH) for a in range(41)),
+         solvers._MAX_BATCH),                     # ... in pieces past _MAX_BATCH points
     ])
     def test_batches_stay_small_where_the_cap_does_not_bound_d(
         self, monkeypatch, k, penalty, d, n_batches, largest
@@ -205,19 +232,63 @@ class TestGridProperties:
         # With two or fewer free coordinates the cap allows d in the tens of
         # thousands, so a batch must be a segment, never the whole triangle;
         # with one it allows d = MAX_GRID_POINTS, so a segment comes in pieces.
-        sizes = []
-
-        def recording(curve, utility, counts):
-            sizes.append(counts.shape[1])
-            return batch_utilities(curve, utility, counts)
-
-        monkeypatch.setattr(solvers, "batch_utilities", recording)
-        curve = AnalyticCurve(gamma=np.eye(k) + 0.1, form="sqrt")
-        cost = CostModel(costs=np.ones(k), budget=float(d))
-        res = solve_grid(curve, UtilitySpec(weights=np.ones(k), parity_penalty=penalty),
-                         cost, resolution=1.0)
+        sizes, res = _kernel_batch_sizes(monkeypatch, k, penalty, d)
         assert (len(sizes), max(sizes)) == (n_batches, largest)
         assert sum(sizes) == res.iterations
+
+    def test_a_tetrahedron_over_the_segment_cap_falls_back_to_triangles(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_SEGMENT", math.comb(23, 3) - 1)
+        sizes, res = _kernel_batch_sizes(monkeypatch, 4, 0.5, 20)
+        assert (len(sizes), max(sizes)) == (math.comb(22, 2), math.comb(22, 2))
+        assert sum(sizes) == res.iterations
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_tetrahedron_and_triangle_scans_give_the_same_answer(self, monkeypatch, trial):
+        rng = np.random.default_rng([29, trial])
+        # A zero off the diagonal leaves a group at zero performance wherever
+        # its own count is zero: -inf points under the log transform.
+        gamma = rng.uniform(0.05, 1.0, (4, 4)) * (rng.random((4, 4)) < 0.7) + np.eye(4)
+        curve = AnalyticCurve(gamma=gamma, form=("sqrt", "log1p", "power")[trial % 3],
+                              offset=(0.0, 0.5)[trial // 12])
+        cost = CostModel(costs=rng.uniform(0.2, 2.0, 4), budget=rng.uniform(1, 20))
+        util = UtilitySpec(weights=rng.uniform(0.1, 1.0, 4),
+                           parity_penalty=rng.uniform(0.1, 2.0),
+                           transform=("identity", "log")[trial // 3 % 2],
+                           normalize=trial % 2 == 1)
+        resolution = cost.budget / int(rng.integers(8, 46))
+        tetra = solve_grid(curve, util, cost, resolution)
+        d = int(math.floor(cost.spend_limit / resolution))
+        monkeypatch.setattr(solvers, "_MAX_SEGMENT", math.comb(d + 3, 3) - 1)
+        triangles = solve_grid(curve, util, cost, resolution)
+        assert tetra.to_dict() == triangles.to_dict()
+        assert tetra.utility.hex() == triangles.utility.hex()
+
+    @pytest.mark.parametrize("d,m", [(142, 3), (143, 2)])  # tetrahedron, then triangles
+    def test_the_tetrahedron_is_built_only_while_it_fits_the_segment_cap(self, monkeypatch, d, m):
+        class Stop(Exception):
+            pass
+
+        sizes = []
+
+        def first_call_only(curve, utility, counts):
+            sizes.append(counts.shape[1])
+            raise Stop
+
+        monkeypatch.setattr(solvers, "batch_utilities", first_call_only)
+        curve = AnalyticCurve(gamma=np.eye(4) + 0.1, form="sqrt")
+        util = UtilitySpec(weights=np.ones(4), parity_penalty=0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                solve_grid(curve, util, CostModel(costs=np.ones(4), budget=float(d)), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The simplex is cut into blocks of _MAX_BATCH points from its end,
+        # so the first call holds what is left over at its start.
+        assert sizes == [(math.comb(d + m, m) - 1) % solvers._MAX_BATCH + 1]
+        # K = 4 rows of _MAX_SEGMENT points, plus the int32 first coordinate
+        assert peak <= 4 * 8 * solvers._MAX_SEGMENT * 1.2
 
     def test_grid_never_beats_frank_wolfe_beyond_its_certificate(self):
         rng = np.random.default_rng(11)
