@@ -22,7 +22,7 @@ from .core import Allocation, UtilitySpec, check_groups, utility_eval
 from .curves import AnalyticCurve, eval_perf
 from .envs.analytic import AnalyticEnvironment
 from .envs.genomic import GenomicSamplingSession, GenomicWorldConfig
-from .errors import CapacityError, ConfigError, EqualLocError
+from .errors import CapacityError, ConfigError, DimensionMismatchError, EqualLocError
 from .estimator import EstimatorSettings
 from .greedy import GreedyConfig, check_linear, check_run, run_greedy
 from .harness.config import (
@@ -144,6 +144,8 @@ def _cmd_greedy(args) -> int:
     doc = load_config(args.instance)
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.trace_out and Path(args.trace_out).suffix != ".csv":
+        raise ConfigError(f"--trace-out must name a .csv file, got {args.trace_out!r}")
     with reading("greedy config"):
         curve, cost, utility = _instance(doc)
         step = read_number(doc if args.step is None else {"step_cost": args.step},
@@ -157,7 +159,9 @@ def _cmd_greedy(args) -> int:
         check_run(cost, step, start)
         if mode == "estimator":
             check_linear(utility)
-        if callable(source):  # a genomic world buys and starts from whole pairs only
+        if callable(source):  # a genomic world has two groups, bought in whole pairs only
+            if cost.num_groups != 2:
+                raise DimensionMismatchError(2, cost.num_groups, "a genomic instance")
             with reading("genomic pairs per step or at the start"):
                 for pairs in (step / cost.costs).tolist() + start.counts.tolist():
                     whole_number(pairs)

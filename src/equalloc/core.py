@@ -139,7 +139,10 @@ class UtilitySpec:
     Evaluates ``sum_k a_k * t(M_k) - b * sum_k |t(M_k) - mean(t(M))|``
     where ``t`` is the identity or elementwise log transform, with an
     optional division by ``sum_k a_k``, which ``weight_total`` holds.  The
-    parity penalty sums the per-group deviation terms over k.
+    parity penalty sums the per-group deviation terms over k.  Under the
+    log transform a group with ``a_k = 0`` and no penalty adds 0, so its
+    performance may be zero; ``log_counted`` masks the groups whose
+    performance must be positive (None for all of them).
     """
 
     weights: np.ndarray
@@ -161,6 +164,11 @@ class UtilitySpec:
         object.__setattr__(self, "parity_penalty", float(self.parity_penalty))
         # summed once for the kernel's normalising division; not a field
         object.__setattr__(self, "weight_total", arr.sum())
+        # decided once, so that the kernel masks only where a group is left out
+        counted = None
+        if self.transform == "log" and self.parity_penalty == 0 and not arr.all():
+            counted = arr > 0
+        object.__setattr__(self, "log_counted", counted)
 
     @property
     def num_groups(self) -> int:
@@ -182,8 +190,8 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
     """Utilities of the performance columns of a K x P matrix (or one K-vector).
 
     The one implementation of the utility formula.  Under the log
-    transform a column with a non-positive performance evaluates to -inf,
-    the limit of the transform, whatever its weights and penalty, so
+    transform a column with a non-positive performance in a group of
+    ``spec.log_counted`` evaluates to -inf, the limit of the transform, so
     vectorized scans can skip such points.
     """
     log = spec.transform == "log"
@@ -199,7 +207,10 @@ def utility_kernel(spec: UtilitySpec, perf: np.ndarray) -> np.ndarray:
         u -= spec.parity_penalty * np.abs(dev, out=dev).sum(axis=0)
     if spec.normalize:
         u /= spec.weight_total
-    return np.where(valid.all(axis=0), u, -np.inf) if log else u
+    if not log:
+        return u
+    counted = valid if spec.log_counted is None else valid[spec.log_counted]
+    return np.where(counted.all(axis=0), u, -np.inf)
 
 
 def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:
@@ -207,13 +218,14 @@ def utility_eval(spec: UtilitySpec, perf: PerformanceVector) -> float:
 
     With ``parity_penalty == 0`` and the identity transform this is a
     plain weighted sum (a weighted mean when ``normalize`` is set).
-    Raises :class:`DomainError` for non-positive performances under the
-    log transform.
+    Raises :class:`DomainError` where :func:`utility_kernel` gives -inf
+    under the log transform: a non-positive performance that counts.
     """
     _check_k(spec.num_groups, perf.num_groups, "performance vector")
-    if spec.transform == "log" and (perf.values <= 0).any():
+    u = float(utility_kernel(spec, perf.values))
+    if u == -np.inf and spec.transform == "log":
         raise DomainError("log transform requires strictly positive performances")
-    return float(utility_kernel(spec, perf.values))
+    return u
 
 
 def realize_allocation(alloc: Allocation, rng_seed: int) -> np.ndarray:

@@ -69,7 +69,8 @@ class AnalyticCurve:
     def perf_values(self, counts: np.ndarray) -> np.ndarray:
         """Raw performance array for a counts vector or K x P matrix."""
         z = self.gamma @ counts
-        z += self.offset
+        if self.offset:  # gamma @ counts is never -0.0, so a zero offset is skipped
+            z += self.offset
         return self.transform(z, out=z)
 
 

@@ -119,22 +119,27 @@ class _CandidateScan:
     """Exact utilities of one more batch from each group, from one kernel
     call per step.
 
-    ``base`` is the utility of the start counts; :meth:`evaluate` scores
-    the K candidates ``counts + sizes[k]`` (one per group k) as one batch.
+    ``base`` is the utility of the start counts.  The scan owns the K
+    candidates, column k holding the current counts plus ``sizes[k]`` of
+    group k; :meth:`evaluate` scores them as one batch, and
+    :meth:`advance` moves them on once a step has bought from a group.
     The chosen candidate's utility is the next step's base, so the new
     counts are never evaluated again.
     """
 
     def __init__(self, curve, utility, sizes, counts):
-        self.curve, self.utility = curve, utility
+        self.curve, self.utility, self.sizes = curve, utility, sizes
         self.base = float(batch_utilities(curve, utility, counts[:, None])[0])
-        # adding the zero off-diagonal leaves every other count's bits as they are
-        self._steps = np.diag(sizes)
-        self._candidates = np.empty_like(self._steps)
+        # row g holds counts[g] everywhere but on the diagonal, and each step
+        # adds to it what the loop adds to counts[g], so the bits agree
+        self._candidates = counts[:, None] + np.diag(sizes)
+        self._rows = list(self._candidates)
 
-    def evaluate(self, counts: np.ndarray) -> np.ndarray:
-        np.add(counts[:, None], self._steps, out=self._candidates)
+    def evaluate(self) -> np.ndarray:
         return batch_utilities(self.curve, self.utility, self._candidates)
+
+    def advance(self, group: int) -> None:
+        self._rows[group] += self.sizes[group]
 
 
 def run_greedy(
@@ -237,9 +242,11 @@ def _run_true_curve(curve, utility, cost, config, start):
     utilities = []
 
     def choose(counts, step):
-        u = scan.evaluate(counts)
+        u = scan.evaluate()
         utilities.append(u)
-        return int(u.argmax())
+        group = int(u.argmax())
+        scan.advance(group)
+        return group
 
     def build():
         counts, base, records = start.counts.copy(), scan.base, []
@@ -304,8 +311,9 @@ def _run_estimated(env, utility, cost, config, start):
             if scan is None:
                 marg_true = np.full(k, np.nan)
             else:
-                u = scan.evaluate(counts)
+                u = scan.evaluate()
                 marg_true, base = _gains(u, base), float(u[group])
+                scan.advance(group)
             counts[group] += sizes[group]
             records.append(StepRecord(step, group, s, counts.copy(), prio, marg_true,
                                       float(utility_kernel(utility, perf))))

@@ -13,8 +13,8 @@ import functools
 
 import numpy as np
 
-from ..core import (Allocation, CostModel, PerformanceVector, UtilitySpec, check_groups,
-                    utility_eval)
+from ..core import (Allocation, CostModel, PerformanceVector, UtilitySpec, check_feasible,
+                    check_groups, utility_eval)
 from ..curves import AnalyticCurve, eval_perf
 from ..envs.genomic import (
     GenomicSamplingSession,
@@ -22,10 +22,10 @@ from ..envs.genomic import (
     generate_world,
     run_allocation_curve,
 )
-from ..errors import ConfigError
+from ..errors import CapacityError, ConfigError
 from ..estimator import EstimatorSettings
-from ..greedy import (GreedyConfig, check_run, equal_allocation, parity_allocation,
-                      representative_allocation, run_greedy)
+from ..greedy import (MAX_STEPS, GreedyConfig, check_run, equal_allocation,
+                      parity_allocation, representative_allocation, run_greedy)
 from ..solvers import audit_gap, check_audit, solve_concave, solve_grid
 from .config import (
     check_kind,
@@ -51,6 +51,10 @@ __all__ = [
     "run_adaptive_prs",
     "run_audit",
 ]
+
+# The most groups a convergence instance may draw, ten times the default's
+# largest: a greedy step multiplies two K x K matrices, so it costs K^3.
+MAX_STUDY_GROUPS = 100
 
 
 def run_table1(config: dict) -> Table:
@@ -135,10 +139,14 @@ def run_convergence(config: dict) -> Table:
     check_kind(config, "convergence")
     defaults = default_convergence_config()
     with reading("convergence config"):
-        n_instances = read_number(config, "num_instances", defaults["num_instances"], int)
+        n_instances = read_number(config, "num_instances", defaults["num_instances"], int,
+                                  above=-1)
         k_range = read_list(config, "group_range", defaults["group_range"], int, 2)
         if not 1 <= k_range[0] <= k_range[1]:
             raise ConfigError(f"group_range needs 1 <= low <= high, got {k_range}")
+        if k_range[1] > MAX_STUDY_GROUPS:
+            raise CapacityError(f"group_range reaches {k_range[1]} groups, "
+                                f"over the cap of {MAX_STUDY_GROUPS}")
         streams = [(form, {"sqrt": 1, "log1p": 2, "power": 3}[form])
                    for form in read_list(config, "forms", defaults["forms"], str)]
         budget = read_number(config, "budget", defaults["budget"], above=0)
@@ -146,6 +154,9 @@ def run_convergence(config: dict) -> Table:
         steps = [(div, GreedyConfig(step_cost=budget / div)) for div in divs]
         tol = read_number(config, "solver_tol", defaults["solver_tol"], above=0)
         master_seeds = seed_lists(config, "convergence")["seeds"]
+        # a run at step budget / div takes div steps at most
+        if len(master_seeds) * len(streams) * n_instances * sum(divs) > MAX_STEPS:
+            raise CapacityError(f"the study takes over {MAX_STEPS} greedy steps")
 
     header = [
         "form", "instance", "seed", "num_groups", "step_divisor",
@@ -336,6 +347,9 @@ def run_audit(config: dict) -> Table:
         observed = read_block(Allocation, config["observed"], "observed")
         check_groups(curve, costs=cost, auditor_utility=auditor, observed=observed)
         check_audit(curve, auditor)
+        if not check_feasible(observed, cost):
+            raise ConfigError(f"observed allocation {observed.counts.tolist()} "
+                              f"exceeds the budget of {cost.budget:g}")
         resolution = read_number(config, "grid_resolution", None, above=0)
         tol = read_number(config, "solver_tol", 1e-8, above=0)
 

@@ -106,6 +106,22 @@ class TestUtilityEval:
         with pytest.raises(DomainError):
             utility_eval(spec, PerformanceVector([1.0, 0.0]))
 
+    def test_a_zero_weight_group_counts_under_log_only_with_a_penalty(self):
+        # columns: the zero-weight group at zero; the weighted group at zero
+        perf = np.array([[0.0, 2.0], [np.e, 0.0]])
+        plain = UtilitySpec(weights=[0.0, 2.0], transform="log")
+        assert utility_kernel(plain, perf).tolist() == [2.0, -np.inf]
+        assert utility_eval(plain, PerformanceVector([0.0, np.e])) == 2.0
+        with pytest.raises(DomainError):
+            utility_eval(plain, PerformanceVector([1.0, 0.0]))
+        penalised = UtilitySpec(weights=[0.0, 2.0], parity_penalty=0.1, transform="log")
+        assert utility_kernel(penalised, perf).tolist() == [-np.inf, -np.inf]
+        # decided once per spec; None wherever every group counts
+        assert plain.log_counted.tolist() == [False, True]
+        for spec in (penalised, UtilitySpec(weights=[0.0, 2.0]),
+                     UtilitySpec(weights=[1.0, 2.0], transform="log")):
+            assert spec.log_counted is None
+
     def test_weight_validation(self):
         with pytest.raises(DomainError):
             UtilitySpec(weights=[0.0, 0.0])

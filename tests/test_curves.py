@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equalloc import Allocation, AnalyticCurve, CostModel, UtilitySpec, eval_perf
+from equalloc import Allocation, AnalyticCurve, CostModel, UtilitySpec, eval_perf, solvers
 from equalloc.curves import batch_utilities
 from equalloc.errors import DomainError
 
@@ -59,6 +61,26 @@ class TestEvalPerf:
         for c in (counts, counts[:, 5]):
             assert np.array_equal(curve.perf_values(c),
                                   curve.transform(curve.offset + curve.gamma @ c))
+
+    @pytest.mark.parametrize("form", ["sqrt", "log1p", "power"])
+    @pytest.mark.parametrize("n_free,face_only", [(3, True), (4, False)])
+    def test_a_zero_offset_adds_nothing_to_grid_batches(self, form, n_free, face_only):
+        # perf_values skips a zero offset: the BLAS product starts its sums at
+        # +0.0, so gamma @ counts is never -0.0 and adding +0.0 is the identity,
+        # also on a batch of zeros and negative zeros
+        rng = np.random.default_rng(n_free)
+        curve = AnalyticCurve(gamma=rng.uniform(0.0, 1.0, (4, 4)) + np.eye(4), form=form,
+                              power_exponent=0.3)
+        signed_zeros = np.zeros((4, 9))
+        signed_zeros[rng.random((4, 9)) < 0.5] = -0.0
+        step_sizes = 12.5 / rng.uniform(0.4, 2.0, 4)
+        points = 0
+        for batch in itertools.chain([signed_zeros],
+                                     solvers._grid_batches(n_free, 40, step_sizes, face_only)):
+            want = curve.transform(curve.gamma @ batch + 0.0)
+            assert curve.perf_values(batch).tobytes() == want.tobytes()
+            points += batch.shape[1]
+        assert points > 10_000
 
     def test_gamma_validation(self):
         with pytest.raises(DomainError):

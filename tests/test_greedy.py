@@ -3,6 +3,8 @@ import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import equalloc.estimator
 import equalloc.greedy
@@ -458,6 +460,79 @@ class TestGreedyStep:
         assert np.array_equal(alloc.counts, [6.0, 0.0, 0.0])
         assert np.array_equal(alloc.counts, best.alloc.counts)
         assert trace.records[-1].utility == pytest.approx(best.utility, rel=1e-12)
+
+
+def _rebuilt_step_utilities(curve, util, cost, step, start, groups=None):
+    """Each step's candidate utilities and the final counts, from a loop that
+    rebuilds the candidates ``counts[:, None] + diag(sizes)`` at every step:
+    the reference for the scan, whose candidates advance in place.  The
+    loop buys each step's best candidate, or the given ``groups`` in turn."""
+    sizes = step / cost.costs
+    counts, spent, steps = start.copy(), cost.spend(Allocation(start)), []
+    while spent + step <= cost.spend_limit and (groups is None or len(steps) < len(groups)):
+        u = batch_utilities(curve, util, counts[:, None] + np.diag(sizes))
+        group = int(u.argmax()) if groups is None else groups[len(steps)]
+        steps.append(u)
+        counts[group] += sizes[group]
+        spent += step
+    return steps, counts
+
+
+def _step_gains(u, base):
+    """The gains a record logs: ``u - base``, and from a -inf base inf for
+    a finite candidate and NaN for a -inf one."""
+    if base > -np.inf:
+        return u - base
+    return np.where(u > -np.inf, np.inf, np.nan)
+
+
+class TestLeanStep:
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.sampled_from(["sqrt", "log1p", "power"]),
+        st.sampled_from([0.0, 0.4]),
+        st.sampled_from(["identity", "log"]),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from(["random", "zero", "negative zero"]),
+        st.sampled_from([0.25, 1.0, 2.5]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_advancing_candidates_match_rebuilt_ones(self, k, form, offset, transform,
+                                                     penalty, start_kind, step, seed):
+        rng = np.random.default_rng(seed)
+        gamma = rng.uniform(0.0, 1.0, (k, k)) + np.diag(rng.uniform(0.2, 1.0, k))
+        curve = AnalyticCurve(gamma=gamma, form=form, offset=offset,
+                              power_exponent=float(rng.uniform(0.2, 0.8)))
+        util = UtilitySpec(rng.uniform(0.1, 1.0, k), parity_penalty=penalty,
+                           transform=transform, normalize=bool(rng.random() < 0.5))
+        start = {"random": rng.uniform(0.0, 3.0, k), "zero": np.zeros(k),
+                 "negative zero": np.full(k, -0.0)}[start_kind]
+        costs = rng.uniform(0.3, 2.0, k)
+        cost = CostModel(costs, float(costs @ start) + step * float(rng.uniform(1.0, 30.0)))
+        config = GreedyConfig(step_cost=step, start_alloc=Allocation(start))
+
+        alloc, trace = run_greedy(curve, util, cost, config)
+        steps, counts = _rebuilt_step_utilities(curve, util, cost, step, start)
+        assert alloc.counts.tobytes() == counts.tobytes()
+        base = float(batch_utilities(curve, util, start[:, None])[0])
+        assert len(trace.records) == len(steps)
+        for rec, u in zip(trace.records, steps):
+            assert rec.marginal_true.tobytes() == _step_gains(u, base).tobytes()
+            base = float(u[rec.group])
+            assert np.float64(rec.utility).tobytes() == np.float64(base).tobytes()
+
+        if transform == "identity" and penalty == 0.0:  # all the estimator takes
+            env = AnalyticEnvironment(curve, noise_sd=0.01, rng_seed=seed % 1000)
+            _, trace = run_greedy(env, util, cost, GreedyConfig(
+                step_cost=step, start_alloc=Allocation(start), marginal_source="estimator",
+                seed=seed % 1000))
+            groups = [rec.group for rec in trace.records]
+            steps, _ = _rebuilt_step_utilities(curve, util, cost, step, start, groups)
+            base = float(batch_utilities(curve, util, start[:, None])[0])
+            for rec, u in zip(trace.records, steps, strict=True):
+                assert rec.marginal_true.tobytes() == _step_gains(u, base).tobytes()
+                base = float(u[rec.group])
 
 
 class TestBatchEnumeration:

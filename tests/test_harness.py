@@ -661,6 +661,7 @@ class TestCli:
         ("convergence", "step_divisors", ["x"]),
         ("convergence", "step_divisors", [0]),
         ("convergence", "group_range", [2]),
+        ("convergence", "num_instances", -5),  # once an empty table and exit 0
         ("frontier", "weight_ratio_bounds", "x"),
         ("frontier", "weight_ratio_bounds", [0, 1]),
         ("frontier", "extra_weights", [[1.0]]),
@@ -852,16 +853,48 @@ class TestCli:
         rows = (tmp_path / "adaptive_prs.csv").read_text().splitlines()[2:]
         assert [int(r.split(",")[1]) for r in rows] == [5, 6, 7, 8, 9]
 
-    def test_over_budget_audit_exits_4(self, tmp_path, capsys):
-        # [600, 600, 0, 0] spends 1200 of a 1000 budget; it used to be
-        # reported with gap 0 and a utility above the optimum
+    @pytest.mark.parametrize("counts", [[600.0, 600.0, 0.0, 0.0],
+                                        [1e30, 200.0, 200.0, 200.0]])
+    def test_over_budget_audit_exits_2(self, tmp_path, capsys, counts):
+        # [600, 600, 0, 0] spends 1200 of a 1000 budget; it was once reported
+        # with gap 0 and a utility above the optimum, then exited 4 from the
+        # audit itself; the config is now refused before the audit runs
         cfg = default_audit_config()
-        cfg["observed"] = {"counts": [600.0, 600.0, 0.0, 0.0]}
+        cfg["observed"] = {"counts": counts}
         path = tmp_path / "audit.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
-        assert main(["audit", "--config", str(path), "--out", str(out)]) == 4
-        assert not (out / "audit.csv").exists()
+        assert main(["audit", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "exceeds the budget" in err
+        assert "Traceback" not in err and not (out / "audit.csv").exists()
+
+    def test_genomic_greedy_needs_two_groups_before_the_world(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # a three-group instance used to build the world, then exit 4
+        monkeypatch.setattr(experiments, "generate_world", _no_world)
+        doc = {"curve": {"gamma": np.eye(3).tolist()}, "costs": [1.0] * 3, "budget": 30.0,
+               "step_cost": 10.0, "utility": {"weights": [1.0] * 3},
+               "environment": {"type": "genomic"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["greedy", "--instance", str(path), "--marginals", "estimated"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "has 3 groups, expected 2" in err
+
+    @pytest.mark.parametrize("name", ["trace.txt", "trace", "trace.csv.gz"])
+    def test_greedy_trace_out_must_name_a_csv_file(self, tmp_path, capsys, name):
+        # the trace was written to <stem>.csv whatever the path's suffix
+        doc = {"curve": {"gamma": np.eye(2).tolist()}, "costs": [1.0, 1.0], "budget": 6.0,
+               "utility": {"weights": [1.0, 1.0]}}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        argv = ["greedy", "--instance", str(path), "--trace-out", str(tmp_path / name)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and ".csv" in captured.err
+        assert captured.out == "" and sorted(p.name for p in tmp_path.iterdir()) == [
+            "inst.json"]
 
 
 def _no_world(_config):
@@ -880,6 +913,12 @@ def _limit_memory():
     ("frontier", "grid_step", -100, 2),
     ("convergence", "solver_tol", -1, 2),
     ("convergence", "solver_tol", 0, 2),
+    # a group count past int64 once ended in numpy's ValueError traceback
+    ("convergence", "group_range", [2, 10**30], 3),
+    ("convergence", "group_range", [2, 101], 3),
+    # once ran without end
+    ("convergence", "num_instances", 10**30, 3),
+    ("convergence", "step_divisors", [10, 10**8], 3),
 ])
 def test_unbounded_loop_inputs_exit_promptly(tmp_path, command, key, value, code):
     # each of these once spun a loop without end (or, for the tolerances, ran

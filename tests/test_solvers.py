@@ -112,7 +112,8 @@ class TestSolveGrid:
 
     @pytest.mark.parametrize("gamma,weights,penalty", [
         ([[1.0, 0.3], [0.3, 1.0]], [1.0, 1.0], 0.3),  # -inf - -inf at the origin
-        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.0),  # 0 * -inf at (100, 0)
+        # (0, 100) is -inf; (100, 0) is defined: a zero weight adds 0
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], 0.0),
     ])
     def test_undefined_points_do_not_hide_their_chunk(self, gamma, weights, penalty):
         # A point with a non-positive performance under the log transform is
@@ -482,6 +483,22 @@ class TestSolveConcaveProperties:
         curve = AnalyticCurve(gamma=[[1.0, 0.0], [0.0, 0.6]], form="sqrt")
         cost = CostModel(costs=[0.5, 0.1], budget=10.0)
         self._check(curve, UtilitySpec(weights=[0.1, 0.5], transform="log"), cost, 0)
+
+    def test_a_zero_weight_group_may_perform_zero_under_log(self):
+        # solve_concave raised DomainError here while the grid answered
+        # [0.05, 9.95]: the kernel scored the zero-weight group's zero
+        # performance -inf though its term is 0 without a penalty
+        curve = AnalyticCurve(gamma=np.eye(2), form="sqrt")
+        cost = CostModel(costs=[1.0, 1.0], budget=10.0)
+        util = UtilitySpec(weights=[0.0, 1.0], transform="log")
+        concave = solve_concave(curve, util, cost)
+        grid = solve_grid(curve, util, cost)
+        assert concave.converged
+        assert np.array_equal(grid.alloc.counts, [0.0, 10.0])
+        assert np.allclose(concave.alloc.counts, grid.alloc.counts, atol=1e-9)
+        assert concave.utility == pytest.approx(grid.utility, abs=1e-12)
+        assert grid.utility == pytest.approx(0.5 * np.log(10.0))
+        self._check(curve, util, cost, 0)
 
 
 class TestAuditGap:
