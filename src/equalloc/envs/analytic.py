@@ -34,11 +34,12 @@ class AnalyticEnvironment:
         return self.curve.num_groups
 
     def perf_values(self, counts: np.ndarray) -> np.ndarray:
-        """Measured group performances at a counts vector, with fresh noise."""
-        truth = self.curve.perf_values(counts)
-        if self.noise_sd == 0:
-            return truth
-        return truth + self._rng.normal(0.0, self.noise_sd, size=self.num_groups)
+        """Measured group performances at a counts vector, with fresh noise
+        added in place to the new array the curve returns."""
+        perf = self.curve.perf_values(counts)
+        if self.noise_sd:
+            perf += self._rng.normal(0.0, self.noise_sd, size=self.num_groups)
+        return perf
 
     def observe(self, alloc: Allocation) -> PerformanceVector:
         """:meth:`perf_values` at an allocation, as a typed vector."""

@@ -41,6 +41,9 @@ MAX_GENOTYPE_CELLS = 500_000_000
 # Individuals per block of the independent-variant fill (a multiple of 8, so a
 # block packs into whole bytes) and variant rows per block of the column reorder.
 _BLOCK = 16
+# Individuals per block of the liability score: a multiple of 8, so each block
+# starts on a byte of the packed rows and its scores keep the whole product's bits.
+_SCORE_BLOCK = 2048
 
 @dataclass(frozen=True)
 class GenomicWorldConfig:
@@ -211,6 +214,20 @@ def _selected_scores(rows, weights) -> np.ndarray:
     return rows.astype(float, order="C").T @ weights
 
 
+def _packed_scores(packed, weights, count: int) -> np.ndarray:
+    """:func:`_selected_scores` of bit-packed variant rows unpacked to ``count``
+    individuals, in blocks of ``_SCORE_BLOCK`` individuals.  The last block
+    takes the remainder too, as a block of a few individuals rounds its
+    scores another way, so no block's float matrix reaches ``2 * _SCORE_BLOCK``
+    columns."""
+    out = np.empty(count)
+    starts = range(0, max(count - _SCORE_BLOCK, 0) + 1, _SCORE_BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], count]):
+        rows = np.unpackbits(packed[:, lo // 8:-(-hi // 8)], axis=1, count=hi - lo)
+        out[lo:hi] = _selected_scores(rows, weights)
+    return out
+
+
 def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) -> np.ndarray:
     """Binary genotypes as a variant-major ``(variants, ceil(population / 8))``
     uint8 matrix, each row bit-packed by ``np.packbits`` (pad bits zero), with
@@ -270,7 +287,7 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
     n_train_cases = config.train_pairs
     for g in range(2):
         geno = _sample_genotypes(rng, freqs[g], p, config.ld_rho)
-        x = _selected_scores(np.unpackbits(geno[causal_idx], axis=1, count=p), effect_sizes)
+        x = _packed_scores(geno[causal_idx], effect_sizes, p)
         x_sd = x.std()
         genetic = (x - x.mean()) / x_sd if x_sd > 0 else np.zeros(p)
         eps = rng.standard_normal(p)

@@ -117,10 +117,12 @@ def fit_local_slope(records, window: int, se_floor: float = 0.0) -> tuple[float,
     if n_pts < 2:
         raise InsufficientHistoryError(group=-1, have=n_pts, need=2)
     # Sums run in order, as NumPy sums fewer than eight values.
-    x = [float(p[0]) for p in pts]
-    y = [float(p[1]) for p in pts]
+    x, y = [], []
     xm = ym = 0.0
-    for xi, yi in zip(x, y):
+    for p in pts:
+        xi, yi = float(p[0]), float(p[1])
+        x.append(xi)
+        y.append(yi)
         xm += xi
         ym += yi
     xm /= n_pts
@@ -146,6 +148,9 @@ def fit_local_slope(records, window: int, se_floor: float = 0.0) -> tuple[float,
 
 _inv_cdf = NormalDist().inv_cdf  # Wichura's AS241, to double precision
 _SQRT_HALF = math.sqrt(0.5)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = sys.float_info.min  # the smallest normal double
 
 
 def _ndtr(x: float) -> float:
@@ -180,8 +185,9 @@ def _truncated_normal_ppf(q: float, a: float) -> tuple[float, float | None]:
     Newton's method falls to the root from ``-log(1 - q) / a``, at most
     1.5% above it; each step squares the relative error and scales it by
     under 0.014, so three steps reach double precision.  ``q = 0`` is the bound itself,
-    at offset 0; a subnormal q, which ``random()`` never returns, keeps
-    only the bits of a subnormal ``Phi(a) + q * Phi(-a)`` once a < -37.5.
+    at offset 0.  Only a subnormal q, which ``random()`` never returns, can
+    make ``Phi(a) + q * Phi(-a)`` subnormal; that lower tail is solved in log
+    space (see :func:`_log_lower_quantile`).
     """
     if q == 0.0:
         return a, 0.0
@@ -192,10 +198,32 @@ def _truncated_normal_ppf(q: float, a: float) -> tuple[float, float | None]:
             mills_a, mills_x, slope = _mills(a, d)
             d -= (d * (0.5 * d + a) + math.log1p(d * slope / mills_a) - e) / mills_x
         return a + d, d
-    tail = _ndtr(-a)
+    tail = 0.5 * math.erfc(a * _SQRT_HALF)  # Phi(-a)
     upper = (1.0 - q) * tail
-    x = _inv_cdf(_ndtr(a) + q * tail) if upper > 0.5 else -_inv_cdf(upper)
+    if upper <= 0.5:
+        return max(-_inv_cdf(upper), a), None
+    lower = 0.5 * math.erfc(-a * _SQRT_HALF) + q * tail  # Phi(a) + q Phi(-a)
+    x = _inv_cdf(lower) if lower >= _FLOAT_MIN else _log_lower_quantile(q, a)
     return max(x, a), None
+
+
+def _log_lower_quantile(q: float, a: float) -> float:
+    """The root x of ``log Phi(x) = L``, ``L = log(Phi(a) + q)``, for a
+    subnormal sum, so a < -37.5 and ``Phi(-a)`` is 1.  Below t = -20,
+    ``log Phi(t) = -t**2 / 2 - log(sqrt(2 pi) * mills(-t))`` keeps every bit,
+    and its slope is ``mills(-t)``.  It is concave, so Newton's method climbs
+    to the root from ``-sqrt(-2 L)`` (or a, if higher), at most 0.13 under
+    it; each step squares the error and scales it by under 0.014, so three
+    steps reach double precision."""
+    def log_ndtr(t):
+        return -0.5 * t * t - _LOG_SQRT_2PI - math.log(_mills(-t)[0])
+
+    lo, hi = sorted((log_ndtr(a), math.log(q)))  # log Phi(a) is -inf once a * a overflows
+    target = hi + math.log1p(math.exp(lo - hi))
+    x = max(a, -math.sqrt(-2.0 * target))
+    for _ in range(3):
+        x -= (log_ndtr(x) - target) / _mills(-x)[0]
+    return x
 
 
 def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
@@ -217,7 +245,7 @@ def draw_truncated_normal(mean: float, sd: float, rng_seed) -> float:
     q = np.random.default_rng(rng_seed).random()
     # A bound past the largest double clamps to it, where the offset is
     # below 37 / a < 2e-307.
-    x, offset = _truncated_normal_ppf(q, min((0.0 - mean) / sd, sys.float_info.max))
+    x, offset = _truncated_normal_ppf(q, min((0.0 - mean) / sd, _FLOAT_MAX))
     return max(float(mean + sd * x if offset is None else sd * offset), 0.0)
 
 
@@ -231,8 +259,9 @@ def estimate_marginal(history: PerformanceHistory, group: int, step_cost: float,
     """
     if step_cost <= 0:
         raise DomainError("step_cost must be positive")
-    have, need = history.count(group), history.settings.min_points
-    if have < need:
-        raise InsufficientHistoryError(group=group, have=have, need=need)
+    have = history.count(group)
+    if have < history.settings.min_points:
+        raise InsufficientHistoryError(group=group, have=have,
+                                       need=history.settings.min_points)
     slope, se = history.fit(group)
     return draw_truncated_normal(slope, se, rng) * step_cost / float(cost.costs[group])

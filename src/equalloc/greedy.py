@@ -8,6 +8,7 @@ stops as soon as another step would break the budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -221,9 +222,10 @@ def _spend_budget(cost: CostModel, start: Allocation, step_cost: float, sizes: n
 
 
 def _measure(source, counts: np.ndarray) -> np.ndarray:
-    """``source.perf_values(counts)``, refused unless a finite K-vector."""
+    """``source.perf_values(counts)``, refused unless a finite K-vector.  The
+    shape is tested first, so the finiteness test reads K scalars."""
     perf = source.perf_values(counts)
-    if perf.shape != counts.shape or not np.isfinite(perf).all():
+    if perf.shape != counts.shape or not all(map(math.isfinite, perf.tolist())):
         raise DomainError(f"measurement {perf!r} is not {counts.size} finite values")
     return perf
 
@@ -282,19 +284,23 @@ def _run_estimated(env, utility, cost, config, start):
 
     kept = []  # (group, priorities, observed performances) of each step
     priorities = None
+    weights, min_points = utility.weights.tolist(), history.settings.min_points
+    explored = False  # every group has min_points records; records only grow
 
     def choose(counts, step):
-        nonlocal priorities
-        priorities = np.full(k, np.nan)
-        under = [g for g in range(k) if history.count(g) < history.settings.min_points]
-        if under:
-            # Forced exploration: bootstrap the least-measured group.
-            return min(under, key=lambda g: (history.count(g), g))
-        for g in range(k):
-            try:
-                priorities[g] = estimate_marginal(history, g, s, cost, rng) * utility.weights[g]
-            except EqualLocError as exc:
-                raise GreedyStepError(step, exc) from exc
+        nonlocal priorities, explored
+        if not explored:
+            under = [g for g in range(k) if history.count(g) < min_points]
+            if under:
+                # Forced exploration: bootstrap the least-measured group.
+                priorities = np.full(k, np.nan)
+                return min(under, key=lambda g: (history.count(g), g))
+            explored = True
+        try:
+            priorities = np.array([estimate_marginal(history, g, s, cost, rng) * weights[g]
+                                   for g in range(k)])
+        except EqualLocError as exc:
+            raise GreedyStepError(step, exc) from exc
         return int(priorities.argmax())
 
     def record(counts, group, step):

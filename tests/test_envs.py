@@ -32,13 +32,16 @@ from equalloc.envs import (
 )
 from equalloc.envs.genomic import (
     _BLOCK,
+    _SCORE_BLOCK,
     MAX_GENOTYPE_CELLS,
     RiskModel,
     _chi2_screen,
     _clump,
     _empty_model,
     _fit_platt,
+    _packed_scores,
     _sample_genotypes,
+    _selected_scores,
     aggregate_curve,
     treatment_value,
 )
@@ -151,6 +154,19 @@ class TestAnalyticEnvironment:
         if noise_sd:
             stream.normal(0.0, noise_sd, size=(len(allocs), 4))
         assert mixed._rng.random() == stream.random()
+
+    def test_noise_is_added_to_the_fresh_curve_values(self, four_group_curve):
+        # in place on the array the curve returns: the bits of truth + noise,
+        # and neither the counts nor a curve value read before is written
+        env = AnalyticEnvironment(four_group_curve, noise_sd=0.05, rng_seed=8)
+        stream = np.random.default_rng(8)
+        counts = np.array([1.0, 2.0, 3.0, 4.0])
+        truth = four_group_curve.perf_values(counts)
+        kept = truth.copy(), counts.copy()
+        for _ in range(3):
+            want = truth + stream.normal(0.0, 0.05, size=4)
+            assert env.perf_values(counts).tobytes() == want.tobytes()
+        assert truth.tobytes() == kept[0].tobytes() and counts.tobytes() == kept[1].tobytes()
 
     def test_perf_values_returns_a_new_array(self, four_group_curve):
         env = AnalyticEnvironment(four_group_curve, noise_sd=0.0)
@@ -286,6 +302,23 @@ def test_blocked_genotype_fill_matches_per_variant_loop(variants):
         assert np.array_equal(_unpacked_fill(independent, population),
                               (uniforms < freqs).astype(np.uint8).T)
         assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("population", [20000, 20003, 5001, 2 * _SCORE_BLOCK, 2049, 100, 7])
+def test_blocked_liability_scores_match_the_whole_product(population):
+    # scored a block of individuals at a time from the packed causal rows, each
+    # score has the bits of the product over the whole unpacked matrix (at one
+    # BLAS thread, as conftest.py pins it); 20003, 5001, 2049 and 7 end
+    # mid-byte, 2049 leaves one individual past a whole block, and 100 and 7
+    # are shorter than one block
+    assert _SCORE_BLOCK % 8 == 0 and 100 < _SCORE_BLOCK
+    rng = np.random.default_rng(population)
+    for causal in (1, 3, 100):
+        packed = np.packbits(rng.random((causal, population)) < 0.3, axis=1)
+        weights = rng.normal(0.0, 0.1, causal)
+        whole = _selected_scores(np.unpackbits(packed, axis=1, count=population), weights)
+        got = _packed_scores(packed, weights, population)
+        assert got.shape == (population,) and got.tobytes() == whole.tobytes()
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")

@@ -233,6 +233,26 @@ class TestTruncatedNormalQuantile:
                 assert abs(x - exact) <= 1e-9 * max(1.0, abs(x)), (a, q, x, exact)
 
 
+    def test_subnormal_q_in_the_lower_tail_against_mpmath(self):
+        # Phi(a) + q Phi(-a) is subnormal for a below about -37.5 and a
+        # subnormal q, and keeps only a few bits there (at q = 5e-324 and
+        # a = -38.5 it gave -38.46741 against the root -38.46089), so the
+        # quantile is solved in log space and lands within a few ulps
+        mp = pytest.importorskip("mpmath").mp
+        for a in [-37.52, -37.6, -38.0, -38.5, -38.9, -38.999, -40.0, -100.0]:
+            for q in [5e-324, 1e-323, 3e-320, 1e-315, 1e-310, 2.2e-308]:
+                x, offset = _truncated_normal_ppf(q, a)
+                with mp.workdps(60):
+                    target = mp.log(mp.ncdf(a) + mp.mpf(q) * mp.ncdf(-a))
+                    root = mp.findroot(lambda t: mp.log(mp.ncdf(t)) - target, mp.mpf(x))
+                    exact = float(max(root, mp.mpf(a)))
+                assert offset is None, (a, q)
+                assert abs(x - exact) <= 2 * math.ulp(exact), (a, q, x, exact)
+                if a == -100.0:  # Phi(a) is nothing beside q here, and further down
+                    for far in (-1e10, -1e200, -math.inf):  # until a * a overflows
+                        assert _truncated_normal_ppf(q, far)[0] == x, (far, q)
+
+
 class TestSpecialFunctions:
     """The stdlib normal CDF and the Mills ratio behind the quantile, against
     mpmath at 60 digits and against scipy."""

@@ -1,5 +1,6 @@
 import contextlib
 import signal
+import warnings
 
 import numpy as np
 import pytest
@@ -184,12 +185,13 @@ def _reference_draw(mean, sd, rng):
     return max(float(mean + sd * x if offset is None else sd * offset), 0.0)
 
 
-def _eager_trace(source, util, cost, config):
+def _eager_trace(source, util, cost, config, ends=None):
     """A greedy run that builds each step's record inside its step loop:
     the reference for the records a trace builds when it is read.  Under the
     estimator it fits every group with ``fit_local_slope`` and draws with
     :func:`_reference_draw` at every step, keeping no fit between steps.
-    Returns the final counts and the records."""
+    Returns the final counts and the records; a dict ``ends`` receives the
+    draws' generator under ``"rng"``."""
     k, s = cost.num_groups, config.step_cost
     sizes = s / cost.costs
     counts = np.zeros(k) if config.start_alloc is None else config.start_alloc.counts.copy()
@@ -199,6 +201,8 @@ def _eager_trace(source, util, cost, config):
         base = float(batch_utilities(curve, util, counts[:, None])[0])
     if estimated:
         rng, est = np.random.default_rng(config.seed), config.estimator
+        if ends is not None:
+            ends["rng"] = rng
         perf = np.asarray(source.observe(Allocation(counts)).values, dtype=float)
         history = [[(float(counts[g]), float(perf[g]))] for g in range(k)]
     records, spent = [], cost.spend(Allocation(counts))
@@ -259,6 +263,28 @@ def _estimator_instances():
         config = GreedyConfig(step_cost=1.0, start_alloc=Allocation(start),
                               marginal_source="estimator", seed=trial, estimator=settings)
         yield env, util, CostModel(costs, float(costs @ start) + 30.0), config
+    yield from _estimator_edge_instances()
+
+
+def _estimator_edge_instances():
+    """One group, six groups, a zero weight, and min_points 5 with six
+    groups, which leaves the last group under it for 23 forced steps."""
+    rng = np.random.default_rng(29)
+    for trial, (k, zero_weight, min_points) in enumerate(
+            [(1, False, 2), (1, False, 3), (6, False, 2), (6, True, 3), (3, True, 2),
+             (6, False, 5), (4, True, 5)]):
+        gamma = rng.uniform(0.0, 1.0, (k, k)) + np.diag(rng.uniform(0.2, 1.0, k))
+        env = AnalyticEnvironment(AnalyticCurve(gamma=gamma, form="sqrt", offset=0.3),
+                                  noise_sd=1e-3, rng_seed=200 + trial)
+        weights = rng.uniform(0.1, 1.0, k)
+        if zero_weight:
+            weights[k // 2] = 0.0
+        costs = rng.uniform(0.3, 2.0, k)
+        start = rng.uniform(0.0, 3.0, k) if trial % 2 else np.zeros(k)
+        config = GreedyConfig(step_cost=1.0, start_alloc=Allocation(start),
+                              marginal_source="estimator", seed=200 + trial,
+                              estimator=EstimatorSettings(window=4, min_points=min_points))
+        yield env, UtilitySpec(weights), CostModel(costs, float(costs @ start) + 60.0), config
 
 
 def _assert_same_bits(got, want):
@@ -300,19 +326,30 @@ class TestGreedyStep:
             _assert_same_bits(trace.records, want)
             assert trace.final_utility.hex() == want[-1].utility.hex()
 
-    def test_estimator_matches_the_eager_fit_and_draw_reference(self):
+    def test_estimator_matches_the_eager_fit_and_draw_reference(self, monkeypatch):
         instances = list(_estimator_instances())
         # noise 0 with floor 0 and a two-point window fits exactly: sd == 0
         assert any(env.noise_sd == 0 and cfg.estimator.se_floor == 0
                    and cfg.estimator.window == 2 for env, _, _, cfg in instances)
+        # the run's generator, seen as the last argument of each estimate
+        estimate, seen = equalloc.greedy.estimate_marginal, []
+        monkeypatch.setattr(equalloc.greedy, "estimate_marginal",
+                            lambda *args: seen.append(args[-1]) or estimate(*args))
         for env, util, cost, config in instances:
             # a fresh copy of the environment, which was seeded with the run's seed
             replay = AnalyticEnvironment(env.curve, env.noise_sd, rng_seed=config.seed)
+            seen.clear()
             alloc, trace = run_greedy(env, util, cost, config)
-            want_counts, want = _eager_trace(replay, util, cost, config)
+            ends = {}
+            want_counts, want = _eager_trace(replay, util, cost, config, ends)
             assert alloc.counts.tobytes() == want_counts.tobytes()
             _assert_same_bits(trace.records, want)
             assert trace.final_utility.hex() == want[-1].utility.hex()
+            # both generators end where the reference leaves them: no draw is
+            # added or skipped (a run that never estimates drew nothing)
+            run_rng = seen[0] if seen else np.random.default_rng(config.seed)
+            assert run_rng.bit_generator.state == ends["rng"].bit_generator.state
+            assert env._rng.bit_generator.state == replay._rng.bit_generator.state
 
     @pytest.mark.parametrize("min_points", [2, 3])
     def test_one_fit_per_step_after_forced_exploration(self, monkeypatch, four_group_curve,
@@ -759,31 +796,56 @@ class TestEstimatorDrivenGreedy:
 
         assert np.array_equal(one().counts, one().counts)
 
-    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["short", "long", "matrix", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("at_step", [0, 5])
     def test_a_measurement_that_is_not_a_finite_k_vector_is_refused(
         self, four_group_curve, four_group_cost, u_equal, bad, at_step
     ):
-        # at_step 0 spoils the start measurement, 5 a measurement mid-run
+        # at_step 0 spoils the start measurement, 5 a measurement mid-run; a
+        # non-finite value is tried at each of the four positions
         env = AnalyticEnvironment(four_group_curve, noise_sd=0.01, rng_seed=3)
+        shapes = {"short": lambda perf: perf[:3], "long": lambda perf: np.append(perf, 1.0),
+                  "matrix": lambda perf: perf[:, None]}
 
-        class SpoiledEnv:
+        for position in [None] if bad in shapes else range(4):
+            class SpoiledEnv:
+                num_groups = 4
+                calls = 0
+
+                def perf_values(self, counts):
+                    perf, self.calls = env.perf_values(counts), self.calls + 1
+                    if self.calls <= at_step:
+                        return perf
+                    if position is None:
+                        return shapes[bad](perf)
+                    perf[position] = float(bad)
+                    return perf
+
+            cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=3)
+            with pytest.raises(DomainError, match="finite values"):
+                run_greedy(SpoiledEnv(), u_equal, four_group_cost, cfg)
+            with pytest.raises(DomainError, match="finite values"):
+                parity_allocation(SpoiledEnv(), four_group_cost, step_cost=1.0)
+
+    def test_finite_values_whose_squares_overflow_are_measured(self, u_equal):
+        # the finiteness test reads the values themselves, so no product of
+        # them overflows and no warning is raised
+        perf = np.array([1e200, -1e300, 1e-300, 0.0])
+
+        class HugeEnv:
             num_groups = 4
-            calls = 0
 
             def perf_values(self, counts):
-                perf, self.calls = env.perf_values(counts), self.calls + 1
-                if self.calls <= at_step:
-                    return perf
-                return {"short": perf[:3], "long": np.append(perf, 1.0),
-                        "matrix": perf[:, None], "nan": np.append(perf[:3], np.nan),
-                        "inf": np.append(perf[:3], np.inf)}[bad]
+                return perf.copy()
 
+        cost = CostModel(costs=[1.0, 1.0, 2.0, 1.0], budget=40.0)
         cfg = GreedyConfig(step_cost=1.0, marginal_source="estimator", seed=3)
-        with pytest.raises(DomainError, match="finite values"):
-            run_greedy(SpoiledEnv(), u_equal, four_group_cost, cfg)
-        with pytest.raises(DomainError, match="finite values"):
-            parity_allocation(SpoiledEnv(), four_group_cost, step_cost=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alloc, trace = run_greedy(HugeEnv(), u_equal, cost, cfg)
+            counts = parity_allocation(HugeEnv(), cost, step_cost=1.0).counts
+        assert len(trace) == 40 and cost.spend(alloc) == 40.0
+        assert counts.tolist() == [0.0, 40.0, 0.0, 0.0]  # the least value, group 1
 
     def test_a_source_with_another_group_count_is_refused(self, four_group_cost, u_equal):
         # checked once per run, before the first measurement
