@@ -16,7 +16,6 @@ from equalloc import (
     CostModel,
     GreedyConfig,
     UtilitySpec,
-    batch_enum_optimum,
     equal_allocation,
     eval_perf,
     parity_allocation,
@@ -49,14 +48,14 @@ for record in trace.records[:3]:
     print(f"  step {record.step}: bought group {record.group}, "
           f"marginals {np.round(record.marginal_true, 4)}")
 
-# On a separable instance, brute-force enumeration over whole batches
-# confirms greedy is exactly optimal.
+# On a separable instance, the grid at a resolution of one step holds every
+# whole-batch allocation, and its best confirms greedy is exactly optimal.
 sep_curve = AnalyticCurve(gamma=np.diag([1.0, 0.6]), form="sqrt")
 sep_cost = CostModel(costs=[1.0, 1.0], budget=8.0)
 sep_util = UtilitySpec(weights=[1.0, 1.0])
-enum = batch_enum_optimum(sep_curve, sep_util, sep_cost, step_cost=1.0)
+batches = solve_grid(sep_curve, sep_util, sep_cost, resolution=1.0)
 sep_alloc, _ = run_greedy(sep_curve, sep_util, sep_cost, GreedyConfig(step_cost=1.0))
-print("separable case: greedy", sep_alloc.counts, "enumeration", enum.alloc.counts)
+print("separable case: greedy", sep_alloc.counts, "whole-batch grid", batches.alloc.counts)
 
 # Common heuristics on the same instance, for contrast.
 for kind, policy_alloc in [

@@ -33,7 +33,7 @@ from .greedy import (
     representative_allocation,
     run_greedy,
 )
-from .solvers import SolveResult, audit_gap, batch_enum_optimum, solve_concave, solve_grid
+from .solvers import SolveResult, audit_gap, solve_concave, solve_grid
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "StepRecord",
     "UtilitySpec",
     "audit_gap",
-    "batch_enum_optimum",
     "check_feasible",
     "draw_truncated_normal",
     "equal_allocation",

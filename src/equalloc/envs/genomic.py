@@ -113,21 +113,16 @@ class GenomicWorldConfig:
         cases = math.floor(self.prevalence * self.population)
         return math.floor(self.case_train_fraction * cases)
 
-
-@dataclass(frozen=True)
-class GroupSplit:
-    """One group's split, as ranges of its reordered genotype columns.
-
-    Columns ``[0, max_pairs)`` hold the training cases and ``[max_pairs,
-    2 * max_pairs)`` the training controls; ``holdout`` covers the test
-    cases and then the test controls, and ends at the last kept column.
-    ``pool`` is an unpacked, individual-major copy of the training
-    columns, so a training column is also its row in ``pool``.
-    """
-
-    max_pairs: int
-    holdout: slice
-    pool: np.ndarray  # (2 * max_pairs, variants) genotypes
+    @property
+    def holdout(self) -> slice:
+        """Each group's holdout columns, after its ``2 * train_pairs`` training
+        columns: the test cases, then enough test controls to restore the
+        prevalence (or every control left).  It ends at the last kept column."""
+        q, pairs = self.prevalence, self.train_pairs
+        cases = math.floor(q * self.population)
+        controls = min(int(round((cases - pairs) * (1.0 - q) / q)),
+                       self.population - cases - pairs)
+        return slice(2 * pairs, cases + pairs + controls)
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,14 @@ class GenomicWorld:
     ``genotypes[g]`` is a variant-major ``(variants, ceil(n / 8))`` uint8
     matrix of 0/1 genotypes, each row bit-packed (``np.unpackbits(...,
     axis=1, count=n)`` restores it), holding only the ``n =
-    splits[g].holdout.stop`` individuals of the group's split; the others,
+    config.holdout.stop`` individuals of the group's split; the others,
     all controls, are dropped.  ``disease[g]`` marks the top-prevalence
     fraction of the liability distribution.  The columns, and ``disease[g]``
-    with them, are in split order: training cases, training controls,
-    holdout cases, holdout controls, so ``splits[g]`` holds only the range
-    boundaries (and the training genotypes individual-major).
+    with them, are in split order: ``config.train_pairs`` training cases, as
+    many training controls, then the ``config.holdout`` cases and controls.
+    ``pools[g]`` is an unpacked, individual-major ``(2 * train_pairs,
+    variants)`` copy of the training columns, so a training column is also
+    its row in ``pools[g]``.
     """
 
     config: GenomicWorldConfig
@@ -151,7 +148,7 @@ class GenomicWorld:
     effect_sizes: np.ndarray
     genotypes: tuple
     disease: tuple
-    splits: tuple
+    pools: tuple
 
     @property
     def num_groups(self) -> int:
@@ -161,8 +158,8 @@ class GenomicWorld:
 @dataclass(frozen=True)
 class CaseControlSample:
     """A matched case-control training sample for one group, as genotype
-    columns: cases in ``[0, max_pairs)``, controls in ``[max_pairs, 2 *
-    max_pairs)`` of the group's split."""
+    columns: cases in ``[0, train_pairs)``, controls in ``[train_pairs, 2 *
+    train_pairs)`` of the group's split."""
 
     group: int
     case_idx: np.ndarray
@@ -282,9 +279,9 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
 
     genotypes = []
     disease = []
-    splits = []
+    pools = []
     n_cases = int(np.floor(q * p))
-    n_train_cases = config.train_pairs
+    n_train_cases, holdout = config.train_pairs, config.holdout
     for g in range(2):
         geno = _sample_genotypes(rng, freqs[g], p, config.ld_rho)
         x = _packed_scores(geno[causal_idx], effect_sizes, p)
@@ -301,9 +298,6 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
 
         case_idx = rng.permutation(np.flatnonzero(sick))
         control_idx = rng.permutation(np.flatnonzero(~sick))
-        n_test_controls = int(round((n_cases - n_train_cases) * (1.0 - q) / q))
-        n_test_controls = min(n_test_controls, control_idx.size - n_train_cases)
-        holdout = slice(2 * n_train_cases, n_cases + n_train_cases + n_test_controls)
         cols = np.concatenate([case_idx[:n_train_cases], control_idx[:n_train_cases],
                                case_idx[n_train_cases:], control_idx[n_train_cases:]])
         cols = cols[:holdout.stop]
@@ -313,8 +307,7 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
             kept[lo:lo + _BLOCK] = np.packbits(rows.take(cols, axis=1), axis=1)
         genotypes.append(kept)
         disease.append(sick[cols])
-        pool = np.ascontiguousarray(np.unpackbits(kept, axis=1, count=2 * n_train_cases).T)
-        splits.append(GroupSplit(n_train_cases, holdout, pool))
+        pools.append(np.ascontiguousarray(np.unpackbits(kept, axis=1, count=2 * n_train_cases).T))
 
     return GenomicWorld(
         config=config,
@@ -323,15 +316,16 @@ def generate_world(config: GenomicWorldConfig) -> GenomicWorld:
         effect_sizes=effect_sizes,
         genotypes=tuple(genotypes),
         disease=tuple(disease),
-        splits=tuple(splits),
+        pools=tuple(pools),
     )
 
 
 def draw_case_control_sample(
     world: GenomicWorld, group: int, n_pairs: int, rng_seed
 ) -> CaseControlSample:
-    """Draw ``n_pairs`` matched case-control pairs from a group's train pools."""
-    p = world.splits[group].max_pairs
+    """Draw ``n_pairs`` matched case-control pairs from a group's train pools.
+    ``rng_seed`` is a seed, or a generator that the two shuffles advance."""
+    p = world.config.train_pairs
     if not 0 <= n_pairs <= p:
         raise DomainError(
             f"requested {n_pairs} pairs but group {group} has 0 to {p} available"
@@ -465,8 +459,8 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     """
     cfg = world.config
     n_pairs = sample.num_pairs
-    split = world.splits[sample.group]
-    cases, controls, p = sample.case_idx, sample.control_idx, split.max_pairs
+    pool = world.pools[sample.group]
+    cases, controls, p = sample.case_idx, sample.control_idx, cfg.train_pairs
     if not (cases.size and controls.size and 0 <= cases.min() and cases.max() < p
             and p <= controls.min() and controls.max() < 2 * p):
         raise DomainError("training sample needs cases and controls, all from the train pools")
@@ -476,7 +470,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
         n_fit, n_cal = n_pairs, n_pairs  # too few pairs to split; reuse all
 
     fit_rows = np.concatenate([cases[:n_fit], controls[:n_fit]])
-    geno_fit = split.pool[fit_rows]
+    geno_fit = pool[fit_rows]
     selected, pvals, log_or = _chi2_screen(
         geno_fit, n_fit, cfg.maf_floor, cfg.pvalue_threshold
     )
@@ -488,7 +482,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
     cal_cases = cases[n_pairs - n_cal:]
     cal_controls = controls[n_pairs - n_cal:]
     cal_rows = np.concatenate([cal_cases, cal_controls])
-    cal_scores = _selected_scores(split.pool[cal_rows][:, retained].T, log_or[retained])
+    cal_scores = _selected_scores(pool[cal_rows][:, retained].T, log_or[retained])
     labels = np.zeros(cal_rows.size)
     labels[: cal_cases.size] = 1.0
     slope, intercept = _fit_platt(cal_scores, labels)
@@ -508,7 +502,7 @@ def train_risk_model(world: GenomicWorld, sample: CaseControlSample) -> RiskMode
 
 def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float:
     """Per-capita value of treating holdout members whose risk exceeds q."""
-    y = world.disease[group][world.splits[group].holdout]
+    y = world.disease[group][world.config.holdout]
     if y.size == 0:
         raise DomainError("empty holdout split")
     treat = probs > world.config.prevalence
@@ -518,7 +512,7 @@ def treatment_value(world: GenomicWorld, group: int, probs: np.ndarray) -> float
 
 def evaluate_group_value(world: GenomicWorld, model: RiskModel, group: int) -> float:
     """Value of the model's treat-if-risky rule on the group's holdout set."""
-    holdout = world.splits[group].holdout
+    holdout = world.config.holdout
     rows = np.unpackbits(world.genotypes[group][model.variant_idx], axis=1, count=holdout.stop)
     return treatment_value(world, group, model.predict_proba(rows[:, holdout]))
 
@@ -580,8 +574,8 @@ class GenomicSamplingSession:
     def __init__(self, world: GenomicWorld, rng_seed: int = 0):
         self.world = world
         rng = np.random.default_rng(rng_seed)
-        self._pools = [(rng.permutation(s.max_pairs), s.max_pairs + rng.permutation(s.max_pairs))
-                       for s in world.splits]
+        self._pools = [draw_case_control_sample(world, g, world.config.train_pairs, rng)
+                       for g in range(world.num_groups)]
         self._cache: dict[tuple[int, int], float] = {}
 
     @property
@@ -591,16 +585,17 @@ class GenomicSamplingSession:
     def value_at(self, group: int, n_pairs: int) -> float:
         key = (group, n_pairs)
         if key not in self._cache:
-            pool_cases, pool_controls = self._pools[group]
-            if not 0 <= n_pairs <= pool_cases.size:
+            pool = self._pools[group]
+            if not 0 <= n_pairs <= pool.num_pairs:
                 raise DomainError(
-                    f"group {group} has only {pool_cases.size} training pairs, "
+                    f"group {group} has only {pool.num_pairs} training pairs, "
                     f"requested {n_pairs}"
                 )
             if n_pairs == 0:
                 model = _empty_model(self.world.config.prevalence)
             else:
-                sample = CaseControlSample(group, pool_cases[:n_pairs], pool_controls[:n_pairs])
+                sample = CaseControlSample(group, pool.case_idx[:n_pairs],
+                                           pool.control_idx[:n_pairs])
                 model = train_risk_model(self.world, sample)
             self._cache[key] = evaluate_group_value(self.world, model, group)
         return self._cache[key]

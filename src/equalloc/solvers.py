@@ -1,14 +1,14 @@
 """Exact and near-exact solvers for the budget-constrained allocation problem.
 
-Three routes, two exhaustive and one ascent:
+Two routes, one exhaustive and one ascent:
 
 * :func:`solve_grid` exhaustively scans a regular spend grid and is the
   trusted oracle at K <= 4 (including parity-penalized, non-concave
   utilities), up to ``MAX_GRID_POINTS`` grid points, one piece of a
-  simplex or a segment of points per utility-kernel call.
-* :func:`batch_enum_optimum` exhaustively enumerates whole numbers of
-  greedy batches, the comparison class the sequential greedy matches on
-  separable concave curves.
+  simplex or a segment of points per utility-kernel call.  At a
+  resolution of one greedy step its grid is the whole-batch allocations,
+  the comparison class the sequential greedy matches on separable
+  concave curves.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
   with away steps) over the budget simplex and scales to larger K, but
   requires a concave nondecreasing utility.
@@ -32,13 +32,10 @@ from .core import (Allocation, CostModel, UtilitySpec, check_feasible, check_gro
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import CapacityError, DomainError, UnsupportedUtilityError
 
-__all__ = ["SolveResult", "solve_grid", "batch_enum_optimum", "solve_concave", "audit_gap",
-           "check_audit"]
+__all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "check_audit"]
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
-_MAX_ENUM_BATCHES = 24
-_MAX_ENUM_GROUPS = 5
 # Most points in one segment batch or one tetrahedron: the order of the largest
 # triangle (501,501 points on the K = 4 face at d = 1,000), so memory stays flat
 # where the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
@@ -53,7 +50,7 @@ class SolveResult:
     ``certificate`` bounds how far below the optimum ``utility`` can be:
     the Frank-Wolfe duality gap at ``alloc`` for :func:`solve_concave`
     (an upper bound on U* - U(alloc) for concave utilities), and 0.0 for
-    the exhaustive solvers, whose answer is the best of their grid.
+    :func:`solve_grid`, whose answer is the best of its grid.
     """
 
     alloc: Allocation
@@ -105,7 +102,7 @@ def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
             np.multiply(low[0, k] - x, step_sizes[p + 1], out=block[p + 1])
             np.multiply(low[1:, k], step_sizes[p + 2:, None], out=block[p + 2:])
             blocks.append((x, block))
-        for prefix in lattice_points(p, d):
+        for prefix in _lattice_points(p, d):
             used, left = sum(prefix), math.comb(d - sum(prefix) + m, m)
             for x, block in blocks[-left // _MAX_BATCH:]:  # its last ceil(left / _MAX_BATCH)
                 take = (left - 1) % _MAX_BATCH + 1  # the batch's suffix of the block
@@ -116,7 +113,7 @@ def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
                 yield counts
         return
     # Segments of the last free coordinate; K = 1 on the face is one point.
-    for prefix in lattice_points(max(n_free - 1, 0), d):
+    for prefix in _lattice_points(max(n_free - 1, 0), d):
         left = d - sum(prefix)
         for lo in range(0 if n_free else left, left + 1, _MAX_SEGMENT):
             tail = np.arange(lo, min(lo + _MAX_SEGMENT, left + 1))
@@ -127,14 +124,14 @@ def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
             yield counts
 
 
-def lattice_points(num_coords: int, total: int):
+def _lattice_points(num_coords: int, total: int):
     """Yield every tuple of ``num_coords`` non-negative integers whose sum is
     at most ``total``, in lexicographic order (one empty tuple for none)."""
     if num_coords == 0:
         yield ()
         return
     for first in range(total + 1):
-        for rest in lattice_points(num_coords - 1, total - first):
+        for rest in _lattice_points(num_coords - 1, total - first):
             yield (first,) + rest
 
 
@@ -151,7 +148,9 @@ def solve_grid(
     break toward the lexicographically smallest counts vector.  For
     monotone utilities (no parity penalty) only the full-spend face of
     the grid is scanned, since spending more never hurts; parity-penalized
-    utilities force a scan of the whole grid.
+    utilities force a scan of the whole grid.  At ``resolution =
+    step_cost`` the grid is every allocation of whole greedy batches, the
+    class the sequential greedy provably matches on separable concave curves.
 
     The scan walks the grid in lexicographic order, one batch per prefix
     of fixed leading coordinates (on the face the spend total fixes the
@@ -206,41 +205,6 @@ def solve_grid(
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")
     return _answer(curve, utility, best_m, "grid", evaluated)
-
-
-def batch_enum_optimum(
-    curve: AnalyticCurve,
-    utility: UtilitySpec,
-    cost: CostModel,
-    step_cost: float,
-) -> SolveResult:
-    """Brute-force best allocation over whole numbers of greedy batches.
-
-    Enumerates every way of distributing up to ``d = budget / step_cost``
-    batches among the groups (each batch buys ``step_cost / cost_k``
-    samples) and returns the utility maximizer.  This is the comparison
-    class the greedy loop provably matches on separable concave curves.
-    """
-    k = curve.num_groups
-    check_groups(curve, costs=cost, utility=utility)
-    d_float = cost.budget / step_cost
-    d = round(d_float)
-    if d < 1 or abs(d_float - d) > 1e-9 * max(1.0, d):
-        raise DomainError(
-            f"budget must be a positive whole number of batches, got {d_float}"
-        )
-    if d > _MAX_ENUM_BATCHES or k > _MAX_ENUM_GROUPS:
-        raise CapacityError(
-            f"batch enumeration capped at d <= {_MAX_ENUM_BATCHES}, "
-            f"K <= {_MAX_ENUM_GROUPS}; got d={d}, K={k}"
-        )
-
-    step_sizes = step_cost / cost.costs
-    batches = np.array(list(lattice_points(k, d)), dtype=float)
-    counts = batches * step_sizes[None, :]
-    u = batch_utilities(curve, utility, counts.T)
-    idx = int(np.argmax(u))  # first maximizer = lexicographically smallest
-    return _answer(curve, utility, counts[idx], "batch_enum", batches.shape[0])
 
 
 def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> np.ndarray:

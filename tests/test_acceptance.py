@@ -19,7 +19,6 @@ from equalloc import (
     PerformanceVector,
     UtilitySpec,
     audit_gap,
-    batch_enum_optimum,
     draw_truncated_normal,
     eval_perf,
     fit_local_slope,
@@ -120,7 +119,7 @@ def test_c02_separable_greedy_is_exactly_optimal():
         d = int(rng.integers(1, 13))
         cost = CostModel(costs=costs, budget=step * d)
         util = UtilitySpec(weights=rng.uniform(0.05, 1.0, k))
-        best = batch_enum_optimum(curve, util, cost, step_cost=step)
+        best = solve_grid(curve, util, cost, resolution=step)
         alloc, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=step))
         gap = abs(utility_eval(util, eval_perf(curve, alloc)) - best.utility)
         worst = max(worst, gap)
@@ -133,7 +132,6 @@ def test_c02_separable_greedy_is_exactly_optimal():
     )
 
 
-@pytest.mark.slow
 def test_c03_convergence_study():
     t0 = time.perf_counter()
     table = run_convergence(default_convergence_config())
@@ -238,20 +236,18 @@ def test_c07_adaptive_tracks_true_curve_greedy():
     )
 
 
-@pytest.mark.slow
 def test_c08_genomic_environment_properties():
     t0 = time.perf_counter()
     world = generate_world(GenomicWorldConfig(rng_seed=5))
 
     prevalence_ok = all(int(d.sum()) == 1000 for d in world.disease)
 
-    split = world.splits[1]
-    holdout_size = split.holdout.stop - split.holdout.start
+    holdout_size = world.config.holdout.stop - world.config.holdout.start
     everyone = np.full(holdout_size, world.config.prevalence + 1e-9)
     v_everyone = treatment_value(world, 1, everyone)
     # the holdout's first columns are the cases the training pool left out
     oracle = np.zeros(holdout_size)
-    oracle[: int(world.disease[1].sum()) - split.max_pairs] = 1.0
+    oracle[: int(world.disease[1].sum()) - world.config.train_pairs] = 1.0
     v_oracle = treatment_value(world, 1, oracle)
 
     rows = run_allocation_curve(world, [100, 200, 300, 400, 500], seeds=range(20))

@@ -68,7 +68,7 @@ def desk_world():
 
 def _unpacked(world, g):
     """Group ``g``'s kept genotypes as a 0/1 ``(variants, holdout.stop)`` matrix."""
-    return np.unpackbits(world.genotypes[g], axis=1, count=world.splits[g].holdout.stop)
+    return np.unpackbits(world.genotypes[g], axis=1, count=world.config.holdout.stop)
 
 
 def _replayed_genotypes(cfg):
@@ -245,7 +245,7 @@ class TestGenerateWorld:
         w1, w2 = generate_world(cfg), generate_world(cfg)
         assert np.array_equal(w1.genotypes[0], w2.genotypes[0])
         assert np.array_equal(w1.disease[1], w2.disease[1])
-        assert np.array_equal(w1.splits[0].pool, w2.splits[0].pool)
+        assert np.array_equal(w1.pools[0], w2.pools[0])
 
     def test_adjacent_ld_present_when_requested(self):
         cfg = GenomicWorldConfig(rng_seed=3, ld_rho=0.6, **SMALL_WORLD)
@@ -350,20 +350,36 @@ def test_columns_are_in_split_order(request, world_fixture):
     cfg = world.config
     n_cases = int(np.floor(cfg.prevalence * cfg.population))
     for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
-        split = world.splits[g]
-        p, holdout, sick = split.max_pairs, split.holdout, world.disease[g]
+        p, holdout, sick = cfg.train_pairs, cfg.holdout, world.disease[g]
         assert sick.sum() == n_cases and sick.size == holdout.stop
         assert p == int(np.floor(cfg.case_train_fraction * n_cases)) and holdout.start == 2 * p
-        assert p == cfg.train_pairs
         assert sick[:p].all() and not sick[p:2 * p].any()
         n_test_cases = n_cases - p
         assert sick[holdout][:n_test_cases].all() and not sick[holdout][n_test_cases:].any()
         kept = _unpacked(world, g)
-        assert np.array_equal(split.pool, kept[:, :2 * p].T)
+        assert np.array_equal(world.pools[g], kept[:, :2 * p].T)
         assert not np.array_equal(unpermuted[:, :holdout.stop], kept)
         drawn = Counter(c.tobytes() for c in unpermuted.T)
         drawn.subtract(c.tobytes() for c in kept.T)
         assert min(drawn.values()) >= 0 and drawn.total() == cfg.population - holdout.stop
+
+
+@pytest.mark.parametrize("population,prevalence,fraction", [
+    (20000, 0.05, 0.5), (5001, 0.1, 0.37), (1001, 0.37, 0.8), (3333, 0.013, 0.21)])
+def test_the_holdout_restores_the_prevalence(population, prevalence, fraction):
+    # the config's holdout follows both groups' training columns and holds
+    # every test case, then the whole number of test controls nearest to
+    # the population's odds: (1 - q) / q controls per case
+    cfg = GenomicWorldConfig(variants=50, causal_count=10, population=population,
+                             prevalence=prevalence, case_train_fraction=fraction)
+    holdout, pairs = cfg.holdout, cfg.train_pairs
+    assert holdout.start == 2 * pairs and holdout.stop <= population
+    for sick in generate_world(cfg).disease:
+        cases = int(sick[holdout].sum())
+        controls = holdout.stop - holdout.start - cases
+        assert sick.size == holdout.stop and cases == math.floor(prevalence * population) - pairs
+        assert sick[holdout][:cases].all()
+        assert abs(controls - cases * (1 - prevalence) / prevalence) <= 0.5
 
 
 @pytest.mark.parametrize("ld_rho", [0.0, 0.3])
@@ -377,8 +393,8 @@ def test_world_keeps_only_the_split_columns_bit_packed(ld_rho):
     world = generate_world(cfg)
     n_cases = int(np.floor(cfg.prevalence * cfg.population))
     # 200 cases, 98 training controls and 1938 holdout controls: mid-byte
-    stop = world.splits[0].holdout.stop
-    assert all(s.holdout.stop == stop for s in world.splits) and stop == 2236
+    stop = cfg.holdout.stop
+    assert all(sick.size == stop for sick in world.disease) and stop == 2236
     assert sum(g.nbytes for g in world.genotypes) == 2 * cfg.variants * -(-stop // 8)
     for g, unpermuted in enumerate(_replayed_genotypes(cfg)):
         packed = world.genotypes[g]
@@ -541,9 +557,9 @@ class TestRiskModelTraining:
         # training reads the pool block, so a holdout individual, an empty
         # side, or a case and a control in each other's ranges must be
         # refused, never read from a wrong row
-        p = world.splits[0].max_pairs
+        p = world.config.train_pairs
         cases, controls = np.arange(5), p + np.arange(5)
-        holdout = np.arange(world.splits[0].holdout.start, world.splits[0].holdout.start + 5)
+        holdout = np.arange(world.config.holdout.start, world.config.holdout.start + 5)
         for bad_cases, bad_controls in ((holdout, controls), (cases, holdout),
                                         (np.array([], dtype=int), controls),
                                         (np.append(cases, p), controls),
@@ -559,7 +575,7 @@ class TestRiskModelTraining:
 
     def test_sample_too_large_rejected(self, world):
         # a negative count used to slice the permutation from its end
-        for n_pairs in (10**6, world.splits[0].max_pairs + 1, -3):
+        for n_pairs in (10**6, world.config.train_pairs + 1, -3):
             with pytest.raises(DomainError):
                 draw_case_control_sample(world, 0, n_pairs, 0)
 
@@ -659,7 +675,7 @@ def _population_major_reference(world, sample):
         model = RiskModel(retained, log_or[retained], slope, intercept, q)
     values = []
     for g in range(world.num_groups):
-        holdout = geno[g][world.splits[g].holdout]
+        holdout = geno[g][world.config.holdout]
         probs = np.full(holdout.shape[0], q)
         if not model.is_empty:
             block = holdout[:, model.variant_idx].astype(float, order="F")
@@ -699,7 +715,7 @@ class TestEvaluation:
         assert not all(m.is_empty for m in models[1:])
         for model in models:
             for g in range(world.num_groups):
-                holdout = _unpacked(world, g)[:, world.splits[g].holdout]
+                holdout = _unpacked(world, g)[:, world.config.holdout]
                 probs = model.predict_proba(holdout[model.variant_idx])
                 if not model.is_empty:
                     rows = holdout.T
@@ -710,15 +726,15 @@ class TestEvaluation:
                 assert evaluate_group_value(world, model, g) == expected
 
     def test_treat_everyone_is_worthless(self, desk_world):
-        holdout = desk_world.splits[0].holdout
+        holdout = desk_world.config.holdout
         probs = np.full(holdout.stop - holdout.start, desk_world.config.prevalence + 1e-9)
         assert treatment_value(desk_world, 0, probs) == pytest.approx(0.0, abs=0.05)
 
     def test_oracle_attains_upper_bound(self, desk_world):
         # the holdout's first columns are the cases the pool left out
-        split = desk_world.splits[1]
-        oracle = np.zeros(split.holdout.stop - split.holdout.start)
-        oracle[: int(desk_world.disease[1].sum()) - split.max_pairs] = 1.0
+        cfg = desk_world.config
+        oracle = np.zeros(cfg.holdout.stop - cfg.holdout.start)
+        oracle[: int(desk_world.disease[1].sum()) - cfg.train_pairs] = 1.0
         assert treatment_value(desk_world, 1, oracle) == pytest.approx(4.75)
 
     def test_treat_nobody_is_zero(self, desk_world):
@@ -736,7 +752,7 @@ class TestEvaluation:
 
     def test_calibration_targets_prevalence(self, desk_world):
         means = []
-        holdout = _unpacked(desk_world, 1)[:, desk_world.splits[1].holdout]
+        holdout = _unpacked(desk_world, 1)[:, desk_world.config.holdout]
         for seed in range(20):
             sample = draw_case_control_sample(desk_world, 1, 400, seed)
             model = train_risk_model(desk_world, sample)
@@ -796,6 +812,18 @@ class TestSamplingSession:
         assert np.array_equal(v1, v2)
         assert np.array_equal(v1, s1.perf_values(counts))
         assert v1.tolist() == [s1.value_at(0, 60), s1.value_at(1, 40)]
+
+    @pytest.mark.parametrize("seed", [0, 5, 11])
+    def test_values_come_from_prefixes_of_one_shuffle_per_group(self, world, seed):
+        # the session's generator shuffles group 0's training cases, then its
+        # controls, then group 1's, and a value trains on prefixes of them
+        session = GenomicSamplingSession(world, rng_seed=seed)
+        rng, p = np.random.default_rng(seed), world.config.train_pairs
+        for g in range(world.num_groups):
+            cases, controls = rng.permutation(p), p + rng.permutation(p)
+            for n in (1, 40):
+                model = train_risk_model(world, CaseControlSample(g, cases[:n], controls[:n]))
+                assert session.value_at(g, n) == evaluate_group_value(world, model, g)
 
     def test_session_respects_pool_limits(self, world):
         session = GenomicSamplingSession(world, rng_seed=0)

@@ -38,8 +38,7 @@ VERSIONS = (np.__version__, platform.python_version())
 
 @pytest.mark.skipif(VERSIONS not in DIGESTS,
                     reason=f"no digests recorded for numpy, Python {VERSIONS}")
-@pytest.mark.parametrize("command", [
-    pytest.param(c, marks=pytest.mark.slow) if c == "frontier" else c for c in CSV_NAMES])
+@pytest.mark.parametrize("command", list(CSV_NAMES))
 def test_default_csv_matches_recorded_digest(command, tmp_path, capsys):
     assert main([command, "--out", str(tmp_path)]) == 0
     blob = (tmp_path / f"{CSV_NAMES[command]}.csv").read_bytes()

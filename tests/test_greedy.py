@@ -18,7 +18,6 @@ from equalloc import (
     GreedyTrace,
     StepRecord,
     UtilitySpec,
-    batch_enum_optimum,
     equal_allocation,
     eval_perf,
     parity_allocation,
@@ -493,7 +492,7 @@ class TestGreedyStep:
         # group 0's candidate is the only one that lifts all three groups
         curve, util, cost = _dead_group_instance()
         alloc, trace = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
-        best = batch_enum_optimum(curve, util, cost, step_cost=1.0)
+        best = solve_grid(curve, util, cost, resolution=1.0)
         assert np.array_equal(alloc.counts, [6.0, 0.0, 0.0])
         assert np.array_equal(alloc.counts, best.alloc.counts)
         assert trace.records[-1].utility == pytest.approx(best.utility, rel=1e-12)
@@ -572,50 +571,20 @@ class TestLeanStep:
                 base = float(u[rec.group])
 
 
-class TestBatchEnumeration:
+class TestWholeBatchOracle:
+    """Greedy against ``solve_grid`` at ``resolution = step_cost``, whose grid
+    is every allocation of whole batches."""
+
     def test_separable_instance_matches_greedy_exactly(self):
         curve = AnalyticCurve(gamma=np.diag([1.0, 0.6]), form="sqrt")
         cost = CostModel(costs=[1.0, 1.0], budget=4.0)
         util = UtilitySpec(weights=[1.0, 1.0])
-        best = batch_enum_optimum(curve, util, cost, step_cost=1.0)
+        best = solve_grid(curve, util, cost, resolution=1.0)
         alloc, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=1.0))
         greedy_u = utility_eval(util, eval_perf(curve, alloc))
         assert greedy_u == pytest.approx(best.utility, abs=1e-12)
 
-    def test_single_group_takes_all_batches(self):
-        curve = AnalyticCurve(gamma=[[1.0]], form="sqrt")
-        cost = CostModel(costs=[2.0], budget=6.0)
-        best = batch_enum_optimum(curve, UtilitySpec(weights=[1.0]), cost, step_cost=2.0)
-        assert best.alloc.counts[0] == pytest.approx(3.0)
-
-    def test_oracle_upper_bounds_greedy_on_cross_effects(
-        self, four_group_curve, four_group_cost, u_equal
-    ):
-        best = batch_enum_optimum(
-            four_group_curve, u_equal, four_group_cost, step_cost=100.0
-        )
-        alloc, _ = run_greedy(
-            four_group_curve, u_equal, four_group_cost, GreedyConfig(step_cost=100.0)
-        )
-        greedy_u = utility_eval(u_equal, eval_perf(four_group_curve, alloc))
-        assert best.utility >= greedy_u - 1e-12
-
-    def test_capacity_guards(self):
-        curve = AnalyticCurve(gamma=np.eye(2), form="sqrt")
-        cost = CostModel(costs=[1.0, 1.0], budget=100.0)
-        util = UtilitySpec(weights=[1.0, 1.0])
-        with pytest.raises(CapacityError):
-            batch_enum_optimum(curve, util, cost, step_cost=1.0)  # d = 100
-        with pytest.raises(DomainError):
-            batch_enum_optimum(curve, util, cost, step_cost=7.0)  # not whole
-
-    def test_group_count_mismatch_raises(self):
-        curve = AnalyticCurve(gamma=np.eye(3), form="sqrt")
-        cost = CostModel(costs=[1.0] * 3, budget=3.0)
-        with pytest.raises(DimensionMismatchError):
-            batch_enum_optimum(curve, UtilitySpec(weights=[1.0, 1.0]), cost, step_cost=1.0)
-
-    def test_greedy_equals_enum_on_random_separable_instances(self):
+    def test_greedy_equals_the_grid_on_random_separable_instances(self):
         rng = np.random.default_rng(99)
         for trial in range(60):
             k = int(rng.integers(1, 5))
@@ -626,7 +595,7 @@ class TestBatchEnumeration:
             d = int(rng.integers(1, 13))
             cost = CostModel(costs=costs, budget=step * d)
             util = UtilitySpec(weights=rng.uniform(0.05, 1, k))
-            best = batch_enum_optimum(curve, util, cost, step_cost=step)
+            best = solve_grid(curve, util, cost, resolution=step)
             alloc, _ = run_greedy(curve, util, cost, GreedyConfig(step_cost=step))
             greedy_u = utility_eval(util, eval_perf(curve, alloc))
             assert abs(greedy_u - best.utility) <= 1e-9
@@ -873,8 +842,6 @@ _UTILITY_2 = UtilitySpec(weights=[1.0, 1.0])
     pytest.param(lambda: eval_perf(_CURVE_3, Allocation([1.0, 1.0])), id="eval_perf"),
     pytest.param(lambda: solve_grid(_CURVE_3, _UTILITY_2, _COST_2, 1.0), id="solve_grid"),
     pytest.param(lambda: solve_concave(_CURVE_3, _UTILITY_2, _COST_2), id="solve_concave"),
-    pytest.param(lambda: batch_enum_optimum(_CURVE_3, _UTILITY_2, _COST_2, 1.0),
-                 id="batch_enum_optimum"),
 ])
 def test_a_group_count_mismatch_is_a_dimension_mismatch(call):
     # a K = 3 curve against K = 2 costs, utility and allocation

@@ -137,7 +137,6 @@ class TestFrontier:
                 assert row[3] + row[4] <= SMALL_FRONTIER["budget_pairs"]
                 assert min(row[3], row[4]) >= SMALL_FRONTIER["min_per_group"]
 
-    @pytest.mark.slow
     def test_greedy_endpoints_near_best_split_on_strong_signal_world(self):
         # seed-averaged greedy endpoint utility should sit within 5% of
         # the best full-budget split for every weight setting

@@ -14,7 +14,6 @@ from equalloc import (
     GreedyConfig,
     UtilitySpec,
     audit_gap,
-    batch_enum_optimum,
     eval_perf,
     run_greedy,
     solve_concave,
@@ -144,16 +143,18 @@ def _kernel_batch_sizes(monkeypatch, k, penalty, d):
     return sizes, res
 
 
-def _enumerate_grid(curve, util, cost, resolution):
+def _enumerate_grid(curve, util, cost, resolution, full=False):
     """Reference scan of ``solve_grid``'s grid with ``itertools``: the
     lexicographically first maximiser among the points where the utility
-    is defined, and the number of grid points."""
+    is defined, and the number of grid points.  ``full`` scans every point
+    of the grid, under-spent ones included, where ``solve_grid`` scans only
+    the full-spend face for a monotone utility."""
     k = curve.num_groups
     d = int(math.floor(cost.spend_limit / resolution))
     steps = resolution / cost.costs
     best, best_u, n_points = None, -np.inf, 0
     for m in itertools.product(range(d + 1), repeat=k):
-        if sum(m) > d or (util.is_concave_monotone and sum(m) < d):
+        if sum(m) > d or (util.is_concave_monotone and sum(m) < d and not full):
             continue
         n_points += 1
         counts = np.array(m) * steps
@@ -186,6 +187,37 @@ class TestGridProperties:
             best, n_points = _enumerate_grid(curve, util, cost, resolution)
             assert np.array_equal(res.alloc.counts, best), (k, trial)
             assert res.iterations == n_points, (k, trial)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_the_face_at_a_step_reaches_the_best_whole_batch_point(self, k):
+        # Greedy's comparison class is every allocation of whole batches,
+        # under-spent ones too, while the scan at resolution = step reads
+        # only the full-spend face of a monotone utility: its best must be
+        # the best of the whole grid, under log, zero weights and sparse gamma.
+        rng = np.random.default_rng([17, k])
+        defined = 0
+        for trial in range(24):
+            sparse = rng.uniform(0.0, 1.0, (k, k)) * (rng.random((k, k)) < 0.4)
+            curve = AnalyticCurve(gamma=sparse + np.diag(rng.uniform(0.1, 1.0, k)),
+                                  form=("sqrt", "log1p", "power")[trial % 3],
+                                  offset=(0.0, 0.5)[trial // 12])
+            weights = rng.uniform(0.1, 1.0, k) * (rng.random(k) < 0.6)
+            weights[trial % k] += 0.5
+            util = UtilitySpec(weights=weights, transform=("identity", "log")[trial % 2],
+                               normalize=trial // 4 % 2 == 1)
+            step = rng.uniform(0.1, 2.0)
+            d = int(rng.integers(1, 9 if k < 4 else 6))
+            cost = CostModel(costs=rng.uniform(0.2, 2.0, k), budget=d * step)
+            best, _ = _enumerate_grid(curve, util, cost, step, full=True)
+            if best is None:  # undefined on the whole grid, so on the face too
+                with pytest.raises(DomainError):
+                    solve_grid(curve, util, cost, resolution=step)
+                continue
+            defined += 1
+            best_u = utility_eval(util, eval_perf(curve, Allocation(best)))
+            res = solve_grid(curve, util, cost, resolution=step)
+            assert best_u - 1e-12 * abs(best_u) <= res.utility <= best_u, (k, trial)
+        assert defined >= 18
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("penalty", [0.0, 1.0])
@@ -430,11 +462,9 @@ class TestSolveConcave:
     def test_exhaustive_solvers_certify_zero(self, four_group_curve, four_group_cost,
                                              u_equal):
         grid = solve_grid(four_group_curve, u_equal, four_group_cost, resolution=50.0)
-        enum = batch_enum_optimum(four_group_curve, u_equal,
-                                  CostModel(costs=[1.0] * 4, budget=10.0), step_cost=1.0)
         empty = solve_concave(four_group_curve, u_equal,
                               CostModel(costs=[1.0] * 4, budget=0.0))
-        assert grid.certificate == enum.certificate == empty.certificate == 0.0
+        assert grid.certificate == empty.certificate == 0.0
 
 
 def _sparse_instance(seed: int):
