@@ -38,8 +38,7 @@ __all__ = [
 # as solvers.MAX_GRID_POINTS caps the grid: 6.25 default worlds.  Drawn cells are
 # stored one bit each, and only the splits' columns are kept.
 MAX_GENOTYPE_CELLS = 500_000_000
-# Individuals per block of the independent-variant fill (a multiple of 8, so a
-# block packs into whole bytes) and variant rows per block of the column reorder.
+# Variant rows per block of the column reorder.
 _BLOCK = 16
 # Individuals per block of the liability score: a multiple of 8, so each block
 # starts on a byte of the packed rows and its scores keep the whole product's bits.
@@ -229,17 +228,9 @@ def _sample_genotypes(rng, freqs: np.ndarray, population: int, ld_rho: float) ->
     """Binary genotypes as a variant-major ``(variants, ceil(population / 8))``
     uint8 matrix, each row bit-packed by ``np.packbits`` (pad bits zero), with
     optional AR(1) latent correlation along the variant index; the in-place
-    latent update rounds exactly like ``ld_rho * z + carry * e``.  Without
-    correlation the uniforms are drawn population-major, as one ``(population,
-    variants)`` draw would be, ``_BLOCK`` individuals at a time."""
+    latent update rounds exactly like ``ld_rho * z + carry * e``."""
     v = freqs.size
     out = np.empty((v, -(-population // 8)), dtype=np.uint8)
-    if ld_rho == 0.0:
-        for lo in range(0, population, _BLOCK):
-            block = rng.random((min(_BLOCK, population - lo), v))
-            # a last, shorter block fills the rows' last ceil(len(block) / 8) bytes
-            out[:, lo // 8:(lo + _BLOCK) // 8] = np.packbits(block < freqs, axis=0).T
-        return out
     thresholds = list(map(NormalDist().inv_cdf, freqs.tolist()))
     carry = np.sqrt(1.0 - ld_rho**2)
     z = rng.standard_normal(population)
@@ -393,8 +384,6 @@ def _clump(geno: np.ndarray, candidates: np.ndarray, pvals: np.ndarray,
         ok = True
         for kj, kept_variant in zip(kept_pos, kept):
             if abs(int(variant) - int(kept_variant)) > window:
-                continue
-            if sds[j] == 0 or sds[kj] == 0:
                 continue
             r = float(centered[:, j] @ centered[:, kj]) / (
                 cols.shape[0] * sds[j] * sds[kj]

@@ -22,6 +22,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 from ..core import CostModel
 from ..envs.genomic import GenomicWorldConfig
 from ..errors import ConfigError, DomainError
@@ -89,7 +91,8 @@ def read_block(cls, block, name: str, **fixed):
 
     A block that is not a mapping, a key that is not one of ``cls``'s
     parameters, a missing required one, a value :func:`_cast` refuses for a
-    parameter annotated ``int``, ``bool`` or ``float``, or a value ``cls``
+    parameter annotated ``int``, ``bool`` or ``float`` (or, as a ``float``,
+    for an entry of one annotated ``np.ndarray``), or a value ``cls``
     rejects raises :class:`ConfigError`, so no key is ever ignored.
     """
     with reading(f"{name} block"):
@@ -97,6 +100,9 @@ def read_block(cls, block, name: str, **fixed):
         signature.bind(**fixed, **block)  # a non-mapping, an unknown key, a missing one
         for key, value in block.items():
             annotation = signature.parameters[key].annotation
+            if annotation in (np.ndarray, "np.ndarray"):
+                for entry in np.ravel(np.array(value, dtype=object)):
+                    _cast(entry, float, key)
             for cast in (int, bool, float):
                 if annotation in (cast, cast.__name__):
                     _cast(value, cast, key)
@@ -105,7 +111,7 @@ def read_block(cls, block, name: str, **fixed):
 
 def parse_cost(doc: dict) -> CostModel:
     with reading("cost block"):
-        return CostModel(doc["costs"], doc["budget"])
+        return read_block(CostModel, {"costs": doc["costs"], "budget": doc["budget"]}, "cost")
 
 
 def whole_number(value) -> float:

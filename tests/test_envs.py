@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -31,7 +32,6 @@ from equalloc.envs import (
     train_risk_model,
 )
 from equalloc.envs.genomic import (
-    _BLOCK,
     _SCORE_BLOCK,
     MAX_GENOTYPE_CELLS,
     RiskModel,
@@ -280,28 +280,18 @@ def _unpacked_fill(packed, population):
 @pytest.mark.parametrize("variants", [1, 63, 64, 129])
 def test_blocked_genotype_fill_matches_per_variant_loop(variants):
     # the variant-major fill, unpacked, is the transpose of the population-major
-    # loop; 1024 individuals are a whole number of blocks, 1000 and 1001 are
-    # not, and 1001, 13 and 7 end mid-byte
-    assert 1024 % _BLOCK == 0 and 1000 % _BLOCK and 7 < 13 < _BLOCK and _BLOCK % 8 == 0
+    # loop, with LD and without (where each latent is a fresh standard normal);
+    # 1000 and 1024 individuals fill whole bytes, and 1001, 13 and 7 end mid-byte
     freqs = np.random.default_rng(1).uniform(0.05, 0.5, variants)
-    for population in (1000, 1001, 1024, 13, 7):
-        expected = _per_variant_genotypes(np.random.default_rng(3), freqs, population, 0.3)
+    for ld_rho, population in itertools.product((0.0, 0.3), (1000, 1001, 1024, 13, 7)):
+        expected = _per_variant_genotypes(np.random.default_rng(3), freqs, population, ld_rho)
         rng = np.random.default_rng(3)
-        got = _sample_genotypes(rng, freqs, population, 0.3)
+        got = _sample_genotypes(rng, freqs, population, ld_rho)
         assert np.array_equal(_unpacked_fill(got, population), expected.T)
         # the generator is left where the reference loop leaves it
         after = np.random.default_rng(3)
-        _per_variant_genotypes(after, freqs, population, 0.3)
+        _per_variant_genotypes(after, freqs, population, ld_rho)
         assert rng.random() == after.random()
-        # without LD, one population-major draw of uniforms, transposed, and
-        # the generator is left where that one draw leaves it
-        reference = np.random.default_rng(3)
-        uniforms = reference.random((population, variants))
-        rng = np.random.default_rng(3)
-        independent = _sample_genotypes(rng, freqs, population, 0.0)
-        assert np.array_equal(_unpacked_fill(independent, population),
-                              (uniforms < freqs).astype(np.uint8).T)
-        assert rng.random() == reference.random()
 
 
 @pytest.mark.parametrize("population", [20000, 20003, 5001, 2 * _SCORE_BLOCK, 2049, 100, 7])
@@ -616,6 +606,19 @@ class TestPlattFit:
                               jac=True, method="L-BFGS-B")
             assert loss <= oracle.fun + 1e-9 * abs(oracle.fun), trial
             assert np.max(np.abs(grad)) < 1e-5, trial
+
+    @pytest.mark.parametrize("seed", [2, 3, 14])
+    def test_widely_spread_scores_end_where_no_step_lowers_the_loss(self, seed):
+        # at score sd 25 the Newton decrease falls below the loss's rounding
+        # while max|grad| is still 1.5e-5 to 4.6e-5: these seeds end by the
+        # no-decrease exit, at a loss no worse than L-BFGS-B's
+        rng = np.random.default_rng(seed)
+        labels = (rng.random(590) < 0.5).astype(float)
+        scores = rng.normal(0.0, 25.0, 590) + rng.uniform(0, 20) * labels
+        loss, _ = _platt_loss_and_grad(_fit_platt(scores, labels), scores, labels)
+        oracle = minimize(_platt_loss_and_grad, np.zeros(2), args=(scores, labels),
+                          jac=True, method="L-BFGS-B")
+        assert loss <= oracle.fun + 1e-9 * abs(oracle.fun)
 
     def test_saturating_scores_do_not_overflow(self):
         # a unit-slope start saturates the sigmoid at scores of +-800; the

@@ -620,6 +620,19 @@ class TestBaselinePolicies:
         assert np.allclose(alloc.counts, [500.0, 100.0])
         assert cost.spend(alloc) <= cost.budget + 1e-9
 
+    @pytest.mark.parametrize("costs,shares,budget,step,expected", [
+        # 6 and 6 round up to 8 and 8, over the budget of 12: the tie in
+        # overshoot sheds group 0's batch
+        ([1.0, 1.0], [1, 1], 12.0, 8.0, [0.0, 8.0]),
+        # 2.5 each rounds to 4, 2 and 4, spending 12 of 10: group 0 overshot
+        # most (1.5, tied with group 2) and gives its batch back
+        ([1.0, 2.0, 1.0], [1, 1, 1], 10.0, 4.0, [0.0, 2.0, 4.0]),
+    ])
+    def test_representative_rounding_sheds_the_largest_overshoot(self, costs, shares,
+                                                                 budget, step, expected):
+        alloc = representative_allocation(CostModel(costs, budget), shares, step_cost=step)
+        assert alloc.counts.tolist() == expected
+
     def test_parity_equalizes_performance(self, four_group_curve, four_group_cost):
         alloc = parity_allocation(four_group_curve, four_group_cost, step_cost=1.0)
         perf = eval_perf(four_group_curve, alloc).values

@@ -440,15 +440,18 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(instance))
         trace_path = tmp_path / "trace.csv"
+        out = tmp_path / "run"  # made by the command
         code = main([
             "greedy", "--instance", str(path), "--step", "1",
-            "--trace-out", str(trace_path),
+            "--trace-out", str(trace_path), "--out", str(out),
         ])
         assert code == 0
         lines = trace_path.read_text().splitlines()
         header = lines[1].split(",")
         assert header[:3] == ["step", "group", "spend"]
         assert len(lines) == 2 + 6  # digest + header + six steps
+        # --out writes the summary the command prints
+        assert (out / "greedy_run.json").read_text() == capsys.readouterr().out
 
     @pytest.mark.parametrize("marginals", ["true", "estimated"])
     def test_greedy_summary_builds_no_records(self, tmp_path, capsys, monkeypatch,
@@ -735,6 +738,14 @@ class TestCli:
         ("audit", ("curve.gamma", "costs", "auditor_utility.weights",
                    "auditor_utility.parity_penalty", "observed.counts"),
          (np.eye(5).tolist(), [1.0] * 5, [1.0] * 5, 0.5, [100.0] * 5)),
+        # true is not a number in the costs, the budget or an array block,
+        # at any depth
+        ("table1", "budget", True),
+        ("table1", "costs", [True, 1, 2, 1]),
+        ("table1", "utilities.equal.weights", [True, 1, 1, 1]),
+        ("table1", "curve.gamma", [[True, 0.3, 0.3, 0.3], [0.3, 0.5, 0.3, 0.3],
+                                   [0.3, 0.3, 1.0, 0.3], [0.3, 0.3, 0.3, 1.0]]),
+        ("audit", "observed.counts", [True, 200, 200, 200]),
     ])
     def test_bad_list_or_missing_block_exits_2_before_any_work(
         self, tmp_path, capsys, monkeypatch, command, key, value

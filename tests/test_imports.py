@@ -25,7 +25,7 @@ def _loaded(code: str, prefix: str | tuple[str, ...]) -> str:
     code += f"; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
     result = subprocess.run([sys.executable, "-c", "import sys; " + code], env=env,
-                            capture_output=True, text=True, check=True)
+                            capture_output=True, text=True, check=True, timeout=120)
     return result.stdout.strip().splitlines()[-1]
 
 
