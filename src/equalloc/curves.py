@@ -75,9 +75,10 @@ class AnalyticCurve:
 
 
 def eval_perf(curve: AnalyticCurve, alloc: Allocation) -> PerformanceVector:
-    """Expected group performances for an allocation."""
+    """Expected group performances for an allocation; an overflow raises DomainError."""
     check_groups(curve, allocation=alloc)
-    return PerformanceVector(curve.perf_values(alloc.counts))
+    with np.errstate(over="ignore"):
+        return PerformanceVector(curve.perf_values(alloc.counts))
 
 
 def batch_utilities(

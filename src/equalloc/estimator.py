@@ -153,11 +153,6 @@ _FLOAT_MAX = sys.float_info.max
 _FLOAT_MIN = sys.float_info.min  # the smallest normal double
 
 
-def _ndtr(x: float) -> float:
-    """Phi(x), to full relative precision in the lower tail."""
-    return 0.5 * math.erfc(-x * _SQRT_HALF)
-
-
 def _mills(t: float, d: float = 0.0) -> tuple[float, float, float]:
     """The Mills ratio m = phi / Phi(-.) at t and at t + d, and the divided
     difference ``(m(t + d) - m(t)) / d``.  Each ratio is its continued

@@ -1,14 +1,14 @@
 """Exact and near-exact solvers for the budget-constrained allocation problem.
 
-Two routes, one exhaustive and one ascent:
+Two routes, one exact and one ascent:
 
-* :func:`solve_grid` exhaustively scans a regular spend grid and is the
-  trusted oracle at K <= 4 (including parity-penalized, non-concave
-  utilities), up to ``MAX_GRID_POINTS`` grid points, one piece of a
-  simplex or a segment of points per utility-kernel call.  At a
-  resolution of one greedy step its grid is the whole-batch allocations,
-  the comparison class the sequential greedy matches on separable
-  concave curves.
+* :func:`solve_grid` finds the best point of a regular spend grid and is
+  the trusted oracle at K <= 4 (including parity-penalized, non-concave
+  utilities), up to ``MAX_GRID_POINTS`` grid points.  It scans a penalized
+  utility's whole grid, and of a monotone utility's full-spend face scores
+  only the cells that a concavity bound cannot rule out.  At a resolution
+  of one greedy step its grid is the whole-batch allocations, the
+  comparison class the sequential greedy matches on separable concave curves.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
   with away steps) over the budget simplex and scales to larger K, but
   requires a concave nondecreasing utility.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Allocation, CostModel, UtilitySpec, check_feasible, check_groups,
-                   utility_eval)
+                   utility_eval, utility_kernel)
 from .curves import AnalyticCurve, batch_utilities, eval_perf
 from .errors import CapacityError, DomainError, UnsupportedUtilityError
 
@@ -37,10 +37,11 @@ __all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "check_aud
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
 # Most points in one segment batch or one tetrahedron: the order of the largest
-# triangle (501,501 points on the K = 4 face at d = 1,000), so memory stays flat
-# where the point cap lets a single free coordinate reach d = MAX_GRID_POINTS.
+# triangle (738,720 points on a K = 3 grid at d = 1,214), so memory stays flat
+# where the point cap lets a single coordinate reach d = MAX_GRID_POINTS.
 _MAX_SEGMENT = 500_000
-_MAX_BATCH = 8192  # points per block of a simplex, so per kernel call: 256 kB at K = 4
+_MAX_BATCH = 8192  # points per simplex block or face batch: 256 kB at K = 4
+_CELL = 8  # spend steps on a side of a face cell: 512 points at K = 4
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class SolveResult:
     the Frank-Wolfe duality gap at ``alloc`` for :func:`solve_concave`
     (an upper bound on U* - U(alloc) for concave utilities), and 0.0 for
     :func:`solve_grid`, whose answer is the best of its grid.
+    ``iterations`` counts ascent steps, or the grid points scanned: on the
+    face, the points scored and those a concavity bound ruled out.
     """
 
     alloc: Allocation
@@ -78,20 +81,17 @@ def _answer(curve, utility, counts, method, iterations, converged=True, certific
                        iterations, converged, certificate)
 
 
-def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
-    """Yield the grid's counts as K x P batches in lexicographic order, one per
-    prefix of fixed leading free coordinates, in pieces (see :func:`solve_grid`)."""
+def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray):
+    """Yield the whole grid's counts as K x P batches in lexicographic order,
+    one per prefix of fixed leading coordinates, in pieces (see :func:`solve_grid`)."""
     if n_free >= 3:
-        # The simplex of the last m free coordinates, in blocks of _MAX_BATCH
-        # points from its end.  Its layer x starts at point n - C(d - x + m, m)
-        # and is the simplex of the other m - 1 (the segment 0..d beside the
-        # face's d - j, or the triangle i + j <= d) from its row x on, with
-        # that row shifted by -x.
+        # The simplex of the last m coordinates, in blocks of _MAX_BATCH points
+        # from its end.  Its layer x starts at point n - C(d - x + m, m) and is
+        # the simplex of the other m - 1 (the segment 0..d, or the triangle
+        # i + j <= d) from its row x on, with that row shifted by -x.
         m = 3 if n_free == 4 and math.comb(d + 3, 3) <= _MAX_SEGMENT else 2
         p, i, n = n_free - m, np.arange(d + 1), math.comb(d + m, m)
-        low = np.stack([i, d - i]) if face_only else i[None]
-        if m == 3:  # never on the face
-            low = np.stack(np.nonzero(np.add.outer(i, i) <= d))  # in row-major order
+        low = np.stack(np.nonzero(np.add.outer(i, i) <= d)) if m == 3 else i[None]
         start = n - np.array([math.comb(d - x + m, m) for x in range(d + 1)])
         offset = start - np.searchsorted(low[0], np.arange(d + 1))
         blocks = []
@@ -112,16 +112,73 @@ def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray, face_only: bool):
                 np.multiply(x[-take:] - used, step_sizes[p], out=counts[p])
                 yield counts
         return
-    # Segments of the last free coordinate; K = 1 on the face is one point.
-    for prefix in _lattice_points(max(n_free - 1, 0), d):
+    # Segments of the last coordinate.
+    for prefix in _lattice_points(n_free - 1, d):
         left = d - sum(prefix)
-        for lo in range(0 if n_free else left, left + 1, _MAX_SEGMENT):
+        for lo in range(0, left + 1, _MAX_SEGMENT):
             tail = np.arange(lo, min(lo + _MAX_SEGMENT, left + 1))
-            rows = prefix + ((tail, left - tail) if face_only and n_free else (tail,))
             counts = np.empty((len(step_sizes), tail.size))
-            for r, m in enumerate(rows):
+            for r, m in enumerate(prefix + (tail,)):
                 counts[r] = m * step_sizes[r]
             yield counts
+
+
+def _face_counts(m: np.ndarray, d: int, step_sizes: np.ndarray) -> np.ndarray:
+    """The K x P counts of face points from their first K - 1 step counts ``m``."""
+    return np.vstack([m, d - m.sum(axis=0)]) * step_sizes[:, None]
+
+
+def _face_cells(curve, utility, step_sizes, d, side=_CELL):
+    """Yield the face's cells ``side`` steps on a side in slabs of about
+    ``_MAX_BATCH``: their lower corners (n x C, n = K - 1), the utility at a
+    face point y of each, and each cell's bound, the concave U's tangent plane
+    at y at its highest corner.  It is +inf or NaN where U(y) or its slope is
+    not finite (a -inf log point, or z = 0 under sqrt or power)."""
+    n = len(step_sizes) - 1
+    top, a = d // side if n else 0, 0
+    while a <= top:
+        b = min(top + 1, a + max(1, _MAX_BATCH // (top - a + 1) ** (n - 1)))
+        c = np.indices((b - a,) + (top - a + 1,) * (n - 1), dtype=float)
+        c = c.reshape(len(c), -1)[:n]  # K = 1: one cell, with no coordinates
+        c[:1] += a
+        lo = side * c[:, c.sum(axis=0) <= top]
+        span, a = d - lo.sum(axis=0), b
+        below = np.minimum(side // 2, span // max(n, 1))  # y - lo in each coordinate
+        z = curve.gamma @ _face_counts(lo + below, d, step_sizes) + curve.offset
+        u = utility_kernel(utility, curve.transform(z))
+        g = (_slope_factor(curve, utility, z).T * utility.weights) @ curve.gamma
+        g /= utility.weight_total if utility.normalize else 1.0
+        slope = (g[:, :n] * step_sizes[:n] - g[:, n:] * step_sizes[n]).T  # per free step
+        above = np.minimum(side - 1, span) - below  # the far corner's x - y
+        yield lo, u, u + np.maximum(-slope * below, slope * above).sum(axis=0)
+
+
+def _face_optimum(curve, utility, step_sizes, d):
+    """The counts of the face's lexicographically first best point, or None
+    where the utility is undefined on all of it; see :func:`solve_grid`."""
+    n = len(step_sizes) - 1
+    box = np.indices((_CELL,) * n, dtype=float).reshape(n, _CELL ** n)  # a cell's offsets
+    per, rank = _MAX_BATCH // box.shape[1], (d + 1.0) ** np.arange(n - 1, -1, -1)
+    best, best_m = (-np.inf, 0.0), None  # (utility, -rank) of the best point so far
+    with np.errstate(all="ignore"):
+        # a first threshold from coarse cells; then the best tangent point so far
+        top = max(u.max() for _, u, _ in _face_cells(curve, utility, step_sizes, d, 4 * _CELL))
+        for lo, u, bound in _face_cells(curve, utility, step_sizes, d):
+            top = max(top, u.max())
+            lo = lo[:, ~(bound < top - 1e-9 * max(1.0, abs(top)))]  # keeps NaN bounds
+            for i in range(0, lo.shape[1], per):
+                m = lo[:, i:i + per, None] + box[:, None, :]
+                m = m.reshape(n, m.shape[1] * box.shape[1])
+                counts = _face_counts(m, d, step_sizes)
+                u = batch_utilities(curve, utility, counts)
+                u[counts[-1] < 0] = -np.inf  # past the face's edge
+                j = int(np.argmax(u))
+                if -np.inf < u[j] >= best[0]:
+                    tied = np.flatnonzero(u == u[j])  # bitwise-equal: the first point wins
+                    j = tied[np.argmin(rank @ m[:, tied])]
+                    if (u[j], -(rank @ m[:, j])) > best:
+                        best, best_m = (u[j], -(rank @ m[:, j])), m[:, j:j + 1]
+    return None if best_m is None else _face_counts(best_m, d, step_sizes)[:, 0]
 
 
 def _lattice_points(num_coords: int, total: int):
@@ -141,28 +198,32 @@ def solve_grid(
     cost: CostModel,
     resolution: float | None = None,
 ) -> SolveResult:
-    """Exhaustive scan over allocations whose per-group spend is a multiple
-    of ``resolution`` (by default ``budget / 200``, or 1.0 at a zero budget).
+    """The best allocation whose per-group spend is a multiple of
+    ``resolution`` (by default ``budget / 200``, or 1.0 at a zero budget).
 
     Group k's count moves in steps of ``resolution / costs[k]``.  Ties
-    break toward the lexicographically smallest counts vector.  For
-    monotone utilities (no parity penalty) only the full-spend face of
-    the grid is scanned, since spending more never hurts; parity-penalized
-    utilities force a scan of the whole grid.  At ``resolution =
-    step_cost`` the grid is every allocation of whole greedy batches, the
-    class the sequential greedy provably matches on separable concave curves.
+    (bitwise-equal utilities) break toward the lexicographically smallest
+    counts vector.  At ``resolution = step_cost`` the grid is every
+    allocation of whole greedy batches, the class the sequential greedy
+    provably matches on separable concave curves.
 
-    The scan walks the grid in lexicographic order, one batch per prefix
-    of fixed leading coordinates (on the face the spend total fixes the
-    last coordinate).  With three or more free coordinates a batch is the
-    simplex of the last m, for a grid d spend steps wide: the tetrahedron
-    when all four of a K = 4 grid are free and its C(d + 3, 3) points fit
-    in ``_MAX_SEGMENT`` (d <= 142), else the triangle of C(d + 2, 2), which
-    the point cap keeps small.  It is the suffix, from the layer of the
+    For monotone utilities (no parity penalty) only the full-spend face of
+    the grid, d steps wide, is read, since spending more never hurts.  The
+    utility is concave, so its tangent plane at a face point of a cell
+    ``_CELL`` steps on a side bounds it there; only cells whose bound
+    reaches the best tangent-point utility so far (less 1e-9 relative), or
+    whose tangent point has no finite utility or slope, are scored.
+
+    Parity-penalized utilities are not concave, so their whole grid is
+    scanned, in lexicographic order, one batch per prefix of fixed leading
+    coordinates.  With three or more coordinates a batch is the simplex of
+    the last m: the tetrahedron when all four of a K = 4 grid are in it and
+    its C(d + 3, 3) points fit in ``_MAX_SEGMENT`` (d <= 142), else the
+    triangle of C(d + 2, 2).  It is the suffix, from the layer of the
     prefix's sum on and with that sum taken off its first coordinate, of
     one simplex built per solve in blocks of ``_MAX_BATCH`` points aligned
     to its end: a kernel call takes the batch's part of one block, whose
-    prefix rows and shifted row alone are written.  With two or fewer free
+    prefix rows and shifted row alone are written.  With two or fewer
     coordinates a batch is a segment of the last one, at most d + 1 points,
     in pieces of at most ``_MAX_SEGMENT``.
     """
@@ -179,8 +240,8 @@ def solve_grid(
     check_groups(curve, costs=cost, utility=utility)
 
     d = int(math.floor(cost.spend_limit / resolution))
-    face_only = utility.is_concave_monotone
-    n_free = k - 1 if face_only else k  # coordinates the spend total leaves free
+    face = utility.is_concave_monotone
+    n_free = k - 1 if face else k  # coordinates the spend total leaves free
     n_points = math.comb(d + n_free, n_free)
     if n_points > MAX_GRID_POINTS:
         raise CapacityError(
@@ -190,26 +251,26 @@ def solve_grid(
 
     step_sizes = resolution / cost.costs  # samples bought per batch, per group
 
-    best_u, best_m, evaluated = -np.inf, None, 0
-    for counts in _grid_batches(n_free, d, step_sizes, face_only):
-        u = batch_utilities(curve, utility, counts)
-        evaluated += counts.shape[1]
-        idx = int(np.argmax(u))
-        # argmax picks the first (lexicographically smallest) maximizer
-        # in the chunk; chunks arrive in lexicographic order, so strict
-        # ">" preserves the global tie-break.
-        if u[idx] > best_u:
-            best_u = float(u[idx])
-            best_m = counts[:, idx].copy()
+    if face:
+        best_m = _face_optimum(curve, utility, step_sizes, d)
+    else:
+        best_u, best_m = -np.inf, None
+        for counts in _grid_batches(n_free, d, step_sizes):
+            u = batch_utilities(curve, utility, counts)
+            idx = int(np.argmax(u))
+            # argmax picks the first (lexicographically smallest) maximizer
+            # in the chunk; chunks arrive in lexicographic order, so strict
+            # ">" preserves the global tie-break.
+            if u[idx] > best_u:
+                best_u, best_m = float(u[idx]), counts[:, idx].copy()
 
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")
-    return _answer(curve, utility, best_m, "grid", evaluated)
+    return _answer(curve, utility, best_m, "grid", n_points)
 
 
-def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> np.ndarray:
-    """Gradient of the utility with respect to counts; +inf capped."""
-    z = curve.offset + curve.gamma @ counts
+def _slope_factor(curve: AnalyticCurve, utility: UtilitySpec, z: np.ndarray) -> np.ndarray:
+    """Each group's chain-rule factor f'(z) * t'(f(z)), uncapped (+inf at some z = 0)."""
     with np.errstate(divide="ignore"):
         if curve.form == "sqrt":
             fprime = 0.5 / np.sqrt(z)
@@ -218,11 +279,14 @@ def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) ->
         else:
             fprime = curve.power_exponent * np.power(z, curve.power_exponent - 1.0)
         if utility.transform == "log":
-            tprime = 1.0 / curve.transform(z)
-        else:
-            tprime = np.ones_like(z)
-    scale = np.nan_to_num(fprime * tprime, nan=1e12, posinf=1e12)
-    g = (utility.weights * scale) @ curve.gamma
+            fprime = fprime * (1.0 / curve.transform(z))
+    return fprime
+
+
+def _gradient(curve: AnalyticCurve, utility: UtilitySpec, counts: np.ndarray) -> np.ndarray:
+    """Gradient of the utility with respect to counts, its factors capped at 1e12."""
+    scale = _slope_factor(curve, utility, curve.offset + curve.gamma @ counts)
+    g = (utility.weights * np.where(scale < np.inf, scale, 1e12)) @ curve.gamma
     if utility.normalize:
         g = g / utility.weight_total
     return g

@@ -63,20 +63,23 @@ class TestEvalPerf:
                                   curve.transform(curve.offset + curve.gamma @ c))
 
     @pytest.mark.parametrize("form", ["sqrt", "log1p", "power"])
-    @pytest.mark.parametrize("n_free,face_only", [(3, True), (4, False)])
-    def test_a_zero_offset_adds_nothing_to_grid_batches(self, form, n_free, face_only):
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_a_zero_offset_adds_nothing_to_grid_batches(self, form, k):
         # perf_values skips a zero offset: the BLAS product starts its sums at
         # +0.0, so gamma @ counts is never -0.0 and adding +0.0 is the identity,
-        # also on a batch of zeros and negative zeros
-        rng = np.random.default_rng(n_free)
-        curve = AnalyticCurve(gamma=rng.uniform(0.0, 1.0, (4, 4)) + np.eye(4), form=form,
+        # also on a batch of zeros and negative zeros, on the whole grid's
+        # batches and on the full-spend face's points
+        rng = np.random.default_rng(k)
+        curve = AnalyticCurve(gamma=rng.uniform(0.0, 1.0, (k, k)) + np.eye(k), form=form,
                               power_exponent=0.3)
-        signed_zeros = np.zeros((4, 9))
-        signed_zeros[rng.random((4, 9)) < 0.5] = -0.0
-        step_sizes = 12.5 / rng.uniform(0.4, 2.0, 4)
+        signed_zeros = np.zeros((k, 9))
+        signed_zeros[rng.random((k, 9)) < 0.5] = -0.0
+        step_sizes = 12.5 / rng.uniform(0.4, 2.0, k)
+        m = np.indices((41,) * (k - 1), dtype=float).reshape(k - 1, -1)
+        face = solvers._face_counts(m[:, m.sum(axis=0) <= 40], 40, step_sizes)
         points = 0
-        for batch in itertools.chain([signed_zeros],
-                                     solvers._grid_batches(n_free, 40, step_sizes, face_only)):
+        for batch in itertools.chain([signed_zeros, face],
+                                     solvers._grid_batches(k, 40, step_sizes)):
             want = curve.transform(curve.gamma @ batch + 0.0)
             assert curve.perf_values(batch).tobytes() == want.tobytes()
             points += batch.shape[1]

@@ -20,7 +20,7 @@ from equalloc import (
     run_greedy,
 )
 from equalloc.envs import AnalyticEnvironment
-from equalloc.estimator import _mills, _ndtr, _truncated_normal_ppf
+from equalloc.estimator import _mills, _truncated_normal_ppf
 from equalloc.errors import (
     DegenerateDesignError,
     DomainError,
@@ -257,20 +257,21 @@ class TestSpecialFunctions:
     """The stdlib normal CDF and the Mills ratio behind the quantile, against
     mpmath at 60 digits and against scipy."""
 
-    def test_ndtr(self):
+    def test_quantile_up_to_the_tail_against_mpmath(self):
+        # The normal CDF inlined in the quantile, Phi(-a) and Phi(a) from
+        # math.erfc, over truncation points a in [-1e4, 40]: the quantile x
+        # solves Phi(-x) = (1 - q) Phi(-a), found by mpmath at 60 digits.  Near
+        # x = 0 the error is absolute, from Phi(a) + q Phi(-a) near 1/2.
         mp = pytest.importorskip("mpmath").mp
         xs = [-1e4, -1e3, -100.0, -38.5, -1e-300, 0.0, 1e-300]
         xs += list(-np.logspace(-3, 4, 300)) + list(np.linspace(-40, 40, 401))
-        for x in map(float, xs):
+        for i, a in enumerate(map(float, xs)):
+            q = (1e-3, 0.5, 0.999)[i % 3]
+            x, _ = _truncated_normal_ppf(q, a)
             with mp.workdps(60):
-                exact = float(mp.ncdf(x))
-            # Phi(x) moves by about x**2 relative per relative ulp of x, which
-            # x / sqrt(2) rounds.  Results below the normal range are compared
-            # at its bottom, and with scipy, which flushes them to 0, at 1e-300
-            tol = 1e-15 * (1.0 + x * x)
-            got = _ndtr(x)
-            assert abs(got - exact) <= tol * max(exact, sys.float_info.min), (x, got, exact)
-            assert abs(got - special.ndtr(x)) <= 2 * tol * max(exact, 1e-300), (x, got)
+                target = mp.log1p(-mp.mpf(q)) + mp.log(mp.ncdf(-mp.mpf(a)))
+                exact = float(mp.findroot(lambda t: mp.log(mp.ncdf(-t)) - target, x))
+            assert abs(x - exact) <= 2e-15 * max(abs(exact), 1.0), (a, q, x, exact)
 
     def test_mills_ratio(self):
         # phi(t) / Phi(-t) is sqrt(2 / pi) / erfcx(t / sqrt(2)); the

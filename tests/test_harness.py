@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -523,6 +524,23 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(instance))
         assert main(["solve", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("row,col", [(0, 0), (1, 2)])
+    def test_overflowing_audit_curve_exits_4_with_the_message_alone(self, tmp_path, capsys,
+                                                                    row, col):
+        # gamma @ counts overflows to inf at the observed allocation; outside a
+        # test a numpy RuntimeWarning would print to stderr ahead of the message
+        cfg = default_audit_config()
+        cfg["curve"]["gamma"][row][col] = 1e308
+        path = tmp_path / "audit.json"
+        path.write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["audit", "--config", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "numerical failure: values contains non-finite entries\n"
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_seed_offset_changes_convergence_seeds(self, tmp_path):
         cfg = default_convergence_config()

@@ -126,9 +126,9 @@ class TestSolveGrid:
         assert res.iterations == n_points
 
 
-def _kernel_batch_sizes(monkeypatch, k, penalty, d):
-    """The points in each ``batch_utilities`` call of a K-group grid solve
-    d spend steps wide, and the solve's result."""
+def _record_kernel_calls(monkeypatch):
+    """The list that receives the points in each ``batch_utilities`` call
+    that the solvers make from now on."""
     sizes = []
 
     def recording(curve, utility, counts):
@@ -136,6 +136,13 @@ def _kernel_batch_sizes(monkeypatch, k, penalty, d):
         return batch_utilities(curve, utility, counts)
 
     monkeypatch.setattr(solvers, "batch_utilities", recording)
+    return sizes
+
+
+def _kernel_batch_sizes(monkeypatch, k, penalty, d):
+    """The points in each ``batch_utilities`` call of a K-group grid solve
+    d spend steps wide, and the solve's result."""
+    sizes = _record_kernel_calls(monkeypatch)
     curve = AnalyticCurve(gamma=np.eye(k) + 0.1, form="sqrt")
     cost = CostModel(costs=np.ones(k), budget=float(d))
     res = solve_grid(curve, UtilitySpec(weights=np.ones(k), parity_penalty=penalty),
@@ -248,26 +255,130 @@ class TestGridProperties:
         assert res.iterations == n_points
 
     @pytest.mark.parametrize("k,penalty,d,n_batches,largest", [
-        (1, 0.5, 1_000_000, 3, 500_000),          # full grid: a segment in pieces
-        (2, 0.0, 600, 1, 601),                    # face: one segment
-        (2, 0.0, 2_000_000, 5, 500_000),          # face: a segment in pieces
-        (2, 0.5, 600, 601, 601),                  # full grid: a segment per prefix
-        (3, 0.0, 600, 601, 601),                  # face: a segment per prefix
-        (3, 0.5, 60, 61, math.comb(62, 2)),       # full grid: a triangle per prefix
-        (4, 0.0, 60, 61, math.comb(62, 2)),       # face: a triangle per prefix
-        (4, 0.5, 20, 21, math.comb(23, 3)),       # full grid: a tetrahedron per prefix
+        (1, 0.5, 1_000_000, 3, 500_000),          # a segment in pieces
+        (2, 0.5, 600, 601, 601),                  # a segment per prefix
+        (3, 0.5, 60, 61, math.comb(62, 2)),       # a triangle per prefix
+        (4, 0.5, 20, 21, math.comb(23, 3)),       # a tetrahedron per prefix
         (4, 0.5, 40, sum(-(-math.comb(43 - a, 3) // solvers._MAX_BATCH) for a in range(41)),
          solvers._MAX_BATCH),                     # ... in pieces past _MAX_BATCH points
     ])
     def test_batches_stay_small_where_the_cap_does_not_bound_d(
         self, monkeypatch, k, penalty, d, n_batches, largest
     ):
-        # With two or fewer free coordinates the cap allows d in the tens of
-        # thousands, so a batch must be a segment, never the whole triangle;
-        # with one it allows d = MAX_GRID_POINTS, so a segment comes in pieces.
+        # The whole grid of a penalized utility: with two or fewer coordinates
+        # the cap allows d in the tens of thousands, so a batch must be a
+        # segment, never the whole triangle; with one it allows d =
+        # MAX_GRID_POINTS, so a segment comes in pieces.
         sizes, res = _kernel_batch_sizes(monkeypatch, k, penalty, d)
         assert (len(sizes), max(sizes)) == (n_batches, largest)
         assert sum(sizes) == res.iterations
+
+    @pytest.mark.parametrize("k,d", [(1, 600), (2, 600), (2, 2_000_000), (3, 600), (4, 60),
+                                     (4, 600)])
+    def test_face_kernel_calls_stay_within_a_batch(self, monkeypatch, k, d):
+        # The face's cells and their points are scored _MAX_BATCH at a time at
+        # most, however wide the face, and every face point counts as visited.
+        sizes, res = _kernel_batch_sizes(monkeypatch, k, 0.0, d)
+        assert 0 < max(sizes) <= solvers._MAX_BATCH
+        assert res.iterations == math.comb(d + k - 1, k - 1)
+        assert np.array_equal(res.alloc.counts, np.full(k, d / k))  # symmetric optimum
+
+    @pytest.mark.parametrize("gamma,budget,d", [
+        (np.eye(4) + 0.1, 600.0, 600),  # cells prune
+        # gamma @ counts underflows to 0: the log utility is -inf everywhere,
+        # no tangent plane exists, and every cell is scored
+        (5e-324 * np.eye(4), 0.4, 200),
+    ])
+    def test_face_memory_stays_flat(self, gamma, budget, d):
+        # A scan in triangle batches of C(d + 2, 2) points peaked at 7.6 MB on
+        # the first face (36 M points); an array over the second face's 1.4 M
+        # points would take 11 MB.
+        curve = AnalyticCurve(gamma=gamma, form="sqrt")
+        util = UtilitySpec(weights=np.ones(4), transform="log")
+        tracemalloc.start()
+        try:
+            try:
+                solve_grid(curve, util, CostModel(costs=np.ones(4), budget=budget), budget / d)
+            except DomainError:
+                assert gamma[0, 0] < 1e-300
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_bounded_face_scan_matches_the_exhaustive_scan(self, monkeypatch, k):
+        # Wide enough faces that cells prune, against every face point scored
+        # at once in lexicographic order.  A kernel call rounds a column by its
+        # place in the batch, so points within a few ulps of the best are a tie
+        # class; a best point that stands out must be found exactly.
+        scored = _record_kernel_calls(monkeypatch)
+        rng = np.random.default_rng([41, k])
+        exact = pruned = 0
+        for trial in range(30):
+            kind = trial % 5  # dense, sparse gamma, zero weights under log, mirror, mirror
+            gamma = rng.uniform(0.05, 1.0, (k, k))
+            if kind == 1:
+                gamma = (rng.uniform(0.0, 1.0, (k, k)) * (rng.random((k, k)) < 0.4)
+                         + np.diag(rng.uniform(0.1, 1.0, k)))
+            weights, costs = rng.uniform(0.1, 1.0, k), rng.uniform(0.2, 2.0, k)
+            if kind == 2:
+                weights[rng.permutation(k)[:k // 2]] = 0.0
+            if kind >= 3:  # groups 0 and 1 are interchangeable
+                swap = [1, 0] + list(range(2, k))
+                gamma = (gamma + gamma[np.ix_(swap, swap)]) / 2
+                weights[1], costs[1] = weights[0], costs[0]
+            curve = AnalyticCurve(gamma=gamma, form=("sqrt", "log1p", "power")[trial % 3],
+                                  power_exponent=0.3, offset=(0.0, 0.5)[trial // 3 % 2])
+            util = UtilitySpec(weights=weights, normalize=trial % 4 == 0,
+                               transform="log" if kind == 2 or trial % 2 else "identity")
+            d = int(rng.integers(40, {2: 2000, 3: 200, 4: 60}[k]))
+            cost = CostModel(costs=costs, budget=float(rng.uniform(1.0, 100.0)))
+            resolution = cost.budget / d
+            m = np.indices((d + 1,) * (k - 1)).reshape(k - 1, -1)
+            m = m[:, m.sum(axis=0) <= d]  # the face's points in lexicographic order
+            face = np.vstack([m, d - m.sum(axis=0)]) * (resolution / cost.costs)[:, None]
+            u = batch_utilities(curve, util, face)
+            scored.clear()
+            res = solve_grid(curve, util, cost, resolution)
+            assert res.iterations == face.shape[1], (k, trial)
+            pruned += sum(scored) < face.shape[1] / 2
+            near = np.flatnonzero(u >= u.max() - 4 * math.ulp(u.max()))
+            if near.size == 1:
+                exact += 1
+                assert np.array_equal(res.alloc.counts, face[:, near[0]]), (k, trial)
+            else:
+                assert (face[:, near] == res.alloc.counts[:, None]).all(axis=0).any(), (k, trial)
+            assert res.utility == pytest.approx(u.max(), rel=1e-15, abs=0), (k, trial)
+        assert exact >= 18 and pruned >= 24, (exact, pruned)
+
+    def test_exact_ties_across_cells_break_toward_the_first_point(self):
+        # Groups 0 and 1 read only their sum, in dyadic products of whole
+        # counts, so every split of the best sum ties bit for bit, in cells
+        # and batches that a scan in cell order meets before the first split.
+        gamma = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.25], [0.5, 0.5, 1.0]])
+        curve = AnalyticCurve(gamma=gamma, form="sqrt")
+        util = UtilitySpec(weights=[1.0, 1.0, 2.0])
+        cost = CostModel(costs=np.ones(3), budget=100.0)
+        res = solve_grid(curve, util, cost, resolution=1.0)
+        m = np.indices((101, 101)).reshape(2, -1)
+        m = m[:, m.sum(axis=0) <= 100]
+        face = np.vstack([m, 100 - m.sum(axis=0)]).astype(float)
+        u = batch_utilities(curve, util, face)
+        tied = np.flatnonzero(u == u.max())
+        assert tied.size > 8 and face[0, tied[0]] == 0.0
+        assert np.array_equal(res.alloc.counts, face[:, tied[0]])
+
+    def test_table1_face_scores_few_of_its_points(
+        self, monkeypatch, four_group_curve, four_group_cost, u_equal
+    ):
+        # Pruning must not switch off silently: at 250 spend steps the scan
+        # scores under 5% of the face's 2.7 M points.
+        sizes = _record_kernel_calls(monkeypatch)
+        res = solve_grid(four_group_curve, u_equal, four_group_cost, resolution=4.0)
+        assert res.iterations == math.comb(253, 3)
+        assert np.array_equal(res.alloc.counts, [500.0, 0.0, 0.0, 500.0])
+        assert sum(sizes) <= 0.05 * res.iterations
 
     def test_a_tetrahedron_over_the_segment_cap_falls_back_to_triangles(self, monkeypatch):
         monkeypatch.setattr(solvers, "_MAX_SEGMENT", math.comb(23, 3) - 1)
