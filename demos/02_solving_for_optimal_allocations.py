@@ -37,7 +37,8 @@ u_mean = UtilitySpec(weights=[1, 1, 1, 1], normalize=True)
 print("performance at equal sampling:",
       np.round(eval_perf(curve, Allocation([200] * 4)).values, 2))
 
-# Exhaustive scan over a spend grid: the trusted oracle at small K.
+# Exact scan of a spend grid, cell by cell, skipping cells a bound rules
+# out: the trusted oracle at small K.
 best_grid = solve_grid(curve, u_mean, cost, resolution=5.0)
 print("grid optimum:", best_grid.alloc.counts, "->", round(best_grid.utility, 3))
 

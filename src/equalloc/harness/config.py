@@ -124,8 +124,10 @@ def whole_number(value) -> float:
 def _cast(value, cast, key: str, above=None):
     """``cast(value)``, which must exceed ``above`` when given; an ``int``
     or ``bool`` setting must already be one (neither ``5.0`` nor ``True``
-    is an integer), and a ``float`` one must be a finite non-``bool``."""
-    if cast in (int, bool) and type(value) is not cast or cast is float and type(value) is bool:
+    is an integer), a ``float`` one must be a finite non-``bool``, and only
+    a ``str`` setting may be a string (``"1.0"`` is not a number)."""
+    if (cast in (int, bool) and type(value) is not cast or cast is float and type(value) is bool
+            or cast is not str and isinstance(value, str)):
         raise TypeError(f"{key!r} must be of type {cast.__name__}, got {value!r}")
     value = cast(value)
     if cast is float and not math.isfinite(value):

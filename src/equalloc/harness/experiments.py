@@ -28,6 +28,7 @@ from ..greedy import (MAX_STEPS, GreedyConfig, check_run, equal_allocation,
                       parity_allocation, representative_allocation, run_greedy)
 from ..solvers import audit_gap, check_audit, solve_concave, solve_grid
 from .config import (
+    _cast,
     check_kind,
     config_digest,
     default_convergence_config,
@@ -201,7 +202,7 @@ def _weight_settings(config, defaults, shares):
 
 def _pair(entry):
     w0, w1 = entry
-    return float(w0), float(w1)
+    return _cast(w0, float, "weight"), _cast(w1, float, "weight")
 
 
 def _estimator_policy(config, defaults, budget, start, step):

@@ -4,9 +4,10 @@ Two routes, one exact and one ascent:
 
 * :func:`solve_grid` finds the best point of a regular spend grid and is
   the trusted oracle at K <= 4 (including parity-penalized, non-concave
-  utilities), up to ``MAX_GRID_POINTS`` grid points.  It scans a penalized
-  utility's whole grid, and of a monotone utility's full-spend face scores
-  only the cells that a concavity bound cannot rule out.  At a resolution
+  utilities), up to ``MAX_GRID_POINTS`` grid points.  It reads a penalized
+  utility's whole grid, or a monotone utility's full-spend face, in cells,
+  and scores only those that a bound cannot rule out: a tangent plane on
+  the concave face, an interval bound on the penalized grid.  At a resolution
   of one greedy step its grid is the whole-batch allocations, the
   comparison class the sequential greedy matches on separable concave curves.
 * :func:`solve_concave` runs conditional-gradient ascent (Frank-Wolfe
@@ -36,12 +37,8 @@ __all__ = ["SolveResult", "solve_grid", "solve_concave", "audit_gap", "check_aud
 
 MAX_GRID_POINTS = 300_000_000
 _GRID_MAX_GROUPS = 4
-# Most points in one segment batch or one tetrahedron: the order of the largest
-# triangle (738,720 points on a K = 3 grid at d = 1,214), so memory stays flat
-# where the point cap lets a single coordinate reach d = MAX_GRID_POINTS.
-_MAX_SEGMENT = 500_000
-_MAX_BATCH = 8192  # points per simplex block or face batch: 256 kB at K = 4
-_CELL = 8  # spend steps on a side of a face cell: 512 points at K = 4
+_MAX_BATCH = 8192  # points per kernel call, or cells per slab: 256 kB at K = 4
+_CELL = 8  # spend steps on a side of a grid cell: 512 points at three free coordinates
 
 
 @dataclass(frozen=True)
@@ -52,8 +49,8 @@ class SolveResult:
     the Frank-Wolfe duality gap at ``alloc`` for :func:`solve_concave`
     (an upper bound on U* - U(alloc) for concave utilities), and 0.0 for
     :func:`solve_grid`, whose answer is the best of its grid.
-    ``iterations`` counts ascent steps, or the grid points scanned: on the
-    face, the points scored and those a concavity bound ruled out.
+    ``iterations`` counts ascent steps, or the grid points read: those
+    scored plus those a cell's bound ruled out.
     """
 
     alloc: Allocation
@@ -81,115 +78,97 @@ def _answer(curve, utility, counts, method, iterations, converged=True, certific
                        iterations, converged, certificate)
 
 
-def _grid_batches(n_free: int, d: int, step_sizes: np.ndarray):
-    """Yield the whole grid's counts as K x P batches in lexicographic order,
-    one per prefix of fixed leading coordinates, in pieces (see :func:`solve_grid`)."""
-    if n_free >= 3:
-        # The simplex of the last m coordinates, in blocks of _MAX_BATCH points
-        # from its end.  Its layer x starts at point n - C(d - x + m, m) and is
-        # the simplex of the other m - 1 (the segment 0..d, or the triangle
-        # i + j <= d) from its row x on, with that row shifted by -x.
-        m = 3 if n_free == 4 and math.comb(d + 3, 3) <= _MAX_SEGMENT else 2
-        p, i, n = n_free - m, np.arange(d + 1), math.comb(d + m, m)
-        low = np.stack(np.nonzero(np.add.outer(i, i) <= d)) if m == 3 else i[None]
-        start = n - np.array([math.comb(d - x + m, m) for x in range(d + 1)])
-        offset = start - np.searchsorted(low[0], np.arange(d + 1))
-        blocks = []
-        for lo in range(n % -_MAX_BATCH, n, _MAX_BATCH):  # the first may start below 0
-            at = np.arange(max(lo, 0), lo + _MAX_BATCH)
-            x = np.searchsorted(start, at, side="right").astype(np.int32) - 1
-            block, k = np.empty((len(step_sizes), at.size)), at - offset[x]
-            np.multiply(low[0, k] - x, step_sizes[p + 1], out=block[p + 1])
-            np.multiply(low[1:, k], step_sizes[p + 2:, None], out=block[p + 2:])
-            blocks.append((x, block))
-        for prefix in _lattice_points(p, d):
-            used, left = sum(prefix), math.comb(d - sum(prefix) + m, m)
-            for x, block in blocks[-left // _MAX_BATCH:]:  # its last ceil(left / _MAX_BATCH)
-                take = (left - 1) % _MAX_BATCH + 1  # the batch's suffix of the block
-                counts, left = block[:, -take:], left - take
-                for r, c in enumerate(prefix):
-                    counts[r] = c * step_sizes[r]
-                np.multiply(x[-take:] - used, step_sizes[p], out=counts[p])
-                yield counts
-        return
-    # Segments of the last coordinate.
-    for prefix in _lattice_points(n_free - 1, d):
-        left = d - sum(prefix)
-        for lo in range(0, left + 1, _MAX_SEGMENT):
-            tail = np.arange(lo, min(lo + _MAX_SEGMENT, left + 1))
-            counts = np.empty((len(step_sizes), tail.size))
-            for r, m in enumerate(prefix + (tail,)):
-                counts[r] = m * step_sizes[r]
-            yield counts
+def _grid_counts(m: np.ndarray, d: int, step_sizes: np.ndarray) -> np.ndarray:
+    """The K x P counts of grid points from their free step counts ``m``; on
+    the face (K - 1 of them) the last group takes the steps left over."""
+    if len(m) < len(step_sizes):
+        m = np.vstack([m, d - m.sum(axis=0)])
+    return m * step_sizes[:, None]
 
 
-def _face_counts(m: np.ndarray, d: int, step_sizes: np.ndarray) -> np.ndarray:
-    """The K x P counts of face points from their first K - 1 step counts ``m``."""
-    return np.vstack([m, d - m.sum(axis=0)]) * step_sizes[:, None]
-
-
-def _face_cells(curve, utility, step_sizes, d, side=_CELL):
-    """Yield the face's cells ``side`` steps on a side in slabs of about
-    ``_MAX_BATCH``: their lower corners (n x C, n = K - 1), the utility at a
-    face point y of each, and each cell's bound, the concave U's tangent plane
-    at y at its highest corner.  It is +inf or NaN where U(y) or its slope is
-    not finite (a -inf log point, or z = 0 under sqrt or power)."""
-    n = len(step_sizes) - 1
-    top, a = d // side if n else 0, 0
+def _lattice(n, top):
+    """Yield the points c >= 0 of n coordinates with sum(c) <= top, n x C at
+    a time, from boxes of first coordinates by the cube of the rest, about
+    ``_MAX_BATCH`` points; a cube over 4 ``_MAX_BATCH`` (1 MB) is split too."""
+    a = 0
     while a <= top:
-        b = min(top + 1, a + max(1, _MAX_BATCH // (top - a + 1) ** (n - 1)))
+        rest = (top - a + 1) ** (n - 1)
+        if n > 1 and rest > 4 * _MAX_BATCH:  # a K = 4 grid past d = 127
+            for c in _lattice(n - 1, top - a):
+                yield np.vstack([np.full((1, c.shape[1]), float(a)), c])
+            a += 1
+            continue
+        b = min(top + 1, a + max(1, _MAX_BATCH // rest))
         c = np.indices((b - a,) + (top - a + 1,) * (n - 1), dtype=float)
-        c = c.reshape(len(c), -1)[:n]  # K = 1: one cell, with no coordinates
+        c = c.reshape(len(c), -1)[:n]  # n = 0: one point, with no coordinates
         c[:1] += a
-        lo = side * c[:, c.sum(axis=0) <= top]
-        span, a = d - lo.sum(axis=0), b
-        below = np.minimum(side // 2, span // max(n, 1))  # y - lo in each coordinate
-        z = curve.gamma @ _face_counts(lo + below, d, step_sizes) + curve.offset
+        yield c[:, c.sum(axis=0) <= top]
+        a = b
+
+
+def _interval_bound(curve, utility, low, high):
+    """A bound on the parity-penalised U over the counts from ``low`` to
+    ``high`` (K x C each).  gamma >= 0 and t is monotone, so t(M_k) lies
+    between its values at the two, and max(0, t_lo,k - mean t_hi, mean t_lo
+    - t_hi,k) is at most |t_k - mean t|.  NaN where -inf meets +inf."""
+    t_lo, t_hi = curve.perf_values(low), curve.perf_values(high)
+    if utility.transform == "log":
+        t_lo, t_hi = np.log(t_lo), np.log(t_hi)
+    dev = np.maximum(t_lo - t_hi.mean(axis=0), t_lo.mean(axis=0) - t_hi)
+    bound = utility.weights @ t_hi - utility.parity_penalty * np.maximum(dev, 0.0).sum(axis=0)
+    return bound / utility.weight_total if utility.normalize else bound
+
+
+def _grid_cells(curve, utility, step_sizes, d, n, side):
+    """Yield the cells ``side`` steps on a side of the grid's n free
+    coordinates in slabs of about ``_MAX_BATCH``: their lower corners (n x C),
+    the utility at a grid point y of each, and a bound on U over each cell.
+    On the face (n = K - 1) the bound is the concave U's tangent plane at y
+    at its highest corner, +inf or NaN where U(y) or its slope is not finite
+    (a -inf log point, or z = 0 under sqrt or power); on the whole grid
+    (n = K) it is :func:`_interval_bound`."""
+    for c in _lattice(n, d // side if n else 0):
+        lo = side * c
+        span = d - lo.sum(axis=0)
+        far = np.minimum(side - 1, span)  # the highest corner's x - lo in each coordinate
+        below = np.minimum(side // 2, span // max(n, 1))  # y - lo
+        z = curve.gamma @ _grid_counts(lo + below, d, step_sizes) + curve.offset
         u = utility_kernel(utility, curve.transform(z))
+        if n == len(step_sizes):
+            low, high = (_grid_counts(x, d, step_sizes) for x in (lo, lo + far))
+            yield lo, u, _interval_bound(curve, utility, low, high)
+            continue
         g = (_slope_factor(curve, utility, z).T * utility.weights) @ curve.gamma
         g /= utility.weight_total if utility.normalize else 1.0
         slope = (g[:, :n] * step_sizes[:n] - g[:, n:] * step_sizes[n]).T  # per free step
-        above = np.minimum(side - 1, span) - below  # the far corner's x - y
-        yield lo, u, u + np.maximum(-slope * below, slope * above).sum(axis=0)
+        yield lo, u, u + np.maximum(-slope * below, slope * (far - below)).sum(axis=0)
 
 
-def _face_optimum(curve, utility, step_sizes, d):
-    """The counts of the face's lexicographically first best point, or None
+def _grid_optimum(curve, utility, step_sizes, d, n):
+    """The counts of the grid's lexicographically first best point, or None
     where the utility is undefined on all of it; see :func:`solve_grid`."""
-    n = len(step_sizes) - 1
-    box = np.indices((_CELL,) * n, dtype=float).reshape(n, _CELL ** n)  # a cell's offsets
+    side = _CELL if n <= 3 else _CELL // 2  # at most _CELL ** 3 points a cell
+    box = np.indices((side,) * n, dtype=float).reshape(n, side ** n)  # a cell's offsets
     per, rank = _MAX_BATCH // box.shape[1], (d + 1.0) ** np.arange(n - 1, -1, -1)
     best, best_m = (-np.inf, 0.0), None  # (utility, -rank) of the best point so far
     with np.errstate(all="ignore"):
-        # a first threshold from coarse cells; then the best tangent point so far
-        top = max(u.max() for _, u, _ in _face_cells(curve, utility, step_sizes, d, 4 * _CELL))
-        for lo, u, bound in _face_cells(curve, utility, step_sizes, d):
+        # a first threshold from coarse cells; then the best witness point so far
+        top = max(u.max() for _, u, _ in _grid_cells(curve, utility, step_sizes, d, n, 4 * side))
+        for lo, u, bound in _grid_cells(curve, utility, step_sizes, d, n, side):
             top = max(top, u.max())
             lo = lo[:, ~(bound < top - 1e-9 * max(1.0, abs(top)))]  # keeps NaN bounds
             for i in range(0, lo.shape[1], per):
                 m = lo[:, i:i + per, None] + box[:, None, :]
                 m = m.reshape(n, m.shape[1] * box.shape[1])
-                counts = _face_counts(m, d, step_sizes)
-                u = batch_utilities(curve, utility, counts)
-                u[counts[-1] < 0] = -np.inf  # past the face's edge
+                u = batch_utilities(curve, utility, _grid_counts(m, d, step_sizes))
+                u[m.sum(axis=0) > d] = -np.inf  # past the grid's edge
                 j = int(np.argmax(u))
                 if -np.inf < u[j] >= best[0]:
                     tied = np.flatnonzero(u == u[j])  # bitwise-equal: the first point wins
                     j = tied[np.argmin(rank @ m[:, tied])]
                     if (u[j], -(rank @ m[:, j])) > best:
                         best, best_m = (u[j], -(rank @ m[:, j])), m[:, j:j + 1]
-    return None if best_m is None else _face_counts(best_m, d, step_sizes)[:, 0]
-
-
-def _lattice_points(num_coords: int, total: int):
-    """Yield every tuple of ``num_coords`` non-negative integers whose sum is
-    at most ``total``, in lexicographic order (one empty tuple for none)."""
-    if num_coords == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _lattice_points(num_coords - 1, total - first):
-            yield (first,) + rest
+    return None if best_m is None else _grid_counts(best_m, d, step_sizes)[:, 0]
 
 
 def solve_grid(
@@ -207,25 +186,16 @@ def solve_grid(
     allocation of whole greedy batches, the class the sequential greedy
     provably matches on separable concave curves.
 
-    For monotone utilities (no parity penalty) only the full-spend face of
-    the grid, d steps wide, is read, since spending more never hurts.  The
-    utility is concave, so its tangent plane at a face point of a cell
-    ``_CELL`` steps on a side bounds it there; only cells whose bound
-    reaches the best tangent-point utility so far (less 1e-9 relative), or
-    whose tangent point has no finite utility or slope, are scored.
-
-    Parity-penalized utilities are not concave, so their whole grid is
-    scanned, in lexicographic order, one batch per prefix of fixed leading
-    coordinates.  With three or more coordinates a batch is the simplex of
-    the last m: the tetrahedron when all four of a K = 4 grid are in it and
-    its C(d + 3, 3) points fit in ``_MAX_SEGMENT`` (d <= 142), else the
-    triangle of C(d + 2, 2).  It is the suffix, from the layer of the
-    prefix's sum on and with that sum taken off its first coordinate, of
-    one simplex built per solve in blocks of ``_MAX_BATCH`` points aligned
-    to its end: a kernel call takes the batch's part of one block, whose
-    prefix rows and shifted row alone are written.  With two or fewer
-    coordinates a batch is a segment of the last one, at most d + 1 points,
-    in pieces of at most ``_MAX_SEGMENT``.
+    Both grids are read exactly in cells of ``_CELL`` steps on a side (half
+    that with four free coordinates); only cells whose bound on U reaches
+    the best witness-point utility so far (less 1e-9 relative), or is NaN,
+    are scored.  A monotone utility (no parity penalty) is read on the
+    full-spend face alone, d steps wide, since spending more never hurts;
+    U is concave there, so its tangent plane at a point of a cell bounds
+    it.  A parity-penalised utility is read on its whole grid, the face of
+    one more free coordinate (the unspent steps), where each group's t(M)
+    on a cell lies between its values at the cell's least and greatest
+    counts (gamma >= 0 and t is monotone), which bounds U there.
     """
     if resolution is None:
         resolution = cost.budget / 200 if cost.budget > 0 else 1.0
@@ -240,8 +210,7 @@ def solve_grid(
     check_groups(curve, costs=cost, utility=utility)
 
     d = int(math.floor(cost.spend_limit / resolution))
-    face = utility.is_concave_monotone
-    n_free = k - 1 if face else k  # coordinates the spend total leaves free
+    n_free = k - 1 if utility.is_concave_monotone else k  # coordinates the spend leaves free
     n_points = math.comb(d + n_free, n_free)
     if n_points > MAX_GRID_POINTS:
         raise CapacityError(
@@ -250,20 +219,7 @@ def solve_grid(
         )
 
     step_sizes = resolution / cost.costs  # samples bought per batch, per group
-
-    if face:
-        best_m = _face_optimum(curve, utility, step_sizes, d)
-    else:
-        best_u, best_m = -np.inf, None
-        for counts in _grid_batches(n_free, d, step_sizes):
-            u = batch_utilities(curve, utility, counts)
-            idx = int(np.argmax(u))
-            # argmax picks the first (lexicographically smallest) maximizer
-            # in the chunk; chunks arrive in lexicographic order, so strict
-            # ">" preserves the global tie-break.
-            if u[idx] > best_u:
-                best_u, best_m = float(u[idx]), counts[:, idx].copy()
-
+    best_m = _grid_optimum(curve, utility, step_sizes, d, n_free)
     if best_m is None:
         raise DomainError("utility is undefined on every grid point")
     return _answer(curve, utility, best_m, "grid", n_points)

@@ -793,6 +793,50 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["table1", "convergence", "frontier", "prs-sim",
+                                         "audit"])
+    def test_a_number_written_as_a_string_exits_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # every numeric leaf of the default document, at any depth, in turn
+        # written as its string form ("1.0", "600"); the runners' first work
+        # is stubbed, so a string read as a number shows as Reached
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        for name in ("parity_allocation", "solve_grid", "solve_concave", "run_greedy",
+                     "generate_world", "audit_gap"):
+            monkeypatch.setattr(experiments, name, reached)
+        doc = {
+            "table1": default_table1_config,
+            "convergence": default_convergence_config,
+            "frontier": default_frontier_config,
+            "prs-sim": default_prs_sim_config,
+            "audit": default_audit_config,
+        }[command]()
+
+        def leaves(node, path=()):
+            if isinstance(node, (dict, list)):
+                items = node.items() if isinstance(node, dict) else enumerate(node)
+                return [leaf for key, child in items for leaf in leaves(child, path + (key,))]
+            return [path] if type(node) in (int, float) else []
+
+        paths = leaves(doc)
+        assert paths
+        path = tmp_path / "config.json"
+        for *blocks, entry in paths:
+            changed = json.loads(json.dumps(doc))
+            parent = functools.reduce(lambda node, key: node[key], blocks, changed)
+            parent[entry] = str(parent[entry])
+            path.write_text(json.dumps(changed))
+            out = str(tmp_path / "out")
+            assert main([command, "--config", str(path), "--out", out]) == 2, (*blocks, entry)
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
+
     @pytest.mark.parametrize("command,changes", [
         # the sweep's split (20, 80) overruns the 50-pair pools
         ("frontier", {"budget_pairs": 100, "min_per_group": 20, "grid_step": 20}),
