@@ -210,16 +210,23 @@ def _scan_instances(rng, k, penalty):
         cost = CostModel(costs=costs, budget=float(rng.uniform(1.0, 100.0)))
         yield curve, util, cost, cost.budget / d
     for trial in range(24 if penalty and k == 4 else 0):
-        rng = np.random.default_rng([29, trial])
-        gamma = rng.uniform(0.05, 1.0, (4, 4)) * (rng.random((4, 4)) < 0.7) + np.eye(4)
-        curve = AnalyticCurve(gamma=gamma, form=("sqrt", "log1p", "power")[trial % 3],
-                              offset=(0.0, 0.5)[trial // 12])
-        cost = CostModel(costs=rng.uniform(0.2, 2.0, 4), budget=rng.uniform(1, 20))
-        util = UtilitySpec(weights=rng.uniform(0.1, 1.0, 4),
-                           parity_penalty=rng.uniform(0.1, 2.0),
-                           transform=("identity", "log")[trial // 3 % 2],
-                           normalize=trial % 2 == 1)
-        yield curve, util, cost, cost.budget / int(rng.integers(8, 46))
+        yield _log_instance(trial)
+
+
+def _log_instance(trial):
+    """The penalized K = 4 instance ``trial`` of 24, whose gamma has zeros
+    off the diagonal: under log, -inf points wherever a group's own count is
+    zero."""
+    rng = np.random.default_rng([29, trial])
+    gamma = rng.uniform(0.05, 1.0, (4, 4)) * (rng.random((4, 4)) < 0.7) + np.eye(4)
+    curve = AnalyticCurve(gamma=gamma, form=("sqrt", "log1p", "power")[trial % 3],
+                          offset=(0.0, 0.5)[trial // 12])
+    cost = CostModel(costs=rng.uniform(0.2, 2.0, 4), budget=rng.uniform(1, 20))
+    util = UtilitySpec(weights=rng.uniform(0.1, 1.0, 4),
+                       parity_penalty=rng.uniform(0.1, 2.0),
+                       transform=("identity", "log")[trial // 3 % 2],
+                       normalize=trial % 2 == 1)
+    return curve, util, cost, cost.budget / int(rng.integers(8, 46))
 
 
 class TestGridProperties:
@@ -405,6 +412,23 @@ class TestGridProperties:
         assert res.iterations == math.comb(253, 3)
         assert np.array_equal(res.alloc.counts, [500.0, 0.0, 0.0, 500.0])
         assert sum(sizes) <= 0.05 * res.iterations
+
+    @pytest.mark.parametrize("trial", range(24))
+    def test_pruned_and_unpruned_scans_give_the_same_answer(self, monkeypatch, trial):
+        # The interval bound only skips cells: with every bound at +inf the
+        # scan scores every cell and must return the same result, bit for bit,
+        # also where -inf log points make bounds NaN.
+        curve, util, cost, resolution = _log_instance(trial)
+        scored = _record_kernel_calls(monkeypatch)
+        pruned = solve_grid(curve, util, cost, resolution)
+        n_pruned = sum(scored)
+        monkeypatch.setattr(solvers, "_interval_bound",
+                            lambda curve, utility, low, high: np.full(low.shape[1], np.inf))
+        scored.clear()
+        unpruned = solve_grid(curve, util, cost, resolution)
+        assert n_pruned <= sum(scored) and sum(scored) >= unpruned.iterations
+        assert pruned.to_dict() == unpruned.to_dict()
+        assert pruned.utility.hex() == unpruned.utility.hex()
 
     def test_penalized_grid_scores_few_of_its_points(self, monkeypatch):
         # Pruning must not switch off silently: the K = 4 grid at 142 spend
